@@ -22,7 +22,7 @@
  * default); only group-commit-capable runtimes ("spec", "spec-dp")
  * are affected.
  *
- * The final stdout line is a BENCH_kv.json-compatible JSON summary.
+ * The final stdout line is a JSON summary of every cell.
  * --metrics-out dumps the process-wide registry (Prometheus text, or
  * JSON when the path ends in .json); --trace-out enables the tracer
  * and dumps a Chrome trace-event file, appending a small
@@ -232,7 +232,7 @@ main(int argc, char **argv)
         }
     }
 
-    // Machine-readable summary (the BENCH_kv.json artifact).
+    // Machine-readable summary, one results[] entry per cell.
     std::printf("{\"bench\":\"kv_ycsb\",\"shards\":%u,\"threads\":%u,"
                 "\"keys\":%llu,\"ops_per_thread\":%llu,\"dist\":\"%s\","
                 "\"group_commit\":%u,"

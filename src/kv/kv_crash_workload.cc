@@ -33,11 +33,10 @@ serviceConfig(const sim::CrashCell &cell)
     if (cell.kvEpochOps != 0) {
         // Epoch group commit, sealed explicitly by the workload so
         // crash points land deterministically before, inside and
-        // after each seal; the count-based auto-seal and background
-        // sealer would race the countdown.
+        // after each seal; the count-based auto-seal would race the
+        // countdown.
         config.runtimeOptions.groupCommit = true;
         config.epochMaxOps = 0;
-        config.epochSealIntervalUs = 0;
     }
     return config;
 }

@@ -153,12 +153,6 @@ KvService::KvService(const KvServiceConfig &config) : config_(config)
             {{"shard", std::to_string(s)}});
         shards_.push_back(std::move(shard));
     }
-    startEpochSealer();
-}
-
-KvService::~KvService()
-{
-    stopEpochSealer();
 }
 
 bool
@@ -243,43 +237,6 @@ KvService::noteRelaxedMutation(unsigned shard_index, Shard &shard)
         shard.relaxedSinceSeal.store(0, std::memory_order_relaxed);
         sealShardEpoch(shard_index);
     }
-}
-
-void
-KvService::startEpochSealer()
-{
-    if (config_.epochSealIntervalUs == 0 || !groupCommitEnabled())
-        return;
-    {
-        std::lock_guard<std::mutex> guard(sealerMutex_);
-        stopSealer_ = false;
-    }
-    sealer_ = std::thread([this] {
-        std::unique_lock<std::mutex> lock(sealerMutex_);
-        while (!stopSealer_) {
-            sealerCv_.wait_for(lock,
-                               std::chrono::microseconds(
-                                   config_.epochSealIntervalUs));
-            if (stopSealer_)
-                break;
-            lock.unlock();
-            sealAllEpochs();
-            lock.lock();
-        }
-    });
-}
-
-void
-KvService::stopEpochSealer()
-{
-    if (!sealer_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> guard(sealerMutex_);
-        stopSealer_ = true;
-    }
-    sealerCv_.notify_all();
-    sealer_.join();
 }
 
 unsigned
@@ -623,8 +580,6 @@ KvService::executeShardBatch(ThreadId tid, unsigned shard_index,
 void
 KvService::crash(const pmem::CrashPolicy &policy)
 {
-    // The sealer thread dies with the simulated process.
-    stopEpochSealer();
     // Disarm any pending countdowns first so teardown device traffic
     // cannot trip a second simulated failure.
     for (auto &shard : shards_)
@@ -673,7 +628,6 @@ KvService::recover()
     }
     for (auto &worker : workers)
         worker.join();
-    startEpochSealer();
     KvMetrics::get().recoveries.add();
     KvMetrics::get().lastRecoveryNs.set(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -684,7 +638,6 @@ KvService::recover()
 void
 KvService::shutdown()
 {
-    stopEpochSealer();
     for (auto &shard : shards_) {
         shard->runtime->shutdown();
         // Registry totals catch up with the shard's device traffic

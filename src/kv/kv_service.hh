@@ -34,13 +34,11 @@
 #define SPECPMT_KV_KV_SERVICE_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -118,12 +116,6 @@ struct KvServiceConfig
      * seal. Only meaningful when runtimeOptions.groupCommit is on.
      */
     unsigned epochMaxOps = 64;
-    /**
-     * Background epoch sealer period in microseconds (0 = no sealer
-     * thread). Bounds how long a relaxed mutation can stay
-     * DRAM-latest-only when the auto-seal threshold is never reached.
-     */
-    std::uint64_t epochSealIntervalUs = 0;
     /** Options forwarded to the runtime factory. */
     txn::RuntimeOptions runtimeOptions;
     /**
@@ -217,7 +209,6 @@ class KvService
 {
   public:
     explicit KvService(const KvServiceConfig &config);
-    ~KvService();
 
     KvService(const KvService &) = delete;
     KvService &operator=(const KvService &) = delete;
@@ -436,17 +427,8 @@ class KvService
     /** Refresh shard's `specpmt_epoch_seal_lag{shard=}` gauge. */
     void publishSealLag(unsigned shard_index) const;
 
-    /** Start / stop the periodic background sealer thread. */
-    void startEpochSealer();
-    void stopEpochSealer();
-
     KvServiceConfig config_;
     std::vector<std::unique_ptr<Shard>> shards_;
-
-    std::mutex sealerMutex_;
-    std::condition_variable sealerCv_;
-    bool stopSealer_ = false;
-    std::thread sealer_;
 };
 
 } // namespace specpmt::kv

@@ -1,11 +1,7 @@
 #include "net/loadgen.hh"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,12 +9,12 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
-#include <fcntl.h>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/logging.hh"
+#include "net/client.hh"
 #include "net/protocol.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -182,85 +178,24 @@ class OpenLoopRun
         }
     }
 
-    int
-    connectTcp()
-    {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return -1;
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(cfg_.port);
-        if (::inet_pton(AF_INET, cfg_.host.c_str(), &addr.sin_addr) !=
-            1) {
-            ::close(fd);
-            return -1;
-        }
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd);
-            return -1;
-        }
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        return fd;
-    }
-
     /**
-     * Blocking HELLO exchange on a fresh connection; returns the fd
-     * (still blocking) or -1. The response fills shards/bound.
+     * A connection bound to @p shard, handed over non-blocking; -1 if
+     * the dial, the HELLO or the binding failed. The handshake is
+     * bounded by the client's timeouts: a server that accepts but
+     * never answers (e.g. SIGSTOPped under chaos) must not wedge the
+     * run; the re-dial path retries with backoff.
      */
     int
-    helloConnect(std::uint32_t desired, std::uint32_t &shards,
-                 std::uint32_t &bound)
+    dial(std::uint32_t shard)
     {
-        const int fd = connectTcp();
-        if (fd < 0)
-            return -1;
-        // Bound the blocking handshake: a server that accepts but
-        // never answers (e.g. SIGSTOPped under chaos) must not wedge
-        // the client; the re-dial path retries with backoff.
-        timeval tv{};
-        tv.tv_sec = 5;
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        std::vector<std::uint8_t> hello;
-        appendHello(hello, ++nextId_, desired);
-        std::size_t off = 0;
-        while (off < hello.size()) {
-            const ssize_t n = ::send(fd, hello.data() + off,
-                                     hello.size() - off, MSG_NOSIGNAL);
-            if (n <= 0) {
-                ::close(fd);
-                return -1;
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        FrameDecoder decoder;
-        Frame frame;
+        BlockingClient client;
         std::string error;
-        for (;;) {
-            switch (decoder.next(frame, error)) {
-            case FrameDecoder::Status::Frame:
-                if (!parseHelloOk(frame, shards, bound)) {
-                    ::close(fd);
-                    return -1;
-                }
-                return fd;
-            case FrameDecoder::Status::Error:
-                ::close(fd);
-                return -1;
-            case FrameDecoder::Status::NeedMore:
-                break;
-            }
-            std::uint8_t buf[512];
-            const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-            if (n <= 0) {
-                ::close(fd);
-                return -1;
-            }
-            decoder.feed(buf, static_cast<std::size_t>(n));
-        }
+        std::uint32_t shards = 0;
+        std::uint32_t bound = 0;
+        if (!client.connect(cfg_.host, cfg_.port, error) ||
+            !client.hello(shard, shards, bound, error) || bound != shard)
+            return -1;
+        return client.releaseNonBlocking();
     }
 
     bool
@@ -269,29 +204,25 @@ class OpenLoopRun
         // Probe with a wildcard HELLO to learn the shard count, then
         // open one shard-bound connection per shard.
         std::uint32_t shards = 0;
-        std::uint32_t bound = 0;
-        const int probe = helloConnect(kAnyShard, shards, bound);
-        if (probe < 0)
-            return abort("connect/handshake with " + cfg_.host + ":" +
-                         std::to_string(cfg_.port) + " failed");
-        ::close(probe);
+        {
+            BlockingClient probe;
+            std::string error;
+            std::uint32_t bound = 0;
+            if (!probe.connect(cfg_.host, cfg_.port, error) ||
+                !probe.hello(kAnyShard, shards, bound, error))
+                return abort("connect/handshake with " + cfg_.host +
+                             ":" + std::to_string(cfg_.port) +
+                             " failed: " + error);
+        }
         if (shards == 0)
             return abort("server reported zero shards");
         shards_ = shards;
         conns_.resize(shards_);
         for (std::uint32_t s = 0; s < shards_; ++s) {
-            std::uint32_t gotShards = 0;
-            std::uint32_t gotBound = 0;
-            const int fd = helloConnect(s, gotShards, gotBound);
-            if (fd < 0 || gotBound != s) {
-                if (fd >= 0)
-                    ::close(fd);
+            conns_[s].fd = dial(s);
+            if (conns_[s].fd < 0)
                 return abort("binding a connection to shard " +
                              std::to_string(s) + " failed");
-            }
-            const int flags = ::fcntl(fd, F_GETFL, 0);
-            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-            conns_[s].fd = fd;
         }
         return true;
     }
@@ -488,19 +419,13 @@ class OpenLoopRun
             }
             if (now < conn.reconnectAtNs)
                 continue;
-            std::uint32_t shards = 0;
-            std::uint32_t bound = 0;
-            const int fd = helloConnect(s, shards, bound);
-            if (fd < 0 || bound != s) {
-                if (fd >= 0)
-                    ::close(fd);
+            const int fd = dial(s);
+            if (fd < 0) {
                 ++conn.reconnectAttempts;
                 conn.reconnectAtNs =
                     now + backoffNs(conn.reconnectAttempts);
                 continue;
             }
-            const int flags = ::fcntl(fd, F_GETFL, 0);
-            ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
             // Unsent output dies with the old socket (a partial frame
             // may already be on the wire — resuming mid-frame would
             // poison the stream); in-flight requests resolve via the

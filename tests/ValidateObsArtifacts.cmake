@@ -1,7 +1,8 @@
 # Runs bench_kv_ycsb with --metrics-out/--trace-out and validates the
-# artifacts: both must pass `specstat check`, the metrics exposition
-# must carry the core tx/fence/reclaim/recovery series, and the trace
-# must hold at least one span of every category. Invoked by ctest as
+# artifacts: both must pass `specstat check` (and broken copies must
+# fail it), the metrics exposition must carry the core
+# tx/fence/reclaim/recovery series, and the trace must hold at least
+# one span of every category. Invoked by ctest as
 #   cmake -DBENCH_KV=... -DSPECSTAT=... -DWORK_DIR=... -P this-file
 
 foreach(var BENCH_KV SPECSTAT WORK_DIR)
@@ -43,6 +44,27 @@ if(NOT check_status EQUAL 0)
             "specstat check failed (${check_status}):\n${check_output}")
 endif()
 
+# Broken JSON must fail the check: a truncated copy of the trace,
+# trailing garbage after the valid trace object, and an unterminated
+# string.
+file(READ "${trace}" trace_text)
+string(LENGTH "${trace_text}" trace_len)
+math(EXPR half "${trace_len} / 2")
+string(SUBSTRING "${trace_text}" 0 ${half} truncated)
+file(WRITE "${WORK_DIR}/bad-truncated.json" "${truncated}")
+file(WRITE "${WORK_DIR}/bad-trailing.json" "${trace_text}garbage")
+file(WRITE "${WORK_DIR}/bad-unterminated.json"
+     "{\"traceEvents\": [], \"name\": \"abc")
+foreach(bad bad-truncated bad-trailing bad-unterminated)
+    execute_process(
+        COMMAND "${SPECSTAT}" check "${WORK_DIR}/${bad}.json"
+        RESULT_VARIABLE bad_status
+        OUTPUT_QUIET ERROR_QUIET)
+    if(bad_status EQUAL 0)
+        message(FATAL_ERROR "specstat check accepted ${bad}.json")
+    endif()
+endforeach()
+
 # The registry dump must carry the core series of every layer.
 file(READ "${metrics}" metrics_text)
 foreach(series
@@ -62,7 +84,6 @@ foreach(series
 endforeach()
 
 # The trace must witness at least one span per category.
-file(READ "${trace}" trace_text)
 foreach(category tx flush reclaim recovery)
     string(FIND "${trace_text}" "\"cat\": \"${category}\"" found)
     if(found EQUAL -1)

@@ -183,12 +183,14 @@ trap - EXIT
 
 # PM cost accounting gates: every commit was charged (write
 # amplification is log bytes over user bytes, so >= 1 whenever the
-# log wrote anything), and the flush/fence budget per transaction
-# stays within the speculative-logging design envelope.
+# log wrote anything, and <= 4 for speculative logging), and the
+# flush/fence budget per transaction stays within the
+# speculative-logging design envelope.
 "$SPECSTAT" check "$WORK_DIR/serve-epoch-metrics.prom" \
     --require='specpmt_pm_txs_total>=1000' \
     --require='specpmt_pm_user_bytes_total>0' \
     --require='specpmt_pm_write_amp>=1' \
+    --require='specpmt_pm_write_amp<=4' \
     --require='specpmt_pm_flushes_per_tx<=8' \
     --require='specpmt_pm_fences_per_tx<=4' \
     || fail "specstat check rejected the PM cost metrics"

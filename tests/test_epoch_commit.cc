@@ -6,9 +6,11 @@
  * epoch by sealing it, rollover under concurrent commits), the
  * durable frontier's recovery semantics (sealed epochs replay,
  * unsealed ones are dropped; a strict-mode successor retires the
- * frontier), and the KvService surface (relaxed put tickets, the
+ * frontier), the KvService surface (relaxed put tickets, the
  * epochMaxOps auto-seal, strict mutations sealing their shard's
- * epoch).
+ * epoch), and the paper-level group-commit claim on a closed-loop
+ * YCSB-A run (fewer fences per transaction, higher simulated
+ * throughput than strict commits).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/spec_tx.hh"
+#include "kv/driver.hh"
 #include "kv/kv_service.hh"
 #include "pmem/crash_policy.hh"
 #include "pmem/pmem_device.hh"
@@ -346,6 +349,73 @@ TEST(EpochKv, StrictPutSealsTheShardEpoch)
     EXPECT_GE(service.shardSealedEpoch(0), ticket)
         << "a strict mutation seals the epoch it joins";
     service.shutdown();
+}
+
+/** Simulated throughput and fences per committed tx of one run. */
+struct YcsbCell
+{
+    double simOpsPerSec = 0;
+    double fencesPerTx = 0;
+};
+
+/**
+ * Closed-loop YCSB-A zipfian over 2 shards x 2 threads, 4,096 keys,
+ * 2,000 ops per thread — bench_kv_ycsb's smoke shape. @p epoch_max_ops
+ * 0 issues strict puts; otherwise puts are relaxed and each shard
+ * seals every @p epoch_max_ops relaxed mutations.
+ */
+YcsbCell
+runYcsbA(unsigned epoch_max_ops)
+{
+    kv::KvServiceConfig service_config;
+    service_config.shards = 2;
+    service_config.threads = 2;
+    service_config.runtime = "spec";
+    service_config.bucketsPerShard = 8192;
+    if (epoch_max_ops != 0) {
+        service_config.runtimeOptions.groupCommit = true;
+        service_config.epochMaxOps = epoch_max_ops;
+    }
+    kv::KvService service(service_config);
+
+    kv::DriverConfig driver;
+    driver.threads = 2;
+    driver.keys = 4096;
+    driver.opsPerThread = 2000;
+    driver.mix = kv::Mix::A;
+    driver.dist = kv::KeyDist::Zipfian;
+    kv::loadKeyspace(service, driver);
+    driver.relaxedPuts = epoch_max_ops != 0;
+    const kv::DriverResult result = kv::runClosedLoop(service, driver);
+    service.shutdown();
+    EXPECT_EQ(result.failed, 0u);
+
+    std::uint64_t fences = 0;
+    std::uint64_t txs = 0;
+    for (const auto &shard : result.shards) {
+        fences += shard.device.fences;
+        txs += shard.committedTxs;
+    }
+    EXPECT_GT(txs, 0u);
+    return {result.simThroughputOps,
+            txs > 0 ? static_cast<double>(fences) /
+                          static_cast<double>(txs)
+                    : 0.0};
+}
+
+TEST(EpochKv, GroupCommitAmortizesFencesOnYcsbA)
+{
+    // Group commit's claim in simulated time: epochs of 8 relaxed
+    // puts share one seal fence (about 0.13 fences/tx against strict's
+    // one per tx), which shows up as roughly 2.4x the simulated
+    // throughput of strict commits.
+    const YcsbCell strict = runYcsbA(0);
+    const YcsbCell group = runYcsbA(8);
+    EXPECT_EQ(strict.fencesPerTx, 1.0);
+    EXPECT_LE(group.fencesPerTx, 0.25);
+    EXPECT_GE(group.simOpsPerSec, 1.5 * strict.simOpsPerSec)
+        << "group " << group.simOpsPerSec << " vs strict "
+        << strict.simOpsPerSec << " sim ops/s";
 }
 
 } // namespace

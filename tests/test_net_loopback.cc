@@ -6,14 +6,13 @@
  * fewer than N fences), and the durability contract under a crash
  * mid-load — every PUT the open-loop client saw acked must survive
  * power failure, recovery, and an independent forensic audit of the
- * post-crash images.
+ * post-crash images — plus net::BlockingClient's bounded handshake.
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -26,6 +25,7 @@
 #include "obs/metrics.hh"
 #include "forensic/recovery_audit.hh"
 #include "kv/kv_service.hh"
+#include "net/client.hh"
 #include "net/loadgen.hh"
 #include "net/protocol.hh"
 #include "net/server.hh"
@@ -49,125 +49,42 @@ serviceConfig(unsigned shards)
     return config;
 }
 
-/** Minimal blocking client for the correctness tests. */
-class BlockingClient
+/**
+ * Connect @p client to the loopback server on @p port and HELLO
+ * @p shard; returns the bound shard (a failure fails the test).
+ */
+std::uint32_t
+dial(BlockingClient &client, std::uint16_t port, std::uint32_t shard,
+     int timeoutMs = BlockingClient::kDefaultTimeoutMs)
 {
-  public:
-    explicit BlockingClient(std::uint16_t port)
-    {
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        EXPECT_GE(fd_, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-        EXPECT_EQ(::connect(fd_,
-                            reinterpret_cast<sockaddr *>(&addr),
-                            sizeof(addr)),
-                  0);
-        const int one = 1;
-        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one,
-                     sizeof(one));
-    }
+    std::string error;
+    std::uint32_t shards = 0;
+    std::uint32_t bound = 0;
+    EXPECT_TRUE(client.connect("127.0.0.1", port, error, timeoutMs) &&
+                client.hello(shard, shards, bound, error))
+        << error;
+    return bound;
+}
 
-    ~BlockingClient()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-    }
+void
+sendBytes(BlockingClient &client, const std::vector<std::uint8_t> &bytes)
+{
+    std::string error;
+    ASSERT_TRUE(client.sendAll(bytes, error)) << error;
+}
 
-    void
-    sendAll(const std::vector<std::uint8_t> &bytes)
-    {
-        std::size_t off = 0;
-        while (off < bytes.size()) {
-            const ssize_t n =
-                ::send(fd_, bytes.data() + off, bytes.size() - off,
-                       MSG_NOSIGNAL);
-            ASSERT_GT(n, 0);
-            off += static_cast<std::size_t>(n);
-        }
-    }
-
-    /** Read until @p count frames decoded (or the peer closes). */
-    std::vector<Frame>
-    readFrames(std::size_t count)
-    {
-        std::vector<Frame> frames;
-        Frame frame;
-        std::string error;
-        while (frames.size() < count) {
-            for (;;) {
-                const auto status = decoder_.next(frame, error);
-                if (status == FrameDecoder::Status::NeedMore)
-                    break;
-                EXPECT_EQ(status, FrameDecoder::Status::Frame)
-                    << error;
-                if (status != FrameDecoder::Status::Frame)
-                    return frames;
-                frames.push_back(frame);
-                if (frames.size() == count)
-                    return frames;
-            }
-            std::uint8_t buf[16 * 1024];
-            const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n <= 0)
-                return frames; // peer closed
-            decoder_.feed(buf, static_cast<std::size_t>(n));
-        }
-        return frames;
-    }
-
-    /** HELLO handshake; returns the bound shard. */
-    std::uint32_t
-    hello(std::uint32_t desired)
-    {
-        std::vector<std::uint8_t> out;
-        appendHello(out, 1, desired);
-        sendAll(out);
-        const auto frames = readFrames(1);
-        EXPECT_EQ(frames.size(), 1u);
-        std::uint32_t shards = 0;
-        std::uint32_t bound = 0;
-        EXPECT_TRUE(parseHelloOk(frames[0], shards, bound));
-        return bound;
-    }
-
-    bool alive() const { return fd_ >= 0; }
-
-    /**
-     * Abortive close: SO_LINGER with a zero timeout makes close()
-     * send RST instead of FIN, so the server's next write on this
-     * connection fails hard (ECONNRESET / EPIPE) — the rudest exit a
-     * client can make.
-     */
-    void
-    resetHard()
-    {
-        if (fd_ < 0)
-            return;
-        linger lg{};
-        lg.l_onoff = 1;
-        lg.l_linger = 0;
-        ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-        ::close(fd_);
-        fd_ = -1;
-    }
-
-    /** Bound recv() so a test never hangs past its own deadline. */
-    void
-    setRecvTimeoutMs(int ms)
-    {
-        timeval tv{};
-        tv.tv_sec = ms / 1000;
-        tv.tv_usec = (ms % 1000) * 1000;
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
-
-  private:
-    int fd_ = -1;
-    FrameDecoder decoder_;
-};
+/** Read until @p count frames decoded (or the peer closes). */
+std::vector<Frame>
+readFrames(BlockingClient &client, std::size_t count)
+{
+    std::vector<Frame> frames;
+    Frame frame;
+    std::string error;
+    while (frames.size() < count && client.recvFrame(frame, error))
+        frames.push_back(frame);
+    EXPECT_FALSE(client.protocolError()) << error;
+    return frames;
+}
 
 TEST(NetLoopback, WireOpsAndPipelinedReadYourWrites)
 {
@@ -175,8 +92,8 @@ TEST(NetLoopback, WireOpsAndPipelinedReadYourWrites)
     NetServer server(service, ServerConfig{});
     server.start();
 
-    BlockingClient client(server.port());
-    client.hello(kAnyShard);
+    BlockingClient client;
+    dial(client, server.port(), kAnyShard);
 
     // One pipelined burst: PUT k, GET k (must see the PUT), DEL k,
     // GET k (must miss), DEL k (must miss) — answered in order.
@@ -188,9 +105,9 @@ TEST(NetLoopback, WireOpsAndPipelinedReadYourWrites)
     appendDel(out, 12, key);
     appendGet(out, 13, key);
     appendDel(out, 14, key);
-    client.sendAll(out);
+    sendBytes(client, out);
 
-    const auto frames = client.readFrames(5);
+    const auto frames = readFrames(client, 5);
     ASSERT_EQ(frames.size(), 5u);
     EXPECT_EQ(frames[0].op, Op::Ok);
     EXPECT_EQ(frames[0].id, 10u);
@@ -212,16 +129,16 @@ TEST(NetLoopback, MalformedBytesCloseTheConnection)
     NetServer server(service, ServerConfig{});
     server.start();
 
-    BlockingClient client(server.port());
-    client.hello(0);
+    BlockingClient client;
+    dial(client, server.port(), 0);
 
     // A corrupted frame (CRC broken) must produce a best-effort Err
     // and then EOF — never a crash, never silent resync.
     std::vector<std::uint8_t> out;
     appendGet(out, 5, 1);
     out.back() ^= 0xFF;
-    client.sendAll(out);
-    const auto frames = client.readFrames(2);
+    sendBytes(client, out);
+    const auto frames = readFrames(client, 2);
     ASSERT_GE(frames.size(), 1u);
     EXPECT_EQ(frames[0].op, Op::Err);
     // The stream ends after the Err (readFrames returned short).
@@ -237,8 +154,8 @@ TEST(NetLoopback, GroupCommitAmortizesFences)
     NetServer server(service, ServerConfig{});
     server.start();
 
-    BlockingClient client(server.port());
-    ASSERT_EQ(client.hello(0), 0u);
+    BlockingClient client;
+    ASSERT_EQ(dial(client, server.port(), 0), 0u);
 
     const std::uint64_t before =
         service.shardSnapshot(0).device.fences;
@@ -253,9 +170,9 @@ TEST(NetLoopback, GroupCommitAmortizesFences)
         appendPut(out, 100 + static_cast<std::uint64_t>(i), key,
                   kv::KvValue::tagged(key, 7));
     }
-    client.sendAll(out);
+    sendBytes(client, out);
     const auto frames =
-        client.readFrames(static_cast<std::size_t>(kPuts));
+        readFrames(client, static_cast<std::size_t>(kPuts));
     ASSERT_EQ(frames.size(), static_cast<std::size_t>(kPuts));
     for (const auto &frame : frames)
         EXPECT_EQ(frame.op, Op::Ok);
@@ -363,17 +280,17 @@ TEST(NetLoopback, MixedVersionClientsInteroperate)
     NetServer server(service, ServerConfig{});
     server.start();
 
-    BlockingClient old_client(server.port());
-    BlockingClient new_client(server.port());
-    ASSERT_EQ(old_client.hello(0), 0u);
-    ASSERT_EQ(new_client.hello(0), 0u);
+    BlockingClient old_client;
+    BlockingClient new_client;
+    ASSERT_EQ(dial(old_client, server.port(), 0), 0u);
+    ASSERT_EQ(dial(new_client, server.port(), 0), 0u);
 
     const TraceExt ext{0xABCDEFull, true};
     std::vector<std::uint8_t> out;
     appendPut(out, 1, 7, kv::KvValue::tagged(7, 1), 0, &ext);
     appendGet(out, 2, 7, &ext);
-    new_client.sendAll(out);
-    const auto traced = new_client.readFrames(2);
+    sendBytes(new_client, out);
+    const auto traced = readFrames(new_client, 2);
     ASSERT_EQ(traced.size(), 2u);
     EXPECT_EQ(traced[0].op, Op::Ok);
     EXPECT_EQ(traced[1].op, Op::Value);
@@ -388,8 +305,8 @@ TEST(NetLoopback, MixedVersionClientsInteroperate)
     out.clear();
     appendPut(out, 3, 8, kv::KvValue::tagged(8, 2));
     appendGet(out, 4, 7);
-    old_client.sendAll(out);
-    const auto plain = old_client.readFrames(2);
+    sendBytes(old_client, out);
+    const auto plain = readFrames(old_client, 2);
     ASSERT_EQ(plain.size(), 2u);
     EXPECT_EQ(plain[0].op, Op::Ok);
     ASSERT_EQ(plain[1].op, Op::Value);
@@ -410,8 +327,8 @@ TEST(NetLoopback, SampledRequestEmitsCorrelatedServerSpans)
     NetServer server(service, ServerConfig{});
     server.start();
 
-    BlockingClient client(server.port());
-    ASSERT_EQ(client.hello(0), 0u);
+    BlockingClient client;
+    ASSERT_EQ(dial(client, server.port(), 0), 0u);
 
     // One sampled traced strict PUT: the server must emit request
     // spans correlated by the wire trace id, and the srv_exec span
@@ -421,8 +338,8 @@ TEST(NetLoopback, SampledRequestEmitsCorrelatedServerSpans)
     std::vector<std::uint8_t> out;
     appendPut(out, 1, 99, kv::KvValue::tagged(99, 5), kFlagStrict,
               &ext);
-    client.sendAll(out);
-    const auto frames = client.readFrames(1);
+    sendBytes(client, out);
+    const auto frames = readFrames(client, 1);
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0].op, Op::Ok);
 
@@ -542,8 +459,8 @@ TEST(NetLoopback, StrictPutAckImpliesDurabilityMidEpoch)
     NetServer server(service, server_config);
     server.start();
 
-    BlockingClient client(server.port());
-    ASSERT_EQ(client.hello(0), 0u);
+    BlockingClient client;
+    ASSERT_EQ(dial(client, server.port(), 0), 0u);
 
     const kv::KvKey relaxed_key = 10;
     const kv::KvKey strict_key = 20;
@@ -554,13 +471,13 @@ TEST(NetLoopback, StrictPutAckImpliesDurabilityMidEpoch)
     appendPut(out, 2, strict_key, kv::KvValue::tagged(strict_key, 2),
               kFlagStrict);
     appendPut(out, 3, open_key, kv::KvValue::tagged(open_key, 3));
-    client.sendAll(out);
+    sendBytes(client, out);
 
     // The strict PUT commits with its own fence and seals the shard
     // epoch, releasing the earlier relaxed PUT's deferred ack with
     // it (pipeline order preserved). The trailing relaxed PUT joined
     // a fresh epoch that never seals, so its ack never arrives.
-    const auto frames = client.readFrames(2);
+    const auto frames = readFrames(client, 2);
     ASSERT_EQ(frames.size(), 2u);
     EXPECT_EQ(frames[0].op, Op::Ok);
     EXPECT_EQ(frames[0].id, 1u);
@@ -687,18 +604,18 @@ TEST(NetLoopback, MidResponseConnectionResetDoesNotKillServer)
     server.start();
 
     {
-        BlockingClient loader(server.port());
-        ASSERT_EQ(loader.hello(0), 0u);
+        BlockingClient loader;
+        ASSERT_EQ(dial(loader, server.port(), 0), 0u);
         std::vector<std::uint8_t> out;
         for (kv::KvKey key = 1; key <= 64; ++key)
             appendPut(out, key, key, kv::KvValue::tagged(key, 1));
-        loader.sendAll(out);
-        ASSERT_EQ(loader.readFrames(64).size(), 64u);
+        sendBytes(loader, out);
+        ASSERT_EQ(readFrames(loader, 64).size(), 64u);
     }
 
     for (int round = 0; round < 5; ++round) {
-        BlockingClient rude(server.port());
-        ASSERT_EQ(rude.hello(0), 0u);
+        BlockingClient rude;
+        ASSERT_EQ(dial(rude, server.port(), 0), 0u);
         // 4096 pipelined GETs produce ~350 KiB of Value responses —
         // far beyond the socket buffer, so the server is still
         // writing when the reset lands.
@@ -706,21 +623,21 @@ TEST(NetLoopback, MidResponseConnectionResetDoesNotKillServer)
         std::uint64_t id = 100;
         for (int i = 0; i < 4096; ++i)
             appendGet(out, id++, 1 + (static_cast<kv::KvKey>(i) % 64));
-        rude.sendAll(out);
+        sendBytes(rude, out);
         // Read a few responses to ensure the server's write stream is
         // flowing, then slam the door on the rest.
-        ASSERT_GE(rude.readFrames(4).size(), 4u);
+        ASSERT_GE(readFrames(rude, 4).size(), 4u);
         rude.resetHard();
     }
 
     // The server survived every reset and still serves new clients.
     ASSERT_TRUE(server.running());
-    BlockingClient polite(server.port());
-    ASSERT_EQ(polite.hello(0), 0u);
+    BlockingClient polite;
+    ASSERT_EQ(dial(polite, server.port(), 0), 0u);
     std::vector<std::uint8_t> out;
     appendGet(out, 9000, 7);
-    polite.sendAll(out);
-    const auto frames = polite.readFrames(1);
+    sendBytes(polite, out);
+    const auto frames = readFrames(polite, 1);
     ASSERT_EQ(frames.size(), 1u);
     kv::KvValue got;
     ASSERT_TRUE(parseValue(frames[0], got));
@@ -748,26 +665,25 @@ TEST(NetLoopback, OversizedFrameEvictsConnectionAndCountsIt)
     NetServer server(service, config);
     server.start();
 
-    BlockingClient greedy(server.port());
-    ASSERT_EQ(greedy.hello(0), 0u);
+    BlockingClient greedy;
+    ASSERT_EQ(dial(greedy, server.port(), 0), 0u);
     std::vector<std::pair<kv::KvKey, kv::KvValue>> items;
     for (kv::KvKey k = 0; k < 512; ++k)
         items.emplace_back(k, kv::KvValue::tagged(k, 1));
     std::vector<std::uint8_t> out;
     appendBatch(out, 50, items); // ~37 KiB: over the cap, legal wire
     ASSERT_LT(out.size(), kMaxFrameBytes);
-    greedy.sendAll(out);
-    greedy.setRecvTimeoutMs(5000);
+    sendBytes(greedy, out);
     // The server closes the connection (possibly after a best-effort
     // Err frame); what it must NOT do is execute the batch.
-    greedy.readFrames(1);
+    readFrames(greedy, 1);
 
-    BlockingClient other(server.port());
-    ASSERT_EQ(other.hello(0), 0u);
+    BlockingClient other;
+    ASSERT_EQ(dial(other, server.port(), 0), 0u);
     out.clear();
     appendGet(out, 60, 3);
-    other.sendAll(out);
-    const auto frames = other.readFrames(1);
+    sendBytes(other, out);
+    const auto frames = readFrames(other, 1);
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0].op, Op::NotFound)
         << "the oversized batch must not have been applied";
@@ -796,13 +712,12 @@ TEST(NetLoopback, IdleConnectionIsEvicted)
     NetServer server(service, config);
     server.start();
 
-    BlockingClient idle(server.port());
-    ASSERT_EQ(idle.hello(0), 0u);
-    idle.setRecvTimeoutMs(10000);
+    BlockingClient idle;
+    ASSERT_EQ(dial(idle, server.port(), 0, /*timeoutMs=*/10000), 0u);
     // No further bytes: the sweep must EOF this connection. The
     // blocking read returns zero frames once the server closes.
     const auto t0 = std::chrono::steady_clock::now();
-    const auto frames = idle.readFrames(1);
+    const auto frames = readFrames(idle, 1);
     const auto waited = std::chrono::steady_clock::now() - t0;
     EXPECT_TRUE(frames.empty()) << "unexpected frame on idle conn";
     EXPECT_LT(waited, std::chrono::seconds(9))
@@ -810,8 +725,8 @@ TEST(NetLoopback, IdleConnectionIsEvicted)
     EXPECT_GE(evicted.value(), before + 1);
 
     // A new connection is admitted fine after the eviction.
-    BlockingClient fresh(server.port());
-    ASSERT_EQ(fresh.hello(0), 0u);
+    BlockingClient fresh;
+    ASSERT_EQ(dial(fresh, server.port(), 0), 0u);
 
     server.stop();
     service.shutdown();
@@ -829,8 +744,8 @@ TEST(NetLoopback, AdmissionControlShedsBusyAndNeverLies)
     NetServer server(service, config);
     server.start();
 
-    BlockingClient client(server.port());
-    ASSERT_EQ(client.hello(0), 0u);
+    BlockingClient client;
+    ASSERT_EQ(dial(client, server.port(), 0), 0u);
 
     constexpr std::uint64_t kBurst = 512;
     std::vector<std::uint8_t> out;
@@ -838,8 +753,8 @@ TEST(NetLoopback, AdmissionControlShedsBusyAndNeverLies)
         const kv::KvKey key = 1 + static_cast<kv::KvKey>(i);
         appendPut(out, 1000 + i, key, kv::KvValue::tagged(key, 3));
     }
-    client.sendAll(out);
-    const auto frames = client.readFrames(kBurst);
+    sendBytes(client, out);
+    const auto frames = readFrames(client, kBurst);
     ASSERT_EQ(frames.size(), kBurst) << "responses were lost";
 
     std::vector<bool> okById(kBurst, false);
@@ -878,6 +793,44 @@ TEST(NetLoopback, AdmissionControlShedsBusyAndNeverLies)
         }
     }
     service.shutdown();
+}
+
+TEST(NetLoopback, HelloToASilentListenerFailsWithinItsTimeout)
+{
+    // A listener that never accepts or answers: the kernel completes
+    // the TCP handshake into its backlog, so connect() succeeds, but
+    // the HELLO response never comes. The client must give up at its
+    // receive bound instead of hanging the caller.
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(listener, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listener, 4), 0);
+    ASSERT_EQ(::getsockname(listener,
+                            reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+
+    BlockingClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", ntohs(addr.sin_port), error,
+                               /*timeoutMs=*/200))
+        << error;
+    std::uint32_t shards = 0;
+    std::uint32_t bound = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(client.hello(kAnyShard, shards, bound, error));
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(error.rfind("recv:", 0), 0u) << error;
+    EXPECT_FALSE(client.connected());
+    EXPECT_GE(waited, std::chrono::milliseconds(100));
+    EXPECT_LT(waited, std::chrono::seconds(3))
+        << "HELLO outlived its 200 ms receive bound";
+    ::close(listener);
 }
 
 } // namespace

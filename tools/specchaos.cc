@@ -59,11 +59,7 @@
  * CI can attach it as an artifact.
  */
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -76,6 +72,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +81,7 @@
 #include "forensic/inspector.hh"
 #include "forensic/recovery_audit.hh"
 #include "kv/kv_service.hh"
+#include "net/client.hh"
 #include "net/loadgen.hh"
 #include "net/protocol.hh"
 #include "obs/metrics.hh"
@@ -238,38 +236,35 @@ killServer(ServerHandle &h)
 
 /** Sum of every sample of @p name (across label sets); -1 if absent. */
 double
-metricTotal(const std::string &promPath, const std::string &name)
+metricSum(const std::string &promPath, const std::string &name)
 {
     std::ifstream f(promPath);
     if (!f)
         return -1;
+    std::ostringstream text;
+    text << f.rdbuf();
+    obs::FlatSamples samples;
+    std::string error;
+    if (!obs::parsePrometheus(text.str(), samples, error))
+        return -1;
     double total = 0;
     bool seen = false;
-    std::string line;
-    while (std::getline(f, line)) {
-        if (line.empty() || line[0] == '#')
+    for (const auto &[series, value] : samples) {
+        if (series.substr(0, series.find('{')) != name)
             continue;
-        if (line.rfind(name, 0) != 0)
-            continue;
-        const char next = line.size() > name.size() ? line[name.size()]
-                                                    : '\0';
-        if (next != '{' && next != ' ')
-            continue; // longer metric name sharing the prefix
-        const std::size_t sp = line.find_last_of(' ');
-        if (sp == std::string::npos)
-            continue;
-        total += std::atof(line.c_str() + sp + 1);
+        total += value;
         seen = true;
     }
     return seen ? total : -1;
 }
 
 // ---------------------------------------------------------------------
-// A small synchronous client for targeted probes and verification
-// sweeps (the open-loop loadgen drives the chaos; this reads back).
+// Verification probes over net::BlockingClient: outcome
+// classification and pipelined bulk reads/writes (the open-loop
+// loadgen drives the chaos; this reads back).
 // ---------------------------------------------------------------------
 
-class SyncClient
+class ChaosClient
 {
   public:
     enum class Outcome
@@ -284,57 +279,17 @@ class SyncClient
         Broken,
     };
 
-    ~SyncClient() { closeFd(); }
-
+    /** Connect to the local server on @p port, bound to any shard. */
     bool
     connectTo(std::uint16_t port, std::string &err)
     {
-        closeFd();
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd_ < 0) {
-            err = std::string("socket: ") + std::strerror(errno);
-            return false;
-        }
-        struct timeval tv = {5, 0};
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        int one = 1;
-        ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        struct sockaddr_in addr = {};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(port);
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::connect(fd_, reinterpret_cast<struct sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            err = std::string("connect: ") + std::strerror(errno);
-            closeFd();
-            return false;
-        }
-        dec_ = net::FrameDecoder();
-        std::vector<std::uint8_t> hello;
-        net::appendHello(hello, nextId_++, net::kAnyShard);
-        if (!sendAll(hello.data(), hello.size(), err))
-            return false;
-        net::Frame resp;
-        if (!recvFrame(resp, err))
-            return false;
-        if (resp.op != net::Op::HelloOk) {
-            err = "unexpected HELLO response";
-            closeFd();
-            return false;
-        }
-        return true;
+        std::uint32_t shards = 0;
+        std::uint32_t bound = 0;
+        return conn_.connect("127.0.0.1", port, err) &&
+               conn_.hello(net::kAnyShard, shards, bound, err);
     }
 
-    bool ok() const { return fd_ >= 0; }
-
-    void
-    closeFd()
-    {
-        if (fd_ >= 0)
-            ::close(fd_);
-        fd_ = -1;
-    }
+    void close() { conn_.close(); }
 
     /** One GET round trip; on Value the cell lands in @p value. */
     Outcome
@@ -343,34 +298,17 @@ class SyncClient
         std::vector<std::uint8_t> out;
         const std::uint64_t id = nextId_++;
         net::appendGet(out, id, key);
-        if (!sendAll(out.data(), out.size(), err))
-            return Outcome::Broken;
         net::Frame resp;
-        if (!recvFrame(resp, err))
+        if (!conn_.sendAll(out, err) || !conn_.recvFrame(resp, err))
             return Outcome::Broken;
         if (resp.id != id) {
             err = "response id mismatch";
-            closeFd();
+            conn_.close();
             return Outcome::Broken;
         }
         if (resp.op == net::Op::Value)
             return net::parseValue(resp, value) ? Outcome::Value
                                                 : Outcome::Broken;
-        return classify(resp);
-    }
-
-    /** One PUT round trip. */
-    Outcome
-    put(kv::KvKey key, const kv::KvValue &value, std::string &err)
-    {
-        std::vector<std::uint8_t> out;
-        const std::uint64_t id = nextId_++;
-        net::appendPut(out, id, key, value);
-        if (!sendAll(out.data(), out.size(), err))
-            return Outcome::Broken;
-        net::Frame resp;
-        if (!recvFrame(resp, err))
-            return Outcome::Broken;
         return classify(resp);
     }
 
@@ -421,7 +359,7 @@ class SyncClient
     }
 
   private:
-    Outcome
+    static Outcome
     classify(const net::Frame &resp)
     {
         switch (resp.op) {
@@ -451,20 +389,20 @@ class SyncClient
     drainBulk(const std::vector<std::uint8_t> &out,
               std::uint64_t firstId, std::uint64_t count, BulkResult &r)
     {
-        if (!sendAll(out.data(), out.size(), r.err)) {
+        if (!conn_.sendAll(out, r.err)) {
             r.broken = true;
             return;
         }
         for (std::uint64_t i = 0; i < count; ++i) {
             net::Frame resp;
-            if (!recvFrame(resp, r.err)) {
+            if (!conn_.recvFrame(resp, r.err)) {
                 r.broken = true;
                 return;
             }
             if (resp.id != firstId + i) {
                 r.err = "bulk response id mismatch";
                 r.broken = true;
-                closeFd();
+                conn_.close();
                 return;
             }
             if (resp.op == net::Op::Value) {
@@ -494,57 +432,7 @@ class SyncClient
         }
     }
 
-    bool
-    sendAll(const std::uint8_t *data, std::size_t size,
-            std::string &err)
-    {
-        std::size_t off = 0;
-        while (off < size) {
-            const ssize_t n = ::send(fd_, data + off, size - off,
-                                     MSG_NOSIGNAL);
-            if (n <= 0) {
-                err = std::string("send: ") + std::strerror(errno);
-                closeFd();
-                return false;
-            }
-            off += static_cast<std::size_t>(n);
-        }
-        return true;
-    }
-
-    bool
-    recvFrame(net::Frame &frame, std::string &err)
-    {
-        while (true) {
-            std::string decode_err;
-            switch (dec_.next(frame, decode_err)) {
-            case net::FrameDecoder::Status::Frame:
-                return true;
-            case net::FrameDecoder::Status::Error:
-                err = "protocol error: " + decode_err;
-                closeFd();
-                return false;
-            case net::FrameDecoder::Status::NeedMore:
-                break;
-            }
-            std::uint8_t buf[4096];
-            const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-            if (n == 0) {
-                err = "peer closed";
-                closeFd();
-                return false;
-            }
-            if (n < 0) {
-                err = std::string("recv: ") + std::strerror(errno);
-                closeFd();
-                return false;
-            }
-            dec_.feed(buf, static_cast<std::size_t>(n));
-        }
-    }
-
-    int fd_ = -1;
-    net::FrameDecoder dec_;
+    net::BlockingClient conn_;
     std::uint64_t nextId_ = 1;
 };
 
@@ -608,22 +496,22 @@ struct SweepResult
  * acceptable).
  */
 SweepResult
-verifyAcked(SyncClient &client, const net::LoadgenResult &load)
+verifyAcked(ChaosClient &client, const net::LoadgenResult &load)
 {
     SweepResult sweep;
     for (const auto &[key, payload] : load.ackedPuts) {
         ++sweep.checked;
         kv::KvValue value = {};
-        SyncClient::Outcome outcome = SyncClient::Outcome::Busy;
+        ChaosClient::Outcome outcome = ChaosClient::Outcome::Busy;
         for (int attempt = 0;
-             attempt < 10 && outcome == SyncClient::Outcome::Busy;
+             attempt < 10 && outcome == ChaosClient::Outcome::Busy;
              ++attempt) {
             if (attempt != 0)
                 msleep(20);
             outcome = client.get(key, value, sweep.err);
         }
         switch (outcome) {
-        case SyncClient::Outcome::Value: {
+        case ChaosClient::Outcome::Value: {
             if (value == kv::KvValue::tagged(key, payload)) {
                 ++sweep.ok;
                 break;
@@ -657,16 +545,16 @@ verifyAcked(SyncClient &client, const net::LoadgenResult &load)
             stale ? ++sweep.staleAcked : ++sweep.wrongValue;
             break;
         }
-        case SyncClient::Outcome::NotFound:
+        case ChaosClient::Outcome::NotFound:
             ++sweep.missing;
             break;
-        case SyncClient::Outcome::Io:
+        case ChaosClient::Outcome::Io:
             ++sweep.ioAccounted;
             break;
-        case SyncClient::Outcome::Busy:
+        case ChaosClient::Outcome::Busy:
             ++sweep.busyGaveUp;
             break;
-        case SyncClient::Outcome::Broken:
+        case ChaosClient::Outcome::Broken:
             sweep.broken = true;
             return sweep;
         default:
@@ -851,13 +739,13 @@ mediaScenario(const HarnessConfig &cfg, const std::string &name,
         return fail(name, "server died under media faults; see " +
                               server.logPath);
 
-    SyncClient client;
+    ChaosClient client;
     if (!client.connectTo(server.port, err)) {
         stopServer(server);
         return fail(name, "verify connect: " + err);
     }
     const SweepResult sweep = verifyAcked(client, load);
-    client.closeFd();
+    client.close();
     stopServer(server);
     if (sweep.broken)
         return fail(name, "verify sweep broke: " + sweep.err);
@@ -866,12 +754,12 @@ mediaScenario(const HarnessConfig &cfg, const std::string &name,
         return fail(name, "acked writes unaccounted: " + sweep.text());
 
     const double injected =
-        metricTotal(server.metricsPath,
+        metricSum(server.metricsPath,
                     "specpmt_pm_media_faults_injected_total");
     if (injected < 1)
         return fail(name, "fault plan never applied (injected=" +
                               std::to_string(injected) + ")");
-    const double required = metricTotal(server.metricsPath,
+    const double required = metricSum(server.metricsPath,
                                         required_metric);
     if (required < 1)
         return fail(name, required_metric + " stayed zero — faults "
@@ -959,13 +847,13 @@ scenarioLatentCorruption(const HarnessConfig &cfg)
         err);
     if (revived.pid < 0)
         return fail(name, "restart over corrupt images: " + err);
-    SyncClient client;
+    ChaosClient client;
     if (!client.connectTo(revived.port, err)) {
         stopServer(revived);
         return fail(name, "verify connect: " + err);
     }
     const SweepResult sweep = verifyAcked(client, load);
-    client.closeFd();
+    client.close();
     stopServer(revived);
     if (sweep.broken)
         return fail(name, "verify sweep broke: " + sweep.err);
@@ -1002,7 +890,7 @@ scenarioLogExhaustion(const HarnessConfig &cfg)
     if (server.pid < 0)
         return fail(name, "launch: " + err);
 
-    SyncClient client;
+    ChaosClient client;
     if (!client.connectTo(server.port, err)) {
         stopServer(server);
         return fail(name, "connect: " + err);
@@ -1011,7 +899,7 @@ scenarioLogExhaustion(const HarnessConfig &cfg)
     std::uint64_t read_only = 0;
     std::uint64_t payload = 1;
     for (int round = 0; round < 800 && read_only == 0; ++round) {
-        const SyncClient::BulkResult r =
+        const ChaosClient::BulkResult r =
             client.bulkPut(1, 512, 256, payload);
         payload += 256;
         acked += r.ok;
@@ -1028,7 +916,7 @@ scenarioLogExhaustion(const HarnessConfig &cfg)
     }
 
     // Degraded, not dead: reads must still be served...
-    const SyncClient::BulkResult reads = client.bulkGet(1, 512);
+    const ChaosClient::BulkResult reads = client.bulkGet(1, 512);
     if (reads.broken || reads.io != 0 || reads.otherErr != 0) {
         stopServer(server);
         return fail(name, "reads failing on degraded shard: " +
@@ -1039,7 +927,7 @@ scenarioLogExhaustion(const HarnessConfig &cfg)
         return fail(name, "acked puts but no readable values");
     }
     // ...and mutations must keep being refused, not wedged.
-    const SyncClient::BulkResult probe = client.bulkPut(1, 32, 64, 1);
+    const ChaosClient::BulkResult probe = client.bulkPut(1, 32, 64, 1);
     if (probe.broken) {
         stopServer(server);
         return fail(name, "post-exhaustion probe broke: " + probe.err);
@@ -1048,7 +936,7 @@ scenarioLogExhaustion(const HarnessConfig &cfg)
         stopServer(server);
         return fail(name, "read-only mode did not stick");
     }
-    client.closeFd();
+    client.close();
     const bool alive = server.alive();
     stopServer(server);
     if (!alive)
@@ -1147,13 +1035,13 @@ scenarioSigkill(const HarnessConfig &cfg)
                               audit.text());
     }
 
-    SyncClient client;
+    ChaosClient client;
     if (!client.connectTo(revived.port, err)) {
         stopServer(revived);
         return fail(name, "verify connect: " + err);
     }
     const SweepResult sweep = verifyAcked(client, load);
-    client.closeFd();
+    client.close();
     stopServer(revived);
     if (sweep.broken)
         return fail(name, "verify sweep broke: " + sweep.err);
@@ -1203,13 +1091,13 @@ scenarioSigstop(const HarnessConfig &cfg)
         return fail(name, "stall left no timeout/retry trace: " +
                               loadText(load));
     }
-    SyncClient client;
+    ChaosClient client;
     if (!client.connectTo(server.port, err)) {
         stopServer(server);
         return fail(name, "verify connect: " + err);
     }
     const SweepResult sweep = verifyAcked(client, load);
-    client.closeFd();
+    client.close();
     stopServer(server);
     if (sweep.broken)
         return fail(name, "verify sweep broke: " + sweep.err);
@@ -1229,90 +1117,72 @@ scenarioConnReset(const HarnessConfig &cfg)
     if (server.pid < 0)
         return fail(name, "launch: " + err);
 
-    SyncClient writer;
+    ChaosClient writer;
     if (!writer.connectTo(server.port, err)) {
         stopServer(server);
         return fail(name, "connect: " + err);
     }
-    const SyncClient::BulkResult seeded = writer.bulkPut(1, 512, 512, 7);
-    writer.closeFd();
+    const ChaosClient::BulkResult seeded = writer.bulkPut(1, 512, 512, 7);
+    writer.close();
     if (seeded.broken || seeded.ok != 512) {
         stopServer(server);
         return fail(name, "seeding failed: " + seeded.err);
     }
 
-    auto rawConnect = [&server]() -> int {
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            return -1;
-        struct timeval tv = {2, 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        struct sockaddr_in addr = {};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(server.port);
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        if (::connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
-            ::close(fd);
-            return -1;
-        }
-        return fd;
+    // Rogue connections write raw bytes over net::BlockingClient
+    // without its HELLO; a 2 s bound keeps a silent server from
+    // stalling the scenario.
+    net::BlockingClient rogue;
+    net::Frame frame;
+    std::string rogue_err;
+    const auto dialRogue = [&] {
+        return rogue.connect("127.0.0.1", server.port, rogue_err, 2000);
     };
 
     // Rogue 1: pure garbage — the server must diagnose a protocol
     // error and close, not crash or hang.
-    if (const int fd = rawConnect(); fd >= 0) {
-        std::uint8_t junk[64];
-        std::memset(junk, 0xDE, sizeof(junk));
-        (void)::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
-        std::uint8_t buf[64];
-        while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+    if (dialRogue()) {
+        (void)rogue.sendAll(std::vector<std::uint8_t>(64, 0xDE),
+                            rogue_err);
+        while (rogue.recvFrame(frame, rogue_err)) {
         }
-        ::close(fd);
     }
 
     // Rogue 2: an oversized length prefix — must trip the frame cap,
     // not make the server buffer a bogus multi-megabyte frame.
-    if (const int fd = rawConnect(); fd >= 0) {
-        std::uint8_t huge[8] = {0, 0, 0x20, 0, 0xC5, 1, 2, 0};
-        (void)::send(fd, huge, sizeof(huge), MSG_NOSIGNAL);
-        std::uint8_t buf[64];
-        while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+    if (dialRogue()) {
+        (void)rogue.sendAll({0, 0, 0x20, 0, 0xC5, 1, 2, 0}, rogue_err);
+        while (rogue.recvFrame(frame, rogue_err)) {
         }
-        ::close(fd);
     }
 
     // Rogue 3 (×5): a well-formed pipeline of GETs answered with a
     // hard RST (SO_LINGER 0) mid-response — the mid-write reset the
     // SIGPIPE/MSG_NOSIGNAL hardening exists for.
     for (int round = 0; round < 5; ++round) {
-        const int fd = rawConnect();
-        if (fd < 0)
+        if (!dialRogue())
             continue;
         std::vector<std::uint8_t> out;
         std::uint64_t id = 1;
         net::appendHello(out, id++, net::kAnyShard);
         for (int i = 0; i < 1024; ++i)
             net::appendGet(out, id++, 1 + (i % 512));
-        (void)::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
-        std::uint8_t buf[256];
-        (void)::recv(fd, buf, sizeof(buf), 0); // let responses start
-        struct linger lg = {1, 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
-        ::close(fd); // RST while the server is still writing
+        (void)rogue.sendAll(out, rogue_err);
+        (void)rogue.recvFrame(frame, rogue_err); // responses started
+        rogue.resetHard(); // RST while the server is still writing
     }
     msleep(200);
 
     if (!server.alive())
         return fail(name, "server died under rogue clients; see " +
                               server.logPath);
-    SyncClient reader;
+    ChaosClient reader;
     if (!reader.connectTo(server.port, err)) {
         stopServer(server);
         return fail(name, "post-chaos connect: " + err);
     }
-    const SyncClient::BulkResult reads = reader.bulkGet(1, 512);
-    reader.closeFd();
+    const ChaosClient::BulkResult reads = reader.bulkGet(1, 512);
+    reader.close();
     stopServer(server);
     if (reads.broken || reads.ok != 512)
         return fail(name, "post-chaos reads degraded (ok=" +

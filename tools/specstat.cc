@@ -41,22 +41,10 @@
  * `curl :PORT/stats.json | specstat dump -` works: a metrics snapshot
  * flattens counters/gauges verbatim and histograms to NAME_count,
  * NAME_sum and NAME_max samples.
- *   bench            normalize bench outputs (bench_kv_ycsb summary
- *                    JSON, specnet_bench --json files) into one
- *                    BENCH_<sha>.json of named cells with a fixed
- *                    metric vocabulary, with optional inline
- *                    assertions (--min-speedup=A/B:R on
- *                    sim_ops_per_sec, --max-fences-per-tx=CELL:V);
- *   diff --bench     compare two BENCH files cell by cell: every
- *                    metric side by side, and a regression gate on
- *                    the deterministic simulation metrics
- *                    (fences_per_tx may not grow, sim_ops_per_sec may
- *                    not shrink, beyond --max-regress; wall-clock
- *                    metrics are informational only).
  *
- * Exit status: 0 = success, 1 = check found an invalid artifact, a
- * failed --require/bench assertion, or a bench regression; 2 = usage
- * error or unreadable/malformed input.
+ * Exit status: 0 = success, 1 = check found an invalid artifact or a
+ * failed --require assertion; 2 = usage error or unreadable/malformed
+ * input.
  */
 
 #include <algorithm>
@@ -168,268 +156,6 @@ formatValue(double value)
     return buf;
 }
 
-/**
- * Flatten a Registry::toJson() metrics snapshot into Prometheus-style
- * flat samples (defined after JsonFlattener below).
- */
-bool flattenMetricsJson(std::string_view text, FlatSamples &out,
-                        std::string &error);
-
-/**
- * Load samples from a Prometheus exposition or a metrics-JSON
- * snapshot (file, stdin or URL) or exit with status 2.
- */
-FlatSamples
-loadSamples(const std::string &path)
-{
-    std::string text;
-    std::string error;
-    if (!fetchArtifact(path, text, error)) {
-        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
-                     error.c_str());
-        std::exit(2);
-    }
-    FlatSamples samples;
-    if (looksLikeJson(text)) {
-        if (text.find("\"counters\"") == std::string::npos) {
-            std::fprintf(stderr,
-                         "specstat: %s: JSON input is not a metrics "
-                         "snapshot (no counters section)\n",
-                         path.c_str());
-            std::exit(2);
-        }
-        if (!flattenMetricsJson(text, samples, error)) {
-            std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
-                         error.c_str());
-            std::exit(2);
-        }
-        return samples;
-    }
-    if (!specpmt::obs::parsePrometheus(text, samples, error)) {
-        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
-                     error.c_str());
-        std::exit(2);
-    }
-    return samples;
-}
-
-int
-cmdDump(const std::string &path)
-{
-    const FlatSamples samples = loadSamples(path);
-    for (const auto &[name, value] : samples) {
-        std::printf("%-64s %s\n", name.c_str(),
-                    formatValue(value).c_str());
-    }
-    std::printf("# %zu samples\n", samples.size());
-    return 0;
-}
-
-int
-cmdDiff(const std::string &old_path, const std::string &new_path)
-{
-    const FlatSamples before = loadSamples(old_path);
-    const FlatSamples after = loadSamples(new_path);
-
-    std::size_t changed = 0;
-    for (const auto &[name, new_value] : after) {
-        const auto it = before.find(name);
-        if (it == before.end()) {
-            std::printf("+ %-62s %s\n", name.c_str(),
-                        formatValue(new_value).c_str());
-            ++changed;
-        } else if (it->second != new_value) {
-            std::printf("  %-62s %s -> %s (%+g)\n", name.c_str(),
-                        formatValue(it->second).c_str(),
-                        formatValue(new_value).c_str(),
-                        new_value - it->second);
-            ++changed;
-        }
-    }
-    for (const auto &[name, old_value] : before) {
-        if (after.find(name) == after.end()) {
-            std::printf("- %-62s %s\n", name.c_str(),
-                        formatValue(old_value).c_str());
-            ++changed;
-        }
-    }
-    std::printf("# %zu samples differ (%zu -> %zu series)\n", changed,
-                before.size(), after.size());
-    return 0;
-}
-
-/**
- * Minimal JSON syntax scanner — enough to reject truncated or
- * malformed artifacts without pulling in a parser dependency.
- */
-class JsonScanner
-{
-  public:
-    explicit JsonScanner(std::string_view text) : text_(text) {}
-
-    bool
-    validate(std::string &error)
-    {
-        error_ = &error;
-        if (!value())
-            return false;
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing garbage after JSON value");
-        return true;
-    }
-
-  private:
-    bool
-    fail(const char *message)
-    {
-        *error_ = std::string(message) + " at byte " +
-                  std::to_string(pos_);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    literal(std::string_view word)
-    {
-        if (text_.substr(pos_, word.size()) != word)
-            return fail("bad literal");
-        pos_ += word.size();
-        return true;
-    }
-
-    bool
-    string()
-    {
-        ++pos_; // opening quote
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c == '"') {
-                ++pos_;
-                return true;
-            }
-            if (c == '\\') {
-                pos_ += 2;
-                continue;
-            }
-            ++pos_;
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number()
-    {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() &&
-            (text_[pos_] == '-' || text_[pos_] == '+'))
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '-' ||
-                text_[pos_] == '+'))
-            ++pos_;
-        if (pos_ == start)
-            return fail("bad number");
-        return true;
-    }
-
-    bool
-    value()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        switch (text_[pos_]) {
-          case '{':
-            return object();
-          case '[':
-            return array();
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++pos_; // '{'
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_] != '"')
-                return fail("expected object key");
-            if (!string())
-                return false;
-            skipWs();
-            if (pos_ >= text_.size() || text_[pos_] != ':')
-                return fail("expected ':'");
-            ++pos_;
-            if (!value())
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    array()
-    {
-        ++pos_; // '['
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            if (!value())
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (pos_ < text_.size() && text_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    std::string_view text_;
-    std::size_t pos_ = 0;
-    std::string *error_ = nullptr;
-};
-
 bool
 endsWith(std::string_view s, std::string_view suffix)
 {
@@ -438,71 +164,10 @@ endsWith(std::string_view s, std::string_view suffix)
 }
 
 /**
- * Validate one artifact and merge any samples it carries into
- * @p merged for the --require assertions (later inputs overwrite
- * same-named series).
- */
-bool
-checkOne(const std::string &path, FlatSamples &merged)
-{
-    std::string text;
-    std::string error;
-    if (!fetchArtifact(path, text, error)) {
-        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    if (endsWith(path, ".json") || looksLikeJson(text)) {
-        JsonScanner scanner(text);
-        if (!scanner.validate(error)) {
-            std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
-                         error.c_str());
-            return false;
-        }
-        // A trace artifact must carry its event array; a metrics JSON
-        // dump carries the counters section, a normalized bench file
-        // its schema marker, a /healthz body its own marker.
-        if (text.find("\"traceEvents\"") == std::string::npos &&
-            text.find("\"counters\"") == std::string::npos &&
-            text.find("\"bench_schema\"") == std::string::npos &&
-            text.find("\"healthz\"") == std::string::npos) {
-            std::fprintf(stderr,
-                         "specstat: %s: neither a trace (traceEvents) "
-                         "nor a metrics (counters) nor a bench "
-                         "(bench_schema) nor a health (healthz) JSON "
-                         "artifact\n",
-                         path.c_str());
-            return false;
-        }
-        if (text.find("\"counters\"") != std::string::npos) {
-            FlatSamples samples;
-            if (flattenMetricsJson(text, samples, error)) {
-                for (const auto &[name, value] : samples)
-                    merged[name] = value;
-            }
-        }
-        std::printf("OK %s (json, %zu bytes)\n", path.c_str(),
-                    text.size());
-        return true;
-    }
-    FlatSamples samples;
-    if (!specpmt::obs::parsePrometheus(text, samples, error)) {
-        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
-                     error.c_str());
-        return false;
-    }
-    for (const auto &[name, value] : samples)
-        merged[name] = value;
-    std::printf("OK %s (%zu samples)\n", path.c_str(),
-                samples.size());
-    return true;
-}
-
-/**
  * A JSON document flattened to dotted leaf paths
- * ("results.0.fences_per_tx" -> 123.4); array elements index
- * numerically. Strings and numbers are kept, booleans map to 0/1,
- * nulls are dropped — all the bench artifacts need.
+ * ("traceEvents.0.dur" -> 12.5); array elements index numerically.
+ * Strings and numbers are kept, booleans map to 0/1, nulls are
+ * dropped.
  */
 struct FlatJson
 {
@@ -510,24 +175,26 @@ struct FlatJson
     std::map<std::string, std::string> strings;
 };
 
-/** Recursive-descent flattener (same grammar as JsonScanner). */
+/**
+ * Recursive-descent JSON parser and flattener — the one JSON reader
+ * behind check, trace and the metrics-JSON inputs. With a null sink
+ * it only validates, storing no leaves.
+ */
 class JsonFlattener
 {
   public:
     explicit JsonFlattener(std::string_view text) : text_(text) {}
 
     bool
-    parse(FlatJson &out, std::string &error)
+    parse(FlatJson *out, std::string &error)
     {
-        out_ = &out;
+        out_ = out;
         error_ = &error;
         if (!value())
             return false;
         skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing garbage after JSON value";
-            return false;
-        }
+        if (pos_ != text_.size())
+            return fail("trailing garbage after JSON value");
         return true;
     }
 
@@ -584,24 +251,29 @@ class JsonFlattener
             std::string s;
             if (!stringBody(s))
                 return false;
-            out_->strings[path_] = std::move(s);
+            if (out_ != nullptr)
+                out_->strings[path_] = std::move(s);
             return true;
           }
           case 't':
-            out_->numbers[path_] = 1;
+            storeNumber(1);
             return literal("true");
           case 'f':
-            out_->numbers[path_] = 0;
+            storeNumber(0);
             return literal("false");
           case 'n':
             return literal("null");
           default: {
+            // strtod alone would also take "inf", "nan" and hex.
+            const char c = text_[pos_];
             char *end = nullptr;
             const double v =
                 std::strtod(text_.data() + pos_, &end);
-            if (end == text_.data() + pos_)
+            if ((c != '-' &&
+                 !std::isdigit(static_cast<unsigned char>(c))) ||
+                end == text_.data() + pos_)
                 return fail("bad number");
-            out_->numbers[path_] = v;
+            storeNumber(v);
             pos_ = static_cast<std::size_t>(end - text_.data());
             return true;
           }
@@ -615,6 +287,13 @@ class JsonFlattener
             return fail("bad literal");
         pos_ += word.size();
         return true;
+    }
+
+    void
+    storeNumber(double value)
+    {
+        if (out_ != nullptr)
+            out_->numbers[path_] = value;
     }
 
     bool
@@ -702,12 +381,16 @@ withMetricSuffix(const std::string &name, const char *suffix)
     return name.substr(0, brace) + suffix + name.substr(brace);
 }
 
+/**
+ * Flatten a Registry::toJson() metrics snapshot into Prometheus-style
+ * flat samples.
+ */
 bool
 flattenMetricsJson(std::string_view text, FlatSamples &out,
                    std::string &error)
 {
     FlatJson json;
-    if (!JsonFlattener(text).parse(json, error))
+    if (!JsonFlattener(text).parse(&json, error))
         return false;
     for (const auto &[path, value] : json.numbers) {
         if (path.rfind("counters.", 0) == 0) {
@@ -739,452 +422,145 @@ flattenMetricsJson(std::string_view text, FlatSamples &out,
     return true;
 }
 
-/** One named bench cell: metric name -> value, both sorted. */
-using BenchCells = std::map<std::string, std::map<std::string, double>>;
-
 /**
- * Parse one bench source file. bench_kv_ycsb prints its summary JSON
- * as the last line of mixed stdout, so when the whole file is not a
- * JSON document the last '{'-led line is tried before giving up.
+ * Load samples from a Prometheus exposition or a metrics-JSON
+ * snapshot (file, stdin or URL) or exit with status 2.
  */
-bool
-loadBenchJson(const std::string &path, FlatJson &out,
-              std::string &error)
+FlatSamples
+loadSamples(const std::string &path)
 {
     std::string text;
-    if (!readFile(path, text)) {
-        error = "cannot read " + path;
-        return false;
+    std::string error;
+    if (!fetchArtifact(path, text, error)) {
+        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
+                     error.c_str());
+        std::exit(2);
     }
-    if (JsonFlattener(text).parse(out, error))
-        return true;
-    std::string last_object;
-    std::istringstream lines(text);
-    for (std::string line; std::getline(lines, line);) {
-        if (!line.empty() && line[0] == '{')
-            last_object = line;
+    FlatSamples samples;
+    if (looksLikeJson(text)) {
+        if (text.find("\"counters\"") == std::string::npos) {
+            std::fprintf(stderr,
+                         "specstat: %s: JSON input is not a metrics "
+                         "snapshot (no counters section)\n",
+                         path.c_str());
+            std::exit(2);
+        }
+        if (!flattenMetricsJson(text, samples, error)) {
+            std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
+                         error.c_str());
+            std::exit(2);
+        }
+        return samples;
     }
-    if (!last_object.empty()) {
-        out = FlatJson{};
-        if (JsonFlattener(last_object).parse(out, error))
-            return true;
+    if (!specpmt::obs::parsePrometheus(text, samples, error)) {
+        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
+                     error.c_str());
+        std::exit(2);
     }
-    error = path + ": no parseable bench JSON (" + error + ")";
-    return false;
+    return samples;
+}
+
+int
+cmdDump(const std::string &path)
+{
+    const FlatSamples samples = loadSamples(path);
+    for (const auto &[name, value] : samples) {
+        std::printf("%-64s %s\n", name.c_str(),
+                    formatValue(value).c_str());
+    }
+    std::printf("# %zu samples\n", samples.size());
+    return 0;
+}
+
+int
+cmdDiff(const std::string &old_path, const std::string &new_path)
+{
+    const FlatSamples before = loadSamples(old_path);
+    const FlatSamples after = loadSamples(new_path);
+
+    std::size_t changed = 0;
+    for (const auto &[name, new_value] : after) {
+        const auto it = before.find(name);
+        if (it == before.end()) {
+            std::printf("+ %-62s %s\n", name.c_str(),
+                        formatValue(new_value).c_str());
+            ++changed;
+        } else if (it->second != new_value) {
+            std::printf("  %-62s %s -> %s (%+g)\n", name.c_str(),
+                        formatValue(it->second).c_str(),
+                        formatValue(new_value).c_str(),
+                        new_value - it->second);
+            ++changed;
+        }
+    }
+    for (const auto &[name, old_value] : before) {
+        if (after.find(name) == after.end()) {
+            std::printf("- %-62s %s\n", name.c_str(),
+                        formatValue(old_value).c_str());
+            ++changed;
+        }
+    }
+    std::printf("# %zu samples differ (%zu -> %zu series)\n", changed,
+                before.size(), after.size());
+    return 0;
 }
 
 /**
- * Extract the normalized cell metrics from one bench source.
- * bench_kv_ycsb summaries contribute one cell per results[] entry
- * (suffixed ".<runtime>-<mix>" when there is more than one);
- * specnet_bench --json files contribute one cell.
+ * Validate one artifact and merge any samples it carries into
+ * @p merged for the --require assertions (later inputs overwrite
+ * same-named series).
  */
 bool
-extractBenchCells(const std::string &name, const FlatJson &json,
-                  BenchCells &cells, std::string &error)
+checkOne(const std::string &path, FlatSamples &merged)
 {
-    const auto bench_kind = json.strings.find("bench");
-    if (bench_kind != json.strings.end() &&
-        bench_kind->second == "kv_ycsb") {
-        static const char *const kMetrics[] = {
-            "fences_per_tx", "ops",    "wall_ops_per_sec",
-            "sim_ops_per_sec", "p50_ns", "p99_ns",
-        };
-        bool multi =
-            json.numbers.count("results.1.fences_per_tx") != 0;
-        for (std::size_t i = 0;; ++i) {
-            const std::string base =
-                "results." + std::to_string(i) + ".";
-            if (json.numbers.find(base + "fences_per_tx") ==
-                json.numbers.end())
-                break;
-            std::string cell = name;
-            if (multi) {
-                const auto runtime =
-                    json.strings.find(base + "runtime");
-                const auto mix = json.strings.find(base + "mix");
-                cell += "." +
-                        (runtime != json.strings.end()
-                             ? runtime->second
-                             : std::to_string(i)) +
-                        "-" +
-                        (mix != json.strings.end() ? mix->second
-                                                   : "?");
-            }
-            auto &metrics = cells[cell];
-            for (const char *metric : kMetrics) {
-                const auto it = json.numbers.find(base + metric);
-                if (it != json.numbers.end())
-                    metrics[metric] = it->second;
-            }
-        }
-        if (cells.empty()) {
-            error = name + ": kv_ycsb summary carries no results";
+    std::string text;
+    std::string error;
+    if (!fetchArtifact(path, text, error)) {
+        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
+                     error.c_str());
+        return false;
+    }
+    if (endsWith(path, ".json") || looksLikeJson(text)) {
+        // A metrics JSON dump (the counters section) flattens into
+        // samples; any other JSON artifact is only validated.
+        const bool metrics =
+            text.find("\"counters\"") != std::string::npos;
+        FlatSamples samples;
+        if (!(metrics ? flattenMetricsJson(text, samples, error)
+                      : JsonFlattener(text).parse(nullptr, error))) {
+            std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
+                         error.c_str());
             return false;
         }
-        return true;
-    }
-    if (json.numbers.count("target_qps") != 0) {
-        // specnet_bench --json artifact.
-        auto &metrics = cells[name];
-        static const std::pair<const char *, const char *> kMap[] = {
-            {"achieved_qps", "achieved_qps"},
-            {"acked", "acked"},
-            {"errors", "errors"},
-            {"lost", "lost"},
-            {"protocol_errors", "protocol_errors"},
-            {"strict_sent", "strict_sent"},
-            {"read_latency.p50_ns", "read_p50_ns"},
-            {"read_latency.p99_ns", "read_p99_ns"},
-            {"update_latency.p50_ns", "update_p50_ns"},
-            {"update_latency.p99_ns", "update_p99_ns"},
-        };
-        for (const auto &[path, metric] : kMap) {
-            const auto it = json.numbers.find(path);
-            if (it != json.numbers.end())
-                metrics[metric] = it->second;
+        // A trace artifact must carry its event array, a /healthz
+        // body its own marker.
+        if (!metrics &&
+            text.find("\"traceEvents\"") == std::string::npos &&
+            text.find("\"healthz\"") == std::string::npos) {
+            std::fprintf(stderr,
+                         "specstat: %s: neither a trace (traceEvents) "
+                         "nor a metrics (counters) nor a health "
+                         "(healthz) JSON artifact\n",
+                         path.c_str());
+            return false;
         }
+        for (const auto &[name, value] : samples)
+            merged[name] = value;
+        std::printf("OK %s (json, %zu bytes)\n", path.c_str(),
+                    text.size());
         return true;
     }
-    error = name + ": neither a bench_kv_ycsb summary nor a "
-                   "specnet_bench --json artifact";
-    return false;
-}
-
-/** Load a BENCH_<sha>.json written by cmdBench. */
-bool
-loadBenchFile(const std::string &path, BenchCells &cells,
-              std::string &sha, std::string &error)
-{
-    std::string text;
-    if (!readFile(path, text)) {
-        error = "cannot read " + path;
+    FlatSamples samples;
+    if (!specpmt::obs::parsePrometheus(text, samples, error)) {
+        std::fprintf(stderr, "specstat: %s: %s\n", path.c_str(),
+                     error.c_str());
         return false;
     }
-    FlatJson json;
-    if (!JsonFlattener(text).parse(json, error)) {
-        error = path + ": " + error;
-        return false;
-    }
-    if (json.numbers.find("bench_schema") == json.numbers.end()) {
-        error = path + ": not a specstat bench file (no "
-                       "bench_schema)";
-        return false;
-    }
-    const auto sha_it = json.strings.find("sha");
-    if (sha_it != json.strings.end())
-        sha = sha_it->second;
-    for (const auto &[key, value] : json.numbers) {
-        if (key.rfind("cells.", 0) != 0)
-            continue;
-        const std::size_t metric_dot = key.rfind('.');
-        if (metric_dot <= 6)
-            continue;
-        const std::string cell = key.substr(6, metric_dot - 6);
-        cells[cell][key.substr(metric_dot + 1)] = value;
-    }
-    if (cells.empty()) {
-        error = path + ": bench file carries no cells";
-        return false;
-    }
+    for (const auto &[name, value] : samples)
+        merged[name] = value;
+    std::printf("OK %s (%zu samples)\n", path.c_str(),
+                samples.size());
     return true;
-}
-
-/** Serialize a BENCH file; cells and metrics stay sorted. */
-std::string
-benchToJson(const BenchCells &cells, const std::string &sha)
-{
-    std::string out = "{\n  \"bench_schema\": 1,\n  \"sha\": \"" +
-                      sha + "\",\n  \"cells\": {\n";
-    bool first_cell = true;
-    for (const auto &[cell, metrics] : cells) {
-        if (!first_cell)
-            out += ",\n";
-        first_cell = false;
-        out += "    \"" + cell + "\": {";
-        bool first = true;
-        for (const auto &[metric, value] : metrics) {
-            if (!first)
-                out += ", ";
-            first = false;
-            out += "\"" + metric + "\": " + formatValue(value);
-        }
-        out += "}";
-    }
-    out += "\n  }\n}\n";
-    return out;
-}
-
-int
-cmdBench(const std::vector<std::string> &args)
-{
-    std::string out_path = "-";
-    std::string sha;
-    std::vector<std::pair<std::string, std::string>> sources;
-    // name/name:ratio and name:limit assertion specs.
-    std::vector<std::pair<std::pair<std::string, std::string>, double>>
-        speedups;
-    std::vector<std::pair<std::string, double>> fence_limits;
-
-    for (const auto &arg : args) {
-        const auto val = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::string_view(prefix).size();
-            return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                             : nullptr;
-        };
-        if (const char *v = val("--out=")) {
-            out_path = v;
-        } else if (const char *v = val("--sha=")) {
-            sha = v;
-        } else if (const char *v = val("--cell=")) {
-            const std::string spec = v;
-            const std::size_t colon = spec.find(':');
-            if (colon == 0 || colon == std::string::npos ||
-                colon + 1 == spec.size()) {
-                std::fprintf(stderr,
-                             "specstat: bad --cell=%s (want "
-                             "NAME:FILE)\n",
-                             spec.c_str());
-                return 2;
-            }
-            sources.emplace_back(spec.substr(0, colon),
-                                 spec.substr(colon + 1));
-        } else if (const char *v = val("--min-speedup=")) {
-            const std::string spec = v;
-            const std::size_t slash = spec.find('/');
-            const std::size_t colon = spec.rfind(':');
-            if (slash == std::string::npos ||
-                colon == std::string::npos || colon < slash) {
-                std::fprintf(stderr,
-                             "specstat: bad --min-speedup=%s (want "
-                             "FAST/SLOW:RATIO)\n",
-                             spec.c_str());
-                return 2;
-            }
-            speedups.push_back(
-                {{spec.substr(0, slash),
-                  spec.substr(slash + 1, colon - slash - 1)},
-                 std::strtod(spec.c_str() + colon + 1, nullptr)});
-        } else if (const char *v = val("--max-fences-per-tx=")) {
-            const std::string spec = v;
-            const std::size_t colon = spec.rfind(':');
-            if (colon == std::string::npos) {
-                std::fprintf(stderr,
-                             "specstat: bad --max-fences-per-tx=%s "
-                             "(want CELL:LIMIT)\n",
-                             spec.c_str());
-                return 2;
-            }
-            fence_limits.emplace_back(
-                spec.substr(0, colon),
-                std::strtod(spec.c_str() + colon + 1, nullptr));
-        } else {
-            std::fprintf(stderr, "specstat: unknown bench arg %s\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
-    if (sources.empty()) {
-        std::fputs("specstat: bench needs at least one --cell\n",
-                   stderr);
-        return 2;
-    }
-
-    BenchCells cells;
-    for (const auto &[name, path] : sources) {
-        FlatJson json;
-        std::string error;
-        if (!loadBenchJson(path, json, error) ||
-            !extractBenchCells(name, json, cells, error)) {
-            std::fprintf(stderr, "specstat: %s\n", error.c_str());
-            return 2;
-        }
-    }
-
-    for (const auto &[cell, metrics] : cells) {
-        std::printf("cell %-24s", cell.c_str());
-        for (const auto &[metric, value] : metrics)
-            std::printf(" %s=%s", metric.c_str(),
-                        formatValue(value).c_str());
-        std::printf("\n");
-    }
-
-    bool ok = true;
-    const auto cellMetric = [&](const std::string &cell,
-                                const char *metric,
-                                double &out) -> bool {
-        const auto c = cells.find(cell);
-        if (c == cells.end()) {
-            std::fprintf(stderr,
-                         "specstat: ASSERT FAILED: no cell '%s'\n",
-                         cell.c_str());
-            return false;
-        }
-        const auto m = c->second.find(metric);
-        if (m == c->second.end()) {
-            std::fprintf(stderr,
-                         "specstat: ASSERT FAILED: cell '%s' has no "
-                         "%s\n",
-                         cell.c_str(), metric);
-            return false;
-        }
-        out = m->second;
-        return true;
-    };
-    for (const auto &[pair, ratio] : speedups) {
-        double fast = 0, slow = 0;
-        if (!cellMetric(pair.first, "sim_ops_per_sec", fast) ||
-            !cellMetric(pair.second, "sim_ops_per_sec", slow)) {
-            ok = false;
-            continue;
-        }
-        const double actual = slow > 0 ? fast / slow : 0;
-        if (actual >= ratio) {
-            std::printf("ASSERT ok min-speedup %s/%s: %.2fx >= "
-                        "%.2fx\n",
-                        pair.first.c_str(), pair.second.c_str(),
-                        actual, ratio);
-        } else {
-            std::fprintf(stderr,
-                         "specstat: ASSERT FAILED min-speedup %s/%s: "
-                         "%.2fx < %.2fx\n",
-                         pair.first.c_str(), pair.second.c_str(),
-                         actual, ratio);
-            ok = false;
-        }
-    }
-    for (const auto &[cell, limit] : fence_limits) {
-        double actual = 0;
-        if (!cellMetric(cell, "fences_per_tx", actual)) {
-            ok = false;
-            continue;
-        }
-        if (actual <= limit) {
-            std::printf("ASSERT ok max-fences-per-tx %s: %.4f <= "
-                        "%.4f\n",
-                        cell.c_str(), actual, limit);
-        } else {
-            std::fprintf(stderr,
-                         "specstat: ASSERT FAILED max-fences-per-tx "
-                         "%s: %.4f > %.4f\n",
-                         cell.c_str(), actual, limit);
-            ok = false;
-        }
-    }
-
-    const std::string json = benchToJson(cells, sha);
-    if (out_path == "-") {
-        std::fputs(json.c_str(), stdout);
-    } else {
-        std::ofstream out(out_path, std::ios::binary);
-        out << json;
-        if (!out) {
-            std::fprintf(stderr, "specstat: cannot write %s\n",
-                         out_path.c_str());
-            return 2;
-        }
-        std::printf("wrote %s (%zu cells)\n", out_path.c_str(),
-                    cells.size());
-    }
-    return ok ? 0 : 1;
-}
-
-/**
- * The deterministic simulation metrics diff --bench gates on; wall
- * metrics (throughput and latency in host time) vary with CI host
- * load and only inform. Direction: +1 = higher is better.
- */
-struct GatedMetric
-{
-    const char *name;
-    int direction;
-};
-
-constexpr GatedMetric kGatedMetrics[] = {
-    {"fences_per_tx", -1},
-    {"sim_ops_per_sec", +1},
-};
-
-int
-cmdDiffBench(const std::string &old_path, const std::string &new_path,
-             double max_regress)
-{
-    BenchCells before, after;
-    std::string old_sha, new_sha, error;
-    if (!loadBenchFile(old_path, before, old_sha, error) ||
-        !loadBenchFile(new_path, after, new_sha, error)) {
-        std::fprintf(stderr, "specstat: %s\n", error.c_str());
-        return 2;
-    }
-
-    std::printf("bench diff: %s (%s) -> %s (%s), tolerance %.0f%%\n",
-                old_path.c_str(),
-                old_sha.empty() ? "?" : old_sha.c_str(),
-                new_path.c_str(),
-                new_sha.empty() ? "?" : new_sha.c_str(),
-                max_regress * 100.0);
-    std::printf("%-24s %-18s %12s %12s %8s\n", "cell", "metric",
-                "old", "new", "delta");
-
-    bool ok = true;
-    for (const auto &[cell, old_metrics] : before) {
-        const auto new_cell = after.find(cell);
-        if (new_cell == after.end()) {
-            std::fprintf(stderr,
-                         "specstat: REGRESSION cell '%s' disappeared "
-                         "from %s\n",
-                         cell.c_str(), new_path.c_str());
-            ok = false;
-            continue;
-        }
-        for (const auto &[metric, old_value] : old_metrics) {
-            const auto it = new_cell->second.find(metric);
-            if (it == new_cell->second.end())
-                continue;
-            const double new_value = it->second;
-            const double delta =
-                old_value != 0
-                    ? (new_value - old_value) / old_value * 100.0
-                    : 0.0;
-            int direction = 0;
-            for (const auto &gated : kGatedMetrics) {
-                if (metric == gated.name)
-                    direction = gated.direction;
-            }
-            bool regressed = false;
-            if (direction > 0)
-                regressed =
-                    new_value < old_value * (1.0 - max_regress);
-            else if (direction < 0)
-                regressed =
-                    new_value > old_value * (1.0 + max_regress);
-            std::printf("%-24s %-18s %12s %12s %+7.1f%%%s\n",
-                        cell.c_str(), metric.c_str(),
-                        formatValue(old_value).c_str(),
-                        formatValue(new_value).c_str(), delta,
-                        regressed      ? "  REGRESSION"
-                        : direction != 0 ? "  [gated]"
-                                         : "");
-            if (regressed) {
-                std::fprintf(
-                    stderr,
-                    "specstat: REGRESSION %s %s: %s -> %s "
-                    "(%+.1f%%, tolerance %.0f%%)\n",
-                    cell.c_str(), metric.c_str(),
-                    formatValue(old_value).c_str(),
-                    formatValue(new_value).c_str(), delta,
-                    max_regress * 100.0);
-                ok = false;
-            }
-        }
-    }
-    for (const auto &[cell, metrics] : after) {
-        if (before.find(cell) == before.end())
-            std::printf("%-24s (new cell, %zu metrics)\n",
-                        cell.c_str(), metrics.size());
-    }
-    std::printf(ok ? "bench diff: OK\n" : "bench diff: FAIL\n");
-    return ok ? 0 : 1;
 }
 
 /**
@@ -1651,7 +1027,7 @@ loadTraceSpans(const std::string &path, std::size_t source,
         return false;
     }
     FlatJson json;
-    if (!JsonFlattener(text).parse(json, error))
+    if (!JsonFlattener(text).parse(&json, error))
         return false;
     const auto indexOf = [](const std::string &key,
                             std::string &field) -> long {
@@ -1943,16 +1319,8 @@ usage()
 {
     std::fputs("usage: specstat dump FILE\n"
                "       specstat diff OLD NEW\n"
-               "       specstat diff --bench [--max-regress=FRAC] "
-               "OLD NEW\n"
                "       specstat check [--require=METRIC<OP>VALUE]... "
                "FILE...\n"
-               "       specstat bench [--out=FILE] [--sha=SHA] "
-               "--cell=NAME:FILE...\n"
-               "                      [--min-speedup=FAST/SLOW:RATIO]"
-               "\n"
-               "                      [--max-fences-per-tx=CELL:"
-               "LIMIT]\n"
                "       specstat top --port=P [--host=H] [--url=U]\n"
                "                    [--interval=SEC] [--count=N] "
                "[--once]\n"
@@ -1973,28 +1341,8 @@ main(int argc, char **argv)
     const std::string_view command = argv[1];
     if (command == "dump" && argc == 3)
         return cmdDump(argv[2]);
-    if (command == "diff" && argc >= 3 &&
-        std::string_view(argv[2]) == "--bench") {
-        double max_regress = 0.10;
-        std::vector<std::string> paths;
-        for (int i = 3; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--max-regress=", 0) == 0)
-                max_regress =
-                    std::strtod(argv[i] + 14, nullptr);
-            else
-                paths.emplace_back(arg);
-        }
-        if (paths.size() != 2)
-            return usage();
-        return cmdDiffBench(paths[0], paths[1], max_regress);
-    }
     if (command == "diff" && argc == 4)
         return cmdDiff(argv[2], argv[3]);
-    if (command == "bench") {
-        std::vector<std::string> args(argv + 2, argv + argc);
-        return cmdBench(args);
-    }
     if (command == "top") {
         std::vector<std::string> args(argv + 2, argv + argc);
         return cmdTop(args);

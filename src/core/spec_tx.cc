@@ -27,6 +27,9 @@ entryKey(PmOff off, std::size_t size)
     return (off << 32) | static_cast<std::uint64_t>(size);
 }
 
+/** Skip compaction when it would save less than this fraction. */
+constexpr double kCompactionMinSavings = 0.10;
+
 /** SpecSPMT runtime counters, registered once per process. */
 struct SpecTxMetrics
 {
@@ -265,9 +268,6 @@ void
 SpecTx::initFreshLog(unsigned tid)
 {
     auto &log = *logs_[tid];
-    std::lock_guard<std::mutex> guard(log.mutex);
-    log.blocks.clear();
-
     const PmOff block =
         pool_.allocAligned(config_.logBlockSize, kCacheLineSize);
     BlockHeader header{kPmNull, kPmNull, pool_.allocationSize(block), 0};
@@ -279,12 +279,12 @@ SpecTx::initFreshLog(unsigned tid)
     dev_.sfence();
     pool_.setRoot(txn::logHeadSlot(tid), block);
 
-    log.blocks.push_back(block);
-    log.tailPos = sizeof(BlockHeader);
-    log.firstOpenBlock = 0;
-    log.inTx = false;
-    log.openSegs.clear();
-    log.entryIndex.clear();
+    {
+        std::lock_guard<std::mutex> guard(log.mutex);
+        log.blocks.assign(1, block);
+        log.tailPos = sizeof(BlockHeader);
+    }
+    endTx(log);
     log.pendingFlush.clear();
     noteLogBytes(static_cast<std::ptrdiff_t>(pool_.allocationSize(block)));
 }
@@ -393,11 +393,6 @@ SpecTx::txBegin(ThreadId tid)
     auto &log = threadLog(tid);
     SPECPMT_ASSERT(!log.inTx);
     log.inTx = true;
-    log.openSegs.clear();
-    log.entryIndex.clear();
-    log.preImages.clear();
-    log.captured.clear();
-    log.writeSet.clear();
     SpecTxMetrics::get().begins.add();
     flight_.record(forensic::EventType::TxBegin, tid);
     log.costAtBegin = obs::traceContext().cost;
@@ -471,42 +466,41 @@ SpecTx::sealSegments(ThreadLog &log, TxTimestamp ts)
 }
 
 void
-SpecTx::txCommit(ThreadId tid)
+SpecTx::endTx(ThreadLog &log)
 {
-    if (config_.groupCommit) {
-        // Strict commit in epoch mode: join the epoch, then seal it
-        // before returning. One fence covers this transaction plus
-        // every earlier relaxed commit, so the ack-implies-durable
-        // contract holds and the epoch's timestamps stay dense.
-        bool readonly = false;
-        commitIntoEpoch(tid, readonly);
-        if (!readonly)
-            sealEpoch();
-        return;
-    }
+    log.inTx = false;
+    log.openSegs.clear();
+    log.entryIndex.clear();
+    log.preImages.clear();
+    log.captured.clear();
+    log.writeSet.clear();
+    std::lock_guard<std::mutex> guard(log.mutex);
+    log.firstOpenBlock = log.blocks.size() - 1;
+}
 
+std::uint64_t
+SpecTx::commitStaged(ThreadId tid)
+{
     auto &log = threadLog(tid);
     SPECPMT_ASSERT(log.inTx);
 
     // Read-only transaction: nothing to persist; rewind the header
     // space reserved at txBegin.
     if (log.openSegs.size() == 1 && log.openSegs[0].numEntries == 0) {
-        log.inTx = false;
         log.tailPos -= sizeof(SegHead);
-        log.openSegs.clear();
-        std::lock_guard<std::mutex> guard(log.mutex);
-        log.firstOpenBlock = log.blocks.size() - 1;
+        endTx(log);
         SpecTxMetrics::get().readonlyCommits.add();
         SPECPMT_TRACE_END("tx_readonly", "tx", log.traceStartNs);
-        return;
+        return 0;
     }
 
-    const TxTimestamp ts = nextTimestamp();
-    sealSegments(log, ts);
-
-    // One flush batch + one fence persists the whole transaction:
-    // the segment checksums are the commit flag (Section 4.1).
-    {
+    std::uint64_t ticket = 0;
+    const std::size_t segs = log.openSegs.size();
+    if (!config_.groupCommit) {
+        const TxTimestamp ts = nextTimestamp();
+        sealSegments(log, ts);
+        // One flush batch + one fence persists the whole transaction:
+        // the segment checksums are the commit flag (Section 4.1).
         const std::uint64_t flushStartNs = SPECPMT_TRACE_BEGIN();
         if (config_.dataPersistOnCommit) {
             log.writeSet.forEachLine([&](std::uint64_t line) {
@@ -517,8 +511,7 @@ SpecTx::txCommit(ThreadId tid)
         for (const auto &[off, size] : log.pendingFlush)
             dev_.clwbRange(off, size, pmem::TrafficClass::Log);
         // Rides the commit fence below, durable iff the seals are.
-        flight_.record(forensic::EventType::TxCommit, tid, ts,
-                       log.openSegs.size());
+        flight_.record(forensic::EventType::TxCommit, tid, ts, segs);
         dev_.sfence();
         if (flushStartNs != 0 && obs::Tracer::global().enabled()) {
             const auto &tctx = obs::traceContext();
@@ -527,24 +520,52 @@ SpecTx::txCommit(ThreadId tid)
                 obs::Tracer::now(),
                 tctx.sampled ? tctx.traceId : 0);
         }
+    } else {
+        // Timestamp allocation, seal stores, and flush-range
+        // registration form one atomic step against concurrent
+        // commits and sealers: this is what keeps epoch membership
+        // timestamp-contiguous (see the header comment on
+        // epochMutex_). Every allocation in this mode happens under
+        // the lock, so the seal can use the next timestamp before
+        // taking it: a media fault thrown by the seal stores leaves
+        // no gap in the sequence and the epoch untouched.
+        std::lock_guard<std::mutex> guard(epochMutex_);
+        const TxTimestamp ts = currentTimestamp() + 1;
+        sealSegments(log, ts);
+        // Rides the epoch fence, durable iff the seals are.
+        flight_.record(forensic::EventType::TxCommit, tid, ts, segs);
+        const TxTimestamp taken = nextTimestamp();
+        SPECPMT_ASSERT(taken == ts);
+        if (config_.dataPersistOnCommit) {
+            log.writeSet.forEachLine([&](std::uint64_t line) {
+                epochPending_.push_back({line * kCacheLineSize,
+                                         kCacheLineSize,
+                                         pmem::TrafficClass::Data});
+            });
+        }
+        for (const auto &[off, size] : log.pendingFlush)
+            epochPending_.push_back(
+                {off, size, pmem::TrafficClass::Log});
+        if (epochPendingTxs_ == 0)
+            epochFirstTs_ = ts;
+        epochLastTs_ = ts;
+        ++epochPendingTxs_;
+        ticket = epochOpenTicket_;
+        SpecTxMetrics::get().epochPendingTxs.set(
+            static_cast<std::int64_t>(epochPendingTxs_));
+        const auto &tctx = obs::traceContext();
+        if (tctx.sampled && tctx.traceId != 0 &&
+            epochTraceIds_.size() < kEpochTraceMembers)
+            epochTraceIds_.push_back(tctx.traceId);
     }
 
-    // Commit point. Only past the fence is the transaction
-    // irrevocable; a media fault thrown from the seal/flush stores
-    // above leaves inTx set, so the caller can still txAbort() —
-    // pre-images restored, tail rewound and re-poisoned.
-    log.inTx = false;
-
+    // Commit point. Only past the fence (strict) or the epoch
+    // registration is the transaction irrevocable; a media fault
+    // thrown from the seal stores or the flight append above leaves
+    // inTx set, so the caller can still txAbort() — pre-images
+    // restored, tail rewound and re-poisoned.
     log.pendingFlush.clear();
-    log.openSegs.clear();
-    log.entryIndex.clear();
-    log.preImages.clear();
-    log.captured.clear();
-    log.writeSet.clear();
-    {
-        std::lock_guard<std::mutex> guard(log.mutex);
-        log.firstOpenBlock = log.blocks.size() - 1;
-    }
+    endTx(log);
 
     SpecTxMetrics::get().commits.add();
     {
@@ -568,112 +589,25 @@ SpecTx::txCommit(ThreadId tid)
         }
         reclaimCv_.notify_one();
     }
+    return ticket;
 }
 
-std::uint64_t
-SpecTx::commitIntoEpoch(ThreadId tid, bool &readonly)
+void
+SpecTx::txCommit(ThreadId tid)
 {
-    auto &log = threadLog(tid);
-    SPECPMT_ASSERT(log.inTx);
-    log.inTx = false;
-
-    if (log.openSegs.size() == 1 && log.openSegs[0].numEntries == 0) {
-        readonly = true;
-        log.tailPos -= sizeof(SegHead);
-        log.openSegs.clear();
-        std::lock_guard<std::mutex> guard(log.mutex);
-        log.firstOpenBlock = log.blocks.size() - 1;
-        SpecTxMetrics::get().readonlyCommits.add();
-        SPECPMT_TRACE_END("tx_readonly", "tx", log.traceStartNs);
-        return 0;
-    }
-    readonly = false;
-
-    std::uint64_t ticket = 0;
-    std::size_t sealed_segs = 0;
-    {
-        // Timestamp allocation, seal stores, and flush-range
-        // registration form one atomic step against concurrent
-        // commits and sealers: this is what keeps epoch membership
-        // timestamp-contiguous (see the header comment on
-        // epochMutex_).
-        std::lock_guard<std::mutex> guard(epochMutex_);
-        const TxTimestamp ts = nextTimestamp();
-        sealed_segs = log.openSegs.size();
-        sealSegments(log, ts);
-        if (config_.dataPersistOnCommit) {
-            log.writeSet.forEachLine([&](std::uint64_t line) {
-                epochPending_.push_back({line * kCacheLineSize,
-                                         kCacheLineSize,
-                                         pmem::TrafficClass::Data});
-            });
-        }
-        for (const auto &[off, size] : log.pendingFlush)
-            epochPending_.push_back(
-                {off, size, pmem::TrafficClass::Log});
-        if (epochPendingTxs_ == 0)
-            epochFirstTs_ = ts;
-        epochLastTs_ = ts;
-        ++epochPendingTxs_;
-        ticket = epochOpenTicket_;
-        SpecTxMetrics::get().epochPendingTxs.set(
-            static_cast<std::int64_t>(epochPendingTxs_));
-        // Rides the epoch fence, durable iff the seals are.
-        flight_.record(forensic::EventType::TxCommit, tid, ts,
-                       sealed_segs);
-        const auto &tctx = obs::traceContext();
-        if (tctx.sampled && tctx.traceId != 0 &&
-            epochTraceIds_.size() < kEpochTraceMembers)
-            epochTraceIds_.push_back(tctx.traceId);
-    }
-
-    log.pendingFlush.clear();
-    log.openSegs.clear();
-    log.entryIndex.clear();
-    log.preImages.clear();
-    log.captured.clear();
-    log.writeSet.clear();
-    {
-        std::lock_guard<std::mutex> guard(log.mutex);
-        log.firstOpenBlock = log.blocks.size() - 1;
-    }
-
-    SpecTxMetrics::get().commits.add();
-    {
-        auto &cost = obs::traceContext().cost;
-        cost.logBytesPeak = peakLogBytes_.load();
-        const std::size_t live = logBytes_.load();
-        cost.reclaimDebt = live > config_.reclaimThresholdBytes
-                               ? live - config_.reclaimThresholdBytes
-                               : 0;
-        PmMetrics::get().chargeCommit(
-            obs::PmCost::delta(log.costAtBegin, cost));
-    }
-    SPECPMT_TRACE_END("tx", "tx", log.traceStartNs);
-
-    if (logBytes_.load() > config_.reclaimThresholdBytes &&
-        reclaimer_.joinable()) {
-        {
-            std::lock_guard<std::mutex> guard(reclaimMutex_);
-            reclaimRequested_ = true;
-        }
-        reclaimCv_.notify_one();
-    }
-    return ticket;
+    // Strict commit in epoch mode seals the epoch it joined before
+    // returning: one fence covers this transaction plus every earlier
+    // relaxed commit, so ack-implies-durable holds.
+    if (commitStaged(tid) != 0)
+        sealEpoch();
 }
 
 std::uint64_t
 SpecTx::txCommitRelaxed(ThreadId tid)
 {
-    if (!config_.groupCommit) {
-        txCommit(tid);
-        return 0;
-    }
-    bool readonly = false;
-    const std::uint64_t ticket = commitIntoEpoch(tid, readonly);
-    if (readonly)
-        return 0;
-    SpecTxMetrics::get().epochRelaxedCommits.add();
+    const std::uint64_t ticket = commitStaged(tid);
+    if (ticket != 0)
+        SpecTxMetrics::get().epochRelaxedCommits.add();
     return ticket;
 }
 
@@ -683,41 +617,37 @@ SpecTx::sealEpoch()
     if (!config_.groupCommit)
         return 0;
     std::lock_guard<std::mutex> seal_guard(epochSealMutex_);
+    const obs::PmCost sealCostBefore = obs::traceContext().cost;
+    const std::uint64_t sealStartNs = SPECPMT_TRACE_BEGIN();
     std::vector<EpochRange> ranges;
     std::vector<std::uint64_t> members;
     std::uint64_t ticket = 0;
     std::uint64_t txs = 0;
-    TxTimestamp first = 0;
-    TxTimestamp last = 0;
     {
         std::lock_guard<std::mutex> guard(epochMutex_);
         if (epochPendingTxs_ == 0)
             return epochLastSealed_.load(std::memory_order_relaxed);
-        ranges.swap(epochPending_);
-        members.swap(epochTraceIds_);
-        txs = epochPendingTxs_;
-        epochPendingTxs_ = 0;
-        first = epochFirstTs_;
-        last = epochLastTs_;
-        epochFirstTs_ = epochLastTs_ = 0;
-        ticket = epochOpenTicket_++;
-        SpecTxMetrics::get().epochPendingTxs.set(0);
-    }
-
-    const obs::PmCost sealCostBefore = obs::traceContext().cost;
-    const std::uint64_t sealStartNs = SPECPMT_TRACE_BEGIN();
-    {
         // The frontier advance rides the same flush batch as the
         // member seals. If the fence below never completes, recovery
         // treats any gap inside the announced window as proof of
         // that, and replays only the window's dense prefix — all of
         // which was unacked. Once the fence completes, frontier and
-        // seals are durable together.
-        storeEpochFrontier(first, last);
-        for (const auto &range : ranges)
-            dev_.clwbRange(range.off, range.size, range.cls);
-        dev_.sfence();
+        // seals are durable together. Storing it before the epoch is
+        // taken apart means a media fault on the record leaves every
+        // member pending for the next seal.
+        storeEpochFrontier(epochFirstTs_, epochLastTs_);
+        ranges.swap(epochPending_);
+        members.swap(epochTraceIds_);
+        txs = epochPendingTxs_;
+        epochPendingTxs_ = 0;
+        epochFirstTs_ = epochLastTs_ = 0;
+        ticket = epochOpenTicket_++;
+        SpecTxMetrics::get().epochPendingTxs.set(0);
     }
+
+    for (const auto &range : ranges)
+        dev_.clwbRange(range.off, range.size, range.cls);
+    dev_.sfence();
     if (sealStartNs != 0 && obs::Tracer::global().enabled()) {
         const std::uint64_t sealEndNs = obs::Tracer::now();
         auto &tracer = obs::Tracer::global();
@@ -781,8 +711,10 @@ SpecTx::txAbort(ThreadId tid)
     // touch the very lines whose failure is being unwound.
     pmem::MediaFaultSuppress suppress_media_faults;
     auto &log = threadLog(tid);
-    SPECPMT_ASSERT(log.inTx);
-    log.inTx = false;
+    // A strict epoch commit closes its transaction before its seal
+    // runs; a fault thrown by that seal leaves nothing to roll back.
+    if (!log.inTx)
+        return;
 
     // Restore the captured pre-images, newest first.
     for (auto it = log.preImages.rbegin(); it != log.preImages.rend();
@@ -792,79 +724,66 @@ SpecTx::txAbort(ThreadId tid)
 
     // A transaction that failed before its first segment opened (pool
     // exhaustion inside txBegin) has nothing staged to rewind.
-    if (log.openSegs.empty()) {
-        log.entryIndex.clear();
-        log.preImages.clear();
-        log.captured.clear();
-        log.writeSet.clear();
-        SpecTxMetrics::get().aborts.add();
-        flight_.record(forensic::EventType::TxAbort, tid);
-        SPECPMT_TRACE_END("tx_abort", "tx", log.traceStartNs);
-        return;
-    }
+    if (!log.openSegs.empty()) {
+        // Rewind the log tail to where this transaction started and
+        // drop any blocks attached on its behalf.
+        const PmOff rewind_pos = log.openSegs.front().pos;
 
-    // Rewind the log tail to where this transaction started and drop
-    // any blocks attached on its behalf.
-    const PmOff rewind_pos = log.openSegs.front().pos;
-
-    std::vector<PmOff> freed;
-    {
-        std::lock_guard<std::mutex> guard(log.mutex);
-        // Find the block containing rewind_pos.
-        std::size_t keep = log.blocks.size();
-        for (std::size_t i = 0; i < log.blocks.size(); ++i) {
-            const PmOff base = log.blocks[i];
-            const auto cap = dev_.loadT<std::uint64_t>(
-                base + offsetof(BlockHeader, capacity));
-            if (rewind_pos >= base && rewind_pos < base + cap) {
-                keep = i;
-                break;
+        std::vector<PmOff> freed;
+        {
+            std::lock_guard<std::mutex> guard(log.mutex);
+            // Find the block containing rewind_pos.
+            std::size_t keep = log.blocks.size();
+            for (std::size_t i = 0; i < log.blocks.size(); ++i) {
+                const PmOff base = log.blocks[i];
+                const auto cap = dev_.loadT<std::uint64_t>(
+                    base + offsetof(BlockHeader, capacity));
+                if (rewind_pos >= base && rewind_pos < base + cap) {
+                    keep = i;
+                    break;
+                }
             }
+            SPECPMT_ASSERT(keep < log.blocks.size());
+            for (std::size_t i = keep + 1; i < log.blocks.size(); ++i)
+                freed.push_back(log.blocks[i]);
+            log.blocks.resize(keep + 1);
+            log.tailPos = rewind_pos - log.blocks.back();
         }
-        SPECPMT_ASSERT(keep < log.blocks.size());
-        for (std::size_t i = keep + 1; i < log.blocks.size(); ++i)
-            freed.push_back(log.blocks[i]);
-        log.blocks.resize(keep + 1);
-        log.tailPos = rewind_pos - log.blocks.back();
-        log.firstOpenBlock = log.blocks.size() - 1;
+
+        // Unlink and poison; drop pending flushes that point into
+        // freed blocks.
+        dev_.storeT<PmOff>(
+            log.blocks.back() + offsetof(BlockHeader, next), kPmNull);
+        log.pendingFlush.emplace_back(
+            log.blocks.back() + offsetof(BlockHeader, next),
+            sizeof(PmOff));
+        auto in_freed = [&](PmOff off) {
+            for (PmOff base : freed) {
+                const std::size_t cap = pool_.allocationSize(base);
+                if (off >= base && off < base + cap)
+                    return true;
+            }
+            return false;
+        };
+        std::erase_if(log.pendingFlush, [&](const auto &range) {
+            return in_freed(range.first);
+        });
+        poisonTail(log);
+
+        // The dropped blocks are deliberately NOT returned to the
+        // pool: when the abort was caused by a media fault one of
+        // them may contain the failing line, and the pool's LIFO free
+        // lists would hand it straight back to the next attachBlock —
+        // an abort loop on the same bad line. Aborts are exceptional
+        // (media faults, pool exhaustion), so the quarantined space is
+        // bounded and read-only degradation remains the backstop.
+        for (PmOff base : freed)
+            noteLogBytes(-static_cast<std::ptrdiff_t>(
+                pool_.allocationSize(base)));
+        log.retireTailOnBegin = true;
     }
 
-    // Unlink and poison; drop pending flushes that point into freed
-    // blocks.
-    dev_.storeT<PmOff>(log.blocks.back() + offsetof(BlockHeader, next),
-                       kPmNull);
-    log.pendingFlush.emplace_back(
-        log.blocks.back() + offsetof(BlockHeader, next), sizeof(PmOff));
-    auto in_freed = [&](PmOff off) {
-        for (PmOff base : freed) {
-            const std::size_t cap = pool_.allocationSize(base);
-            if (off >= base && off < base + cap)
-                return true;
-        }
-        return false;
-    };
-    std::erase_if(log.pendingFlush, [&](const auto &range) {
-        return in_freed(range.first);
-    });
-    poisonTail(log);
-
-    // The dropped blocks are deliberately NOT returned to the pool:
-    // when the abort was caused by a media fault one of them may
-    // contain the failing line, and the pool's LIFO free lists would
-    // hand it straight back to the next attachBlock — an abort loop
-    // on the same bad line. Aborts are exceptional (media faults,
-    // pool exhaustion), so the quarantined space is bounded and
-    // read-only degradation remains the backstop.
-    for (PmOff base : freed)
-        noteLogBytes(-static_cast<std::ptrdiff_t>(
-            pool_.allocationSize(base)));
-
-    log.openSegs.clear();
-    log.entryIndex.clear();
-    log.preImages.clear();
-    log.captured.clear();
-    log.writeSet.clear();
-    log.retireTailOnBegin = true;
+    endTx(log);
     SpecTxMetrics::get().aborts.add();
     flight_.record(forensic::EventType::TxAbort, tid);
     SPECPMT_TRACE_END("tx_abort", "tx", log.traceStartNs);
@@ -1109,19 +1028,15 @@ SpecTx::recover()
         }
 
         auto &log = *logs_[tid];
-        std::lock_guard<std::mutex> guard(log.mutex);
-        log.blocks.assign(walk.blocks.begin(),
-                          walk.blocks.begin() +
-                              static_cast<std::ptrdiff_t>(keep + 1));
-        log.tailPos = adopt_pos - log.blocks.back();
-        log.firstOpenBlock = log.blocks.size() - 1;
-        log.inTx = false;
-        log.openSegs.clear();
-        log.entryIndex.clear();
+        {
+            std::lock_guard<std::mutex> guard(log.mutex);
+            log.blocks.assign(walk.blocks.begin(),
+                              walk.blocks.begin() +
+                                  static_cast<std::ptrdiff_t>(keep + 1));
+            log.tailPos = adopt_pos - log.blocks.back();
+        }
+        endTx(log);
         log.pendingFlush.clear();
-        log.preImages.clear();
-        log.captured.clear();
-        log.writeSet.clear();
 
         // Cut the chain after the adopted tail and refresh the poison.
         const PmOff tail_block = log.blocks.back();
@@ -1329,7 +1244,7 @@ SpecTx::reclaimCycle()
         }
         if (fresh_bytes + sizeof(BlockHeader) + 8 >
             static_cast<std::size_t>(
-                (1.0 - config_.compactionMinSavings) *
+                (1.0 - kCompactionMinSavings) *
                 static_cast<double>(frozen_bytes))) {
             continue; // not worth rewriting
         }

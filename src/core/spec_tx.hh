@@ -56,8 +56,6 @@ struct SpecTxConfig
      * exceeds this many bytes (Section 4.2's tunable threshold).
      */
     std::size_t reclaimThresholdBytes = 1u << 20;
-    /** Skip compaction when it would save less than this fraction. */
-    double compactionMinSavings = 0.10;
     /**
      * Overwrite a datum's existing in-transaction log entry instead
      * of appending a new one (Section 4's "only the last update needs
@@ -237,11 +235,21 @@ class SpecTx : public txn::TxRuntime
     void sealSegments(ThreadLog &log, TxTimestamp ts);
 
     /**
-     * Group-commit commit path: seal the open transaction's segments
-     * and hand the flush set to the open epoch instead of fencing.
-     * Returns the epoch ticket joined (0 for a read-only commit).
+     * The one commit path behind txCommit() and txCommitRelaxed():
+     * rewind a read-only transaction, else seal the segments and
+     * either fence them now (strict mode) or register them in the
+     * open epoch (group-commit mode). inTx is cleared at a single
+     * commit point after every device access that can throw, so a
+     * MediaError leaves the transaction open for txAbort() and, in
+     * epoch mode, the epoch untouched. Returns the epoch ticket
+     * joined (0 = read-only or already durable).
      */
-    std::uint64_t commitIntoEpoch(ThreadId tid, bool &readonly);
+    std::uint64_t commitStaged(ThreadId tid);
+
+    /** Close the open transaction: drop its per-transaction state.
+     * pendingFlush survives (an abort's unlink and poison stores ride
+     * the next commit's flush batch). */
+    void endTx(ThreadLog &log);
 
     /** Create (or reuse) the persistent frontier record; epoch mode. */
     void initEpochFrontier(bool adopt_existing);

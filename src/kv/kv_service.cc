@@ -119,18 +119,9 @@ KvService::KvService(const KvServiceConfig &config) : config_(config)
         }
         shard->pool = std::make_unique<pmem::PmemPool>(*shard->device);
         if (shard->device->hadExistingData()) {
-            // Reattach: the backing file holds a pre-kill image.
-            // Run this shard's recovery and re-adopt the map exactly
-            // as the post-crash path does.
-            shard->runtime = txn::makeRuntime(config_.runtime,
-                                              *shard->pool,
-                                              config_.threads,
-                                              config_.runtimeOptions);
-            shard->runtime->recover();
-            const PmOff base =
-                shard->pool->getRoot(txn::kAppRootSlotBase);
-            SPECPMT_ASSERT(base != kPmNull);
-            shard->map.emplace(Map::attach(*shard->runtime, base));
+            // Reattach: the backing file holds a pre-kill image, which
+            // recovers exactly as the post-crash path does.
+            recoverShard(*shard);
         } else {
             if (config_.flightRecorder)
                 forensic::FlightRecorder::create(*shard->pool);
@@ -143,10 +134,9 @@ KvService::KvService(const KvServiceConfig &config) : config_(config)
                             config_.bucketsPerShard));
             shard->pool->setRoot(txn::kAppRootSlotBase,
                                  shard->map->base());
+            shard->flight =
+                forensic::FlightRecorder::attach(*shard->pool);
         }
-        shard->flight = forensic::FlightRecorder::attach(*shard->pool);
-        shard->locks =
-            std::make_unique<txn::LockTable>(config_.lockStripes);
         shard->sealLagGauge = &obs::Registry::global().gauge(
             "specpmt_epoch_seal_lag",
             "relaxed epoch tickets issued but not yet sealed",
@@ -271,71 +261,28 @@ KvService::put(ThreadId tid, KvKey key, const KvValue &value,
                Durability durability, std::uint64_t *epoch_ticket)
 {
     const unsigned shard_index = shardOf(key);
-    Shard &shard = *shards_[shard_index];
-    const bool relaxed = durability == Durability::Relaxed &&
-                         shard.runtime->groupCommitSupported();
-    auto commit = [&]() -> std::uint64_t {
-        if (relaxed)
-            return shard.runtime->txCommitRelaxed(tid);
-        shard.runtime->txCommit(tid);
-        return 0;
-    };
-    auto guard = shard.locks->lockAll({lockAddr(key)});
-    bool ok;
+    std::vector<BatchOpResult> results;
     std::uint64_t ticket = 0;
-    if (shard.map->get(tid, key)) {
-        // Pure update: only this stripe's holders write this bucket.
-        shard.runtime->txBegin(tid);
-        ok = shard.map->putInTx(tid, key, value);
-        ticket = commit();
-    } else {
-        // Insert: claims a bucket somewhere in the probe chain, which
-        // may cross stripes — serialize against other claimers.
-        std::lock_guard<std::mutex> structure(shard.structureLock);
-        shard.runtime->txBegin(tid);
-        ok = shard.map->putInTx(tid, key, value);
-        ticket = commit();
-    }
+    const bool ok =
+        executeShardBatch(tid, shard_index,
+                          {{BatchOp::Kind::Put, key, value}}, results,
+                          durability, &ticket) == BatchStatus::Ok &&
+        results[0].ok;
     if (epoch_ticket)
         *epoch_ticket = ticket;
-    noteTicket(shard_index, shard, ticket);
-    if (ok)
-        shard.committedTxs.fetch_add(1, std::memory_order_relaxed);
-    if (relaxed)
-        noteRelaxedMutation(shard_index, shard);
-    KvMetrics::get().puts.add();
-    if (!ok)
-        KvMetrics::get().putFailures.add();
+    if (ticket != 0)
+        noteRelaxedMutation(shard_index, *shards_[shard_index]);
     return ok;
 }
 
 bool
 KvService::erase(ThreadId tid, KvKey key)
 {
-    Shard &shard = *shards_[shardOf(key)];
-    auto guard = shard.locks->lockAll({lockAddr(key)});
-    shard.runtime->txBegin(tid);
-    const bool erased = shard.map->eraseInTx(tid, key);
-    shard.runtime->txCommit(tid);
-    if (erased) {
-        shard.committedTxs.fetch_add(1, std::memory_order_relaxed);
-        KvMetrics::get().erases.add();
-    }
-    return erased;
-}
-
-bool
-KvService::putBatchLocked(Shard &shard, ThreadId tid,
-                          const std::vector<std::pair<KvKey, KvValue>>
-                              &items)
-{
-    shard.runtime->txBegin(tid);
-    bool all_ok = true;
-    for (const auto &[key, value] : items)
-        all_ok = shard.map->putInTx(tid, key, value) && all_ok;
-    shard.runtime->txCommit(tid);
-    shard.committedTxs.fetch_add(1, std::memory_order_relaxed);
-    return all_ok;
+    std::vector<BatchOpResult> results;
+    return executeShardBatch(tid, shardOf(key),
+                             {{BatchOp::Kind::Erase, key, {}}},
+                             results) == BatchStatus::Ok &&
+           results[0].ok;
 }
 
 bool
@@ -343,26 +290,23 @@ KvService::multiPut(ThreadId tid,
                     const std::vector<std::pair<KvKey, KvValue>>
                         &items)
 {
-    // Ascending shard order; commit each shard's part before moving
-    // on, holding locks only within the shard being written.
-    std::map<unsigned, std::vector<std::pair<KvKey, KvValue>>>
-        by_shard;
-    for (const auto &item : items)
-        by_shard[shardOf(item.first)].push_back(item);
+    // Ascending shard order; each shard's part commits before the
+    // next one starts, so locks are held only within one shard.
+    std::map<unsigned, std::vector<BatchOp>> by_shard;
+    for (const auto &[key, value] : items)
+        by_shard[shardOf(key)].push_back(
+            {BatchOp::Kind::Put, key, value});
 
     KvMetrics::get().multiPuts.add();
     bool all_ok = true;
-    for (auto &[index, shard_items] : by_shard) {
-        Shard &shard = *shards_[index];
-        std::vector<PmOff> addrs;
-        addrs.reserve(shard_items.size());
-        for (const auto &[key, value] : shard_items)
-            addrs.push_back(lockAddr(key));
-        auto guard = shard.locks->lockAll(std::move(addrs));
-        // The batch may insert, so always take the structure lock
-        // (stripes first, then structure — same order as put()).
-        std::lock_guard<std::mutex> structure(shard.structureLock);
-        all_ok = putBatchLocked(shard, tid, shard_items) && all_ok;
+    std::vector<BatchOpResult> results;
+    for (const auto &[index, ops] : by_shard) {
+        const bool ok =
+            executeShardBatch(tid, index, ops, results) ==
+                BatchStatus::Ok &&
+            std::all_of(results.begin(), results.end(),
+                        [](const BatchOpResult &r) { return r.ok; });
+        all_ok = ok && all_ok;
     }
     return all_ok;
 }
@@ -462,105 +406,93 @@ KvService::executeShardBatch(ThreadId tid, unsigned shard_index,
     results.resize(ops.size());
     if (shard_index >= config_.shards)
         return BatchStatus::BadRoute;
-    bool any_mutation = false;
     bool any_put = false;
+    bool any_erase = false;
     std::vector<PmOff> addrs;
     for (const auto &op : ops) {
         if (shardOf(op.key) != shard_index)
             return BatchStatus::BadRoute;
-        if (op.kind != BatchOp::Kind::Get) {
+        if (op.kind != BatchOp::Kind::Get)
             addrs.push_back(lockAddr(op.key));
-            any_mutation = true;
-            any_put |= op.kind == BatchOp::Kind::Put;
-        }
+        any_put |= op.kind == BatchOp::Kind::Put;
+        any_erase |= op.kind == BatchOp::Kind::Erase;
     }
     Shard &shard = *shards_[shard_index];
     auto &metrics = KvMetrics::get();
 
-    const bool read_only =
-        shard.readOnly.load(std::memory_order_acquire);
-    if (!any_mutation || read_only) {
-        // No transaction: lock-free probes serve the reads; in
-        // degraded read-only mode the mutations are refused
-        // individually (nothing is staged) so reads stay alive.
-        try {
-            for (std::size_t i = 0; i < ops.size(); ++i) {
-                if (ops[i].kind != BatchOp::Kind::Get) {
-                    results[i].ok = false;
-                    results[i].rejectedReadOnly = true;
-                    metrics.readOnlyRejects.add();
-                    continue;
-                }
-                const auto value = shard.map->get(tid, ops[i].key);
-                results[i].ok = value.has_value();
-                if (value)
-                    results[i].value = *value;
-                metrics.gets.add();
-            }
-        } catch (const pmem::MediaError &err) {
-            noteMediaAbort(shard_index, shard, tid,
-                           err.offset(),
-                           static_cast<std::uint64_t>(err.kind()),
-                           /*in_tx=*/false);
-            return BatchStatus::Io;
-        }
-        return BatchStatus::Ok;
-    }
-
-    // Same lock order as put()/multiPut(): stripes, then (only when a
-    // bucket claim is possible) the shard structure lock.
-    auto guard = shard.locks->lockAll(std::move(addrs));
+    // A run without mutations opens no transaction: lock-free probes
+    // serve its reads. In read-only degraded mode the mutations are
+    // refused individually (nothing is staged) so reads stay alive.
+    const bool in_tx =
+        !addrs.empty() && !shard.readOnly.load(std::memory_order_acquire);
+    if (!in_tx)
+        addrs.clear();
+    auto guard = shard.locks.lockAll(std::move(addrs));
     std::unique_lock<std::mutex> structure(shard.structureLock,
                                            std::defer_lock);
-    if (any_put)
-        structure.lock();
+    bool began = false;
+    bool applied = false;
+    std::uint64_t ticket = 0;
     try {
-        shard.runtime->txBegin(tid);
+        if (in_tx) {
+            // Stripes first, then the structure lock when a Put may
+            // claim a bucket: its key is absent at probe time, or one
+            // of the run's erases may tombstone the bucket first.
+            bool claims = any_put && any_erase;
+            for (std::size_t i = 0; i < ops.size() && any_put && !claims;
+                 ++i) {
+                claims = ops[i].kind == BatchOp::Kind::Put &&
+                         !shard.map->get(tid, ops[i].key);
+            }
+            if (claims)
+                structure.lock();
+            began = true;
+            shard.runtime->txBegin(tid);
+        }
         for (std::size_t i = 0; i < ops.size(); ++i) {
             const BatchOp &op = ops[i];
+            BatchOpResult &result = results[i];
+            if (op.kind != BatchOp::Kind::Get && !in_tx) {
+                result.rejectedReadOnly = true;
+                metrics.readOnlyRejects.add();
+                continue;
+            }
             switch (op.kind) {
               case BatchOp::Kind::Get: {
                 // In-order inside the open tx: sees this batch's
                 // earlier uncommitted puts (read-your-writes).
                 const auto value = shard.map->get(tid, op.key);
-                results[i].ok = value.has_value();
+                result.ok = value.has_value();
                 if (value)
-                    results[i].value = *value;
+                    result.value = *value;
                 metrics.gets.add();
                 break;
               }
               case BatchOp::Kind::Put:
-                results[i].ok =
-                    shard.map->putInTx(tid, op.key, op.value);
+                result.ok = shard.map->putInTx(tid, op.key, op.value);
                 metrics.puts.add();
-                if (!results[i].ok)
+                if (!result.ok)
                     metrics.putFailures.add();
                 break;
               case BatchOp::Kind::Erase:
-                results[i].ok = shard.map->eraseInTx(tid, op.key);
-                if (results[i].ok)
+                result.ok = shard.map->eraseInTx(tid, op.key);
+                if (result.ok)
                     metrics.erases.add();
                 break;
             }
+            applied |= op.kind != BatchOp::Kind::Get && result.ok;
         }
-        if (durability == Durability::Relaxed &&
-            shard.runtime->groupCommitSupported()) {
-            const std::uint64_t ticket =
-                shard.runtime->txCommitRelaxed(tid);
-            if (epoch_ticket)
-                *epoch_ticket = ticket;
-            noteTicket(shard_index, shard, ticket);
-        } else {
+        if (durability == Durability::Relaxed && in_tx)
+            ticket = shard.runtime->txCommitRelaxed(tid);
+        else if (in_tx)
             shard.runtime->txCommit(tid);
-        }
     } catch (const pmem::MediaError &err) {
         // Abort cleanly: pre-images restore the in-place data, the
         // staged log segments are dropped, nothing of the run
         // survives. The caller may retry (fresh log blocks usually
         // avoid the bad lines).
         noteMediaAbort(shard_index, shard, tid, err.offset(),
-                       static_cast<std::uint64_t>(err.kind()),
-                       /*in_tx=*/true);
+                       static_cast<std::uint64_t>(err.kind()), began);
         return BatchStatus::Io;
     } catch (const pmem::PoolExhausted &err) {
         // Log space is gone: abort the run and flip the shard into
@@ -573,7 +505,11 @@ KvService::executeShardBatch(ThreadId tid, unsigned shard_index,
         enterReadOnly(shard_index, shard, tid, err.need());
         return BatchStatus::ReadOnly;
     }
-    shard.committedTxs.fetch_add(1, std::memory_order_relaxed);
+    if (epoch_ticket)
+        *epoch_ticket = ticket;
+    noteTicket(shard_index, shard, ticket);
+    if (applied)
+        shard.committedTxs.fetch_add(1, std::memory_order_relaxed);
     return BatchStatus::Ok;
 }
 
@@ -594,38 +530,36 @@ KvService::crash(const pmem::CrashPolicy &policy)
 }
 
 void
+KvService::recoverShard(Shard &shard)
+{
+    SPECPMT_TRACE_SPAN("kv_recover_shard", "recovery");
+    const auto start = std::chrono::steady_clock::now();
+    shard.runtime = txn::makeRuntime(config_.runtime, *shard.pool,
+                                     config_.threads,
+                                     config_.runtimeOptions);
+    shard.runtime->recover();
+    const PmOff base = shard.pool->getRoot(txn::kAppRootSlotBase);
+    SPECPMT_ASSERT(base != kPmNull);
+    shard.map.emplace(Map::attach(*shard.runtime, base));
+    shard.flight = forensic::FlightRecorder::attach(*shard.pool);
+    // Recovery re-initializes the log areas, so a shard that
+    // degraded on log exhaustion serves mutations again.
+    shard.readOnly.store(false, std::memory_order_release);
+    KvMetrics::get().shardRecoveryNs.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count()));
+}
+
+void
 KvService::recover()
 {
     SPECPMT_TRACE_SPAN("kv_recover", "recovery");
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> workers;
     workers.reserve(shards_.size());
-    for (auto &shard_ptr : shards_) {
-        workers.emplace_back([this, &shard_ptr] {
-            SPECPMT_TRACE_SPAN("kv_recover_shard", "recovery");
-            const auto shard_start = std::chrono::steady_clock::now();
-            Shard &shard = *shard_ptr;
-            shard.runtime = txn::makeRuntime(config_.runtime,
-                                             *shard.pool,
-                                             config_.threads,
-                                             config_.runtimeOptions);
-            shard.runtime->recover();
-            const PmOff base =
-                shard.pool->getRoot(txn::kAppRootSlotBase);
-            SPECPMT_ASSERT(base != kPmNull);
-            shard.map.emplace(Map::attach(*shard.runtime, base));
-            shard.flight =
-                forensic::FlightRecorder::attach(*shard.pool);
-            // Recovery re-initializes the log areas, so a shard that
-            // degraded on log exhaustion serves mutations again.
-            shard.readOnly.store(false, std::memory_order_release);
-            KvMetrics::get().shardRecoveryNs.record(
-                static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - shard_start)
-                        .count()));
-        });
-    }
+    for (auto &shard : shards_)
+        workers.emplace_back([this, &shard] { recoverShard(*shard); });
     for (auto &worker : workers)
         worker.join();
     KvMetrics::get().recoveries.add();

@@ -10,7 +10,11 @@
  * backing store. Every mutation is one shard-local transaction, so it
  * is crash-atomic under any recoverable runtime; multiPut() spans
  * shards as one transaction per touched shard, committed shard-
- * locally in ascending shard order.
+ * locally in ascending shard order. put(), erase() and multiPut() are
+ * thin wrappers over executeShardBatch(), the one path that locks,
+ * opens, applies and commits a transaction, so a media fault or an
+ * exhausted pool degrades every entry point the same way (Io /
+ * read-only mode) instead of escaping to the caller.
  *
  * Isolation follows the paper's Section 4.3.3 contract (the runtime
  * provides atomic durability, the application de-conflicts): each
@@ -101,8 +105,6 @@ struct KvServiceConfig
     std::uint64_t bucketsPerShard = 1u << 14;
     /** Emulated device capacity per shard. */
     std::size_t shardPoolBytes = 64u << 20;
-    /** Lock stripes per shard. */
-    unsigned lockStripes = 64;
     /**
      * Create a persistent flight-recorder ring in every shard pool so
      * the runtimes journal lifecycle events for post-mortem analysis
@@ -181,7 +183,9 @@ enum class BatchStatus : std::uint8_t
     BadRoute,
     /** A media fault (poisoned read / write EIO) interrupted the
      * run. Any open transaction was aborted cleanly — nothing the
-     * run staged was applied — and per-op results are meaningless. */
+     * run staged was applied — and per-op results are meaningless.
+     * Exception: a strict run on a group-commit runtime whose epoch
+     * seal faulted has committed; the next seal makes it durable. */
     Io,
     /** The shard ran out of log space mid-run: the transaction was
      * aborted cleanly and the shard flipped into read-only degraded
@@ -224,13 +228,15 @@ class KvService
     std::optional<KvValue> get(ThreadId tid, KvKey key);
 
     /**
-     * Insert or update; one crash-atomic shard transaction. Returns
-     * false (without staging anything) when the shard map is full —
-     * size bucketsPerShard for the keyspace.
+     * Insert or update; a one-op executeShardBatch(). Returns false
+     * (without staging anything) when the shard map is full — size
+     * bucketsPerShard for the keyspace — or when the batch did not
+     * return Ok: a media fault aborted it (Io) or the shard is, or
+     * just went, read-only.
      *
      * With Durability::Relaxed on a group-commit runtime the commit
      * fence is deferred into the shard's epoch; the service auto-seals
-     * after every config().epochMaxOps relaxed mutations. When
+     * after every config().epochMaxOps relaxed puts. When
      * @p epoch_ticket is non-null it receives the epoch ticket the
      * transaction joined (0 = already durable).
      */
@@ -238,7 +244,8 @@ class KvService
              Durability durability = Durability::Strict,
              std::uint64_t *epoch_ticket = nullptr);
 
-    /** Delete; one crash-atomic shard transaction. True if present. */
+    /** Delete; a one-op executeShardBatch(). True if it removed a
+     * present key (false on Io or a read-only shard too). */
     bool erase(ThreadId tid, KvKey key);
 
     /**
@@ -246,7 +253,8 @@ class KvService
      * committed shard-locally in ascending shard order. Each shard's
      * part is all-or-nothing under a crash; the batch as a whole is
      * not atomic across shards (a crash can persist a prefix of the
-     * shard commits). Returns false if any shard map was full.
+     * shard commits). Each shard's part is one executeShardBatch();
+     * returns false if any part failed (map full, Io, read-only).
      */
     bool multiPut(ThreadId tid,
                   const std::vector<std::pair<KvKey, KvValue>> &items);
@@ -256,7 +264,12 @@ class KvService
      * @p shard, with every mutation in ONE crash-atomic shard
      * transaction — the group-commit primitive the network event
      * loops amortize the commit fence with: N pipelined mutations
-     * cost one flush+fence instead of N.
+     * cost one flush+fence instead of N. It is also the only code
+     * path that locks and runs a transaction: put(), erase() and
+     * multiPut() call it. Mutations hold their keys' lock stripes;
+     * the shard structure lock is added only when a Put may claim a
+     * bucket (its key is absent at probe time, or the run also
+     * erases).
      *
      * Ops run strictly in order inside the transaction, so a Get
      * issued after a Put of the same key in the same batch observes
@@ -274,6 +287,11 @@ class KvService
      * before acking the results (0 = already durable / read-only).
      * Relaxed batches do NOT auto-seal — the caller owns the seal
      * policy via sealShardEpoch().
+     *
+     * Faults never escape: a pmem::MediaError aborts the transaction
+     * and returns Io; pmem::PoolExhausted aborts it, flips the shard
+     * into read-only mode and returns ReadOnly. SimulatedCrash
+     * propagates (the process is gone).
      */
     BatchStatus executeShardBatch(
         ThreadId tid, unsigned shard,
@@ -379,7 +397,7 @@ class KvService
         std::unique_ptr<pmem::PmemPool> pool;
         std::unique_ptr<txn::TxRuntime> runtime;
         std::optional<Map> map;
-        std::unique_ptr<txn::LockTable> locks;
+        txn::LockTable locks;
         /** Serializes bucket-claiming mutations (see file comment). */
         std::mutex structureLock;
         std::atomic<std::uint64_t> committedTxs{0};
@@ -402,10 +420,9 @@ class KvService
     /** Pseudo-address used to stripe-lock @p key. */
     static PmOff lockAddr(KvKey key);
 
-    /** Upsert @p items into @p shard as one transaction. */
-    bool putBatchLocked(Shard &shard, ThreadId tid,
-                        const std::vector<std::pair<KvKey, KvValue>>
-                            &items);
+    /** Rebuild @p shard from its pool: a fresh runtime, recovery,
+     * and the map re-attached (post-crash and pm-dir reattach). */
+    void recoverShard(Shard &shard);
 
     /** Media-fault catch path: abort the open tx with faults
      * suppressed, journal the event, bump the abort accounting. */

@@ -25,6 +25,9 @@ namespace specpmt::net
 namespace
 {
 
+/** Items per load-phase BATCH frame (well under kMaxBatchEntries). */
+constexpr std::size_t kLoadBatch = 64;
+
 std::uint64_t
 steadyNs()
 {
@@ -577,14 +580,12 @@ class OpenLoopRun
         std::vector<std::vector<kv::KvKey>> byShard(shards_);
         for (kv::KvKey key = 1; key <= cfg_.workload.keys; ++key)
             byShard[kv::shardOfKey(key, shards_)].push_back(key);
-        const std::size_t batch = std::max<std::size_t>(
-            1, std::min(cfg_.loadBatch, kMaxBatchEntries));
         for (std::uint32_t s = 0; s < shards_; ++s) {
             const auto &keys = byShard[s];
             for (std::size_t off = 0; off < keys.size();
-                 off += batch) {
+                 off += kLoadBatch) {
                 const std::size_t n =
-                    std::min(batch, keys.size() - off);
+                    std::min(kLoadBatch, keys.size() - off);
                 std::vector<std::pair<kv::KvKey, kv::KvValue>> items;
                 items.reserve(n);
                 Outstanding op;

@@ -67,8 +67,6 @@ struct LoadgenConfig
      * the timed run, so GETs hit a loaded keyspace.
      */
     bool loadFirst = false;
-    /** Items per load-phase BATCH frame. */
-    std::size_t loadBatch = 64;
     /** Post-timeline grace period for straggler responses. */
     double drainSeconds = 10.0;
     /**

@@ -26,6 +26,9 @@ namespace specpmt::net
 namespace
 {
 
+/** listen(2) backlog. */
+constexpr int kListenBacklog = 128;
+
 /** Net-layer counters, registered once per process. */
 struct NetMetrics
 {
@@ -178,7 +181,7 @@ NetServer::start()
     if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0)
         throwErrno("bind");
-    if (::listen(listenFd_, config_.backlog) != 0)
+    if (::listen(listenFd_, kListenBacklog) != 0)
         throwErrno("listen");
     socklen_t addr_len = sizeof(addr);
     if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&addr),

@@ -78,8 +78,6 @@ struct ServerConfig
     std::uint16_t port = 0;
     /** Bind address. */
     std::string bindAddress = "127.0.0.1";
-    /** listen(2) backlog. */
-    int backlog = 128;
     /**
      * Mutations executed per shard transaction are capped so one
      * greedy pipeline cannot grow a transaction without bound; a

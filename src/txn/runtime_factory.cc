@@ -11,6 +11,11 @@
 namespace specpmt::txn
 {
 
+/** SpecTx implicit reclamation trigger, in live log bytes. */
+constexpr std::size_t kSpecReclaimThresholdBytes = 8u << 20;
+/** HashLogTx hash-table slot count. */
+constexpr std::size_t kHashLogSlots = 1u << 18;
+
 const std::vector<std::string> &
 runtimeNames()
 {
@@ -64,15 +69,14 @@ makeRuntime(std::string_view name, pmem::PmemPool &pool,
         config.backgroundReclaim = options.backgroundWorkers;
         if (options.specLogBlockSize != 0)
             config.logBlockSize = options.specLogBlockSize;
-        config.reclaimThresholdBytes =
-            options.specReclaimThresholdBytes;
+        config.reclaimThresholdBytes = kSpecReclaimThresholdBytes;
         config.groupCommit = options.groupCommit;
         return std::make_unique<core::SpecTx>(pool, num_threads,
                                               config);
     }
     if (name == "hashlog") {
         return std::make_unique<core::HashLogTx>(pool, num_threads,
-                                                 options.hashLogSlots);
+                                                 kHashLogSlots);
     }
     SPECPMT_PANIC("unknown runtime name: %.*s",
                   static_cast<int>(name.size()), name.data());

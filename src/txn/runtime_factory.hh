@@ -34,10 +34,6 @@ struct RuntimeOptions
     bool backgroundWorkers = true;
     /** SpecTx log block size in bytes (0 = scheme default). */
     std::size_t specLogBlockSize = 0;
-    /** SpecTx implicit reclamation trigger, in live log bytes. */
-    std::size_t specReclaimThresholdBytes = 8u << 20;
-    /** HashLogTx hash-table slot count. */
-    std::size_t hashLogSlots = 1u << 18;
     /**
      * Enable epoch group commit on runtimes that support it ("spec",
      * "spec-dp"): txCommitRelaxed() defers the commit fence into a

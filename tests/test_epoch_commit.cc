@@ -3,7 +3,8 @@
  * Epoch group commit tests (DESIGN §12): the sealer contract at the
  * SpecTx level (tickets shared per epoch and monotone across seals,
  * ack ordering after the shared fence, strict commits bypassing the
- * epoch by sealing it, rollover under concurrent commits), the
+ * epoch by sealing it, a seal failing on a media fault keeping its
+ * members pending, rollover under concurrent commits), the
  * durable frontier's recovery semantics (sealed epochs replay,
  * unsealed ones are dropped; a strict-mode successor retires the
  * frontier), the KvService surface (relaxed put tickets, the
@@ -135,6 +136,41 @@ TEST_F(EpochSealerTest, StrictCommitSealsTheEpochItJoins)
     EXPECT_GE(tx_.lastSealedEpoch(), ticket);
 
     // Both survive a crash that drops every unflushed line.
+    dev_.simulateCrash(pmem::CrashPolicy::nothing());
+    pool_.reopenAfterCrash();
+    core::SpecTx fresh(pool_, kThreads, epochConfig());
+    fresh.recover();
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off), 11u);
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off + 8), 22u);
+}
+
+TEST_F(EpochSealerTest, FaultedSealKeepsItsMembersPending)
+{
+    const PmOff off = initSlots(4);
+    const auto ticket = relaxedPut(0, off, 11);
+
+    // A write EIO on the frontier record's line fails the seal before
+    // it takes the epoch apart: the member stays pending.
+    pmem::FaultPlan plan;
+    plan.seed = 1;
+    plan.eioLines = 1;
+    plan.regionStart = pool_.getRoot(txn::kEpochFrontierSlot);
+    plan.regionEnd = plan.regionStart + kCacheLineSize;
+    dev_.applyFaultPlan(plan);
+    EXPECT_THROW(tx_.sealEpoch(), pmem::MediaError);
+    EXPECT_LT(tx_.lastSealedEpoch(), ticket);
+
+    // A strict commit closes its transaction before its seal runs, so
+    // the abort its caller issues after the fault has nothing to undo.
+    tx_.txBegin(0);
+    tx_.txStoreT<std::uint64_t>(0, off + 8, 22);
+    EXPECT_THROW(tx_.txCommit(0), pmem::MediaError);
+    tx_.txAbort(0);
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off + 8), 22u);
+
+    // The next seal covers both, durably.
+    dev_.clearFaultPlan();
+    EXPECT_GE(tx_.sealEpoch(), ticket);
     dev_.simulateCrash(pmem::CrashPolicy::nothing());
     pool_.reopenAfterCrash();
     core::SpecTx fresh(pool_, kThreads, epochConfig());

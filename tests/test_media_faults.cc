@@ -3,10 +3,13 @@
  * KvService robustness under injected PM media faults and degraded
  * modes: write-EIO transactions abort cleanly (nothing partially
  * applied) and retries recover via fresh log blocks; poisoned reads
- * surface as typed Io outcomes and never as garbage values; forced
- * and log-exhaustion read-only modes refuse mutations individually
- * while reads stay alive; and a file-backed pm dir reattaches across
- * a service teardown with every strict put intact.
+ * surface as typed Io outcomes and never as garbage values — both
+ * also on a group-commit runtime, strict and relaxed, where an Io
+ * abort must not punch a hole into the epoch's timestamp sequence;
+ * forced and log-exhaustion read-only modes refuse mutations
+ * individually while reads stay alive, through every entry point
+ * (put, erase, multiPut, executeShardBatch); and a file-backed pm dir
+ * reattaches across a service teardown with every strict put intact.
  */
 
 #include <gtest/gtest.h>
@@ -25,7 +28,7 @@ namespace
 {
 
 KvServiceConfig
-baseConfig(unsigned shards)
+baseConfig(unsigned shards, bool group_commit = false)
 {
     KvServiceConfig config;
     config.shards = shards;
@@ -33,6 +36,7 @@ baseConfig(unsigned shards)
     config.runtime = "spec";
     config.bucketsPerShard = 4096;
     config.shardPoolBytes = 8u << 20;
+    config.runtimeOptions.groupCommit = group_commit;
     return config;
 }
 
@@ -50,9 +54,11 @@ putBatch(KvKey first, std::size_t count, std::uint64_t payload)
     return ops;
 }
 
-TEST(MediaFaults, WriteEioAbortsAtomicallyAndRetriesRecover)
+void
+writeEioAbortsAtomicallyAndRetriesRecover(const KvServiceConfig &config,
+                                          Durability durability)
 {
-    KvService service(baseConfig(1));
+    KvService service(config);
     // EIO lines land in the log/heap area past the root directory;
     // the seeded plan is deterministic, so this test always exercises
     // the same fault set.
@@ -68,7 +74,7 @@ TEST(MediaFaults, WriteEioAbortsAtomicallyAndRetriesRecover)
     for (int round = 0; round < 128; ++round) {
         const KvKey first = 1 + static_cast<KvKey>(round) * 8;
         const auto status = service.executeShardBatch(
-            0, 0, putBatch(first, 8, 7), results);
+            0, 0, putBatch(first, 8, 7), results, durability);
         ASSERT_NE(status, BatchStatus::BadRoute);
         ASSERT_NE(status, BatchStatus::ReadOnly);
         if (status == BatchStatus::Io) {
@@ -109,19 +115,22 @@ TEST(MediaFaults, WriteEioAbortsAtomicallyAndRetriesRecover)
     // With the plan lifted the shard serves normally again.
     service.shardDevice(0).clearFaultPlan();
     const auto status = service.executeShardBatch(
-        0, 0, putBatch(100000, 8, 9), results);
+        0, 0, putBatch(100000, 8, 9), results, durability);
     EXPECT_EQ(status, BatchStatus::Ok);
     service.shutdown();
 }
 
-TEST(MediaFaults, PoisonedReadsSurfaceAsIoNeverAsGarbage)
+void
+poisonedReadsSurfaceAsIoNeverAsGarbage(const KvServiceConfig &config,
+                                       Durability durability)
 {
-    KvService service(baseConfig(1));
+    KvService service(config);
     constexpr KvKey kKeys = 256;
     std::vector<BatchOpResult> results;
     for (KvKey first = 1; first <= kKeys; first += 64)
         ASSERT_EQ(service.executeShardBatch(
-                      0, 0, putBatch(first, 64, 5), results),
+                      0, 0, putBatch(first, 64, 5), results,
+                      durability),
                   BatchStatus::Ok);
 
     pmem::FaultPlan plan;
@@ -151,17 +160,145 @@ TEST(MediaFaults, PoisonedReadsSurfaceAsIoNeverAsGarbage)
     }
     EXPECT_GE(io, 1u) << "the poison plan never fired";
     EXPECT_GE(hits, 1u) << "every single get failed";
+
+    // Inserts under the same plan: their probes read the map, and the
+    // commit's checksum pass reads back the log it just wrote, so a
+    // poisoned line can abort a batch inside its commit too. Each
+    // batch commits whole or aborts whole.
+    std::vector<KvKey> inserted;
+    std::vector<KvKey> aborted;
+    for (KvKey first = kKeys + 1; first <= 2 * kKeys; first += 8) {
+        const auto status = service.executeShardBatch(
+            0, 0, putBatch(first, 8, 6), results, durability);
+        if (status == BatchStatus::Io) {
+            ++io;
+            aborted.push_back(first);
+            continue;
+        }
+        ASSERT_EQ(status, BatchStatus::Ok);
+        inserted.push_back(first);
+    }
+    EXPECT_FALSE(aborted.empty()) << "no insert met a poisoned line";
     EXPECT_GE(service.shardMediaAborts(0), io);
     EXPECT_GE(service.shardSnapshot(0).device.mediaReadErrors, io);
     EXPECT_TRUE(service.shardDegraded(0));
 
     // Poison blocks access but corrupts nothing: with the plan
-    // cleared, every key reads back exactly as stored.
+    // cleared, every key reads back exactly as stored, and no key of
+    // an aborted batch exists.
     service.shardDevice(0).clearFaultPlan();
     for (KvKey key = 1; key <= kKeys; ++key) {
         const auto value = service.get(0, key);
         ASSERT_TRUE(value.has_value()) << "key " << key;
         EXPECT_EQ(*value, KvValue::tagged(key, 5));
+    }
+    for (const KvKey first : inserted) {
+        for (KvKey key = first; key < first + 8; ++key)
+            EXPECT_EQ(service.get(0, key), KvValue::tagged(key, 6));
+    }
+    for (const KvKey first : aborted) {
+        for (KvKey key = first; key < first + 8; ++key)
+            EXPECT_FALSE(service.get(0, key).has_value()) << key;
+    }
+    service.shutdown();
+}
+
+TEST(MediaFaults, WriteEioAbortsAtomicallyAndRetriesRecover)
+{
+    writeEioAbortsAtomicallyAndRetriesRecover(baseConfig(1),
+                                              Durability::Strict);
+}
+
+TEST(MediaFaults, PoisonedReadsSurfaceAsIoNeverAsGarbage)
+{
+    poisonedReadsSurfaceAsIoNeverAsGarbage(baseConfig(1),
+                                           Durability::Strict);
+}
+
+/** The same two fault contracts on a group-commit runtime, where a
+ * strict commit seals its epoch and a relaxed one only joins it. */
+class GroupCommitMediaFaults
+    : public ::testing::TestWithParam<Durability>
+{
+};
+
+TEST_P(GroupCommitMediaFaults, WriteEioAbortsAtomicallyAndRetriesRecover)
+{
+    writeEioAbortsAtomicallyAndRetriesRecover(baseConfig(1, true),
+                                              GetParam());
+}
+
+TEST_P(GroupCommitMediaFaults, PoisonedReadsSurfaceAsIoNeverAsGarbage)
+{
+    poisonedReadsSurfaceAsIoNeverAsGarbage(baseConfig(1, true),
+                                           GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Durability, GroupCommitMediaFaults,
+    ::testing::Values(Durability::Strict, Durability::Relaxed),
+    [](const ::testing::TestParamInfo<Durability> &info) {
+        return info.param == Durability::Strict ? "strict" : "relaxed";
+    });
+
+TEST(MediaFaults, RelaxedIoAbortsKeepEpochTimestampsDense)
+{
+    // Recovery replays an epoch only up to the first gap in its
+    // timestamp window, so an Io abort that consumed a timestamp
+    // would silently drop every sealed batch committed after it.
+    KvServiceConfig config = baseConfig(1, true);
+    config.runtimeOptions.backgroundWorkers = false; // nothing seals
+    KvService service(config);
+    // Poison a few lines just above the hash map, where the log grows
+    // next. Log lines are read back mostly by the seal's checksum
+    // pass, so most Io aborts strike inside the commit, after the
+    // seal has picked its timestamp.
+    pmem::FaultPlan plan;
+    plan.seed = 1;
+    plan.poisonLines = 8;
+    plan.regionStart = service.shardRuntime(0).pool().allocAligned(
+        kCacheLineSize, kCacheLineSize);
+    plan.regionEnd = plan.regionStart + (64u << 10);
+    service.shardDevice(0).applyFaultPlan(plan);
+
+    std::uint64_t io = 0;
+    std::vector<KvKey> committed;
+    std::vector<KvKey> aborted;
+    std::vector<BatchOpResult> results;
+    for (int round = 0; round < 128; ++round) {
+        const KvKey first = 1 + static_cast<KvKey>(round) * 8;
+        std::uint64_t ticket = 0;
+        const auto status = service.executeShardBatch(
+            0, 0, putBatch(first, 8, 7), results, Durability::Relaxed,
+            &ticket);
+        if (status == BatchStatus::Io) {
+            ++io;
+            aborted.push_back(first);
+            continue;
+        }
+        ASSERT_EQ(status, BatchStatus::Ok);
+        EXPECT_GT(ticket, service.shardSealedEpoch(0));
+        committed.push_back(first);
+    }
+    ASSERT_GE(io, 1u) << "the fault plan never fired";
+    ASSERT_FALSE(committed.empty());
+
+    service.shardDevice(0).clearFaultPlan();
+    service.sealShardEpoch(0);
+    service.crash(pmem::CrashPolicy::nothing());
+    service.recover();
+    for (const KvKey first : committed) {
+        for (KvKey key = first; key < first + 8; ++key) {
+            const auto value = service.get(0, key);
+            ASSERT_TRUE(value.has_value())
+                << "sealed key " << key << " lost in recovery";
+            EXPECT_EQ(*value, KvValue::tagged(key, 7));
+        }
+    }
+    for (const KvKey first : aborted) {
+        for (KvKey key = first; key < first + 8; ++key)
+            EXPECT_FALSE(service.get(0, key).has_value())
+                << "aborted key " << key << " replayed";
     }
     service.shutdown();
 }
@@ -264,6 +401,60 @@ TEST(MediaFaults, LogExhaustionFlipsReadOnlyAndReadsSurvive)
                                         results),
               BatchStatus::Ok);
     EXPECT_TRUE(results[0].rejectedReadOnly);
+    service.shutdown();
+}
+
+TEST(MediaFaults, EveryEntryPointDegradesInsteadOfDying)
+{
+    // No reclaimer and a 1 MiB pool: puts cycling over 512 keys
+    // outgrow the log within a few thousand updates.
+    KvServiceConfig config = baseConfig(1);
+    config.shardPoolBytes = 1u << 20;
+    config.bucketsPerShard = 1024;
+    config.runtimeOptions.backgroundWorkers = false;
+    KvService service(config);
+    constexpr KvKey kKeys = 512;
+
+    // A put() hit by a media fault aborts as a unit and reports
+    // false; the thread's next put() opens a fresh transaction.
+    ASSERT_TRUE(service.put(0, 1, KvValue::tagged(1, 0)));
+    pmem::FaultPlan every_line;
+    every_line.seed = 1;
+    every_line.eioLines = config.shardPoolBytes / kCacheLineSize;
+    service.shardDevice(0).applyFaultPlan(every_line);
+    EXPECT_FALSE(service.put(0, 1, KvValue::tagged(1, 1)));
+    EXPECT_EQ(service.shardMediaAborts(0), 1u);
+    service.shardDevice(0).clearFaultPlan();
+    EXPECT_TRUE(service.put(0, 1, KvValue::tagged(1, 2)));
+    EXPECT_EQ(service.get(0, 1), KvValue::tagged(1, 2));
+
+    std::uint64_t puts = 0;
+    while (service.put(0, 1 + puts % kKeys,
+                       KvValue::tagged(1 + puts % kKeys, puts))) {
+        ++puts;
+        ASSERT_LT(puts, 1000000u)
+            << "the 1 MiB pool never ran out of log space";
+    }
+    EXPECT_GT(puts, kKeys);
+    EXPECT_TRUE(service.shardReadOnly(0));
+
+    // Every mutating entry point now refuses instead of throwing.
+    EXPECT_FALSE(service.put(0, 1, KvValue::tagged(1, 3)));
+    EXPECT_FALSE(service.erase(0, 2));
+    EXPECT_FALSE(service.multiPut(
+        0, {{3, KvValue::tagged(3, 3)}, {4, KvValue::tagged(4, 3)}}));
+    std::vector<BatchOpResult> results;
+    ASSERT_EQ(service.executeShardBatch(0, 0, putBatch(5, 1, 3),
+                                        results),
+              BatchStatus::Ok);
+    EXPECT_TRUE(results[0].rejectedReadOnly);
+
+    // Gets keep answering with untorn values.
+    for (KvKey key = 1; key <= kKeys; ++key) {
+        const auto value = service.get(0, key);
+        ASSERT_TRUE(value.has_value()) << "key " << key;
+        EXPECT_TRUE(value->checkTag(key)) << "key " << key;
+    }
     service.shutdown();
 }
 

@@ -21,7 +21,10 @@ namespace specpmt::sim
 namespace
 {
 
-using Param = std::tuple<const char *, long, long>;
+// std::string, not const char *: gtest prints a pointer parameter as
+// its address, which ASLR changes on every test discovery, and the
+// printed value is part of the ctest name.
+using Param = std::tuple<std::string, long, long>;
 
 class RecoveryCrashTest : public ::testing::TestWithParam<Param>
 {

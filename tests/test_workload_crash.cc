@@ -23,7 +23,10 @@ namespace specpmt::workloads
 namespace
 {
 
-using Param = std::tuple<WorkloadKind, const char *>;
+// std::string, not const char *: gtest prints a pointer parameter as
+// its address, which ASLR changes on every test discovery, and the
+// printed value is part of the ctest name.
+using Param = std::tuple<WorkloadKind, std::string>;
 
 class WorkloadCrashTest : public ::testing::TestWithParam<Param>
 {

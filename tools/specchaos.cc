@@ -8,10 +8,11 @@
  * failure, then verifies the service's durability and availability
  * contract held:
  *
- *   media_poison      seeded poisoned-read cache lines mid-traffic;
- *                     server must keep serving, every acked write
- *                     must read back intact or be *accounted* (typed
- *                     Io error, media metrics nonzero).
+ *   media_poison      seeded poisoned-read cache lines mid-traffic
+ *                     on a group-commit server; it must keep
+ *                     serving, every acked write must read back
+ *                     intact or be *accounted* (typed Io error, media
+ *                     metrics nonzero).
  *   media_eio         seeded write-EIO lines; transactions abort
  *                     cleanly with Err(Io), nothing half-applied.
  *   latent_corruption seeded silent bit flips in the persistent
@@ -707,25 +708,26 @@ loadText(const net::LoadgenResult &r)
 
 /**
  * Shared body for the two live media-fault scenarios: serve with a
- * seeded fault plan deferred into mid-traffic, drive load, then
- * verify every acked write reads back or errors with typed Io, and
- * that the media metrics actually fired.
+ * seeded fault plan (@p serve_flags: the fault kind, plus any commit
+ * mode) deferred into mid-traffic, drive load, then verify every
+ * acked write reads back or errors with typed Io, and that the media
+ * metrics actually fired.
  */
 ScenarioOutcome
 mediaScenario(const HarnessConfig &cfg, const std::string &name,
-              const std::string &fault_flag,
+              const std::vector<std::string> &serve_flags,
               const std::string &required_metric)
 {
     const std::string pm_dir = cfg.workdir + "/" + name + "_pm";
     fs::create_directories(pm_dir);
+    std::vector<std::string> args = {
+        "--shards=4", "--keys=1024", "--pm-dir=" + pm_dir,
+        "--pool-bytes=8388608",
+        "--fault-seed=" + std::to_string(cfg.seed),
+        "--fault-delay-ms=400", "--fault-region-start=65536"};
+    args.insert(args.end(), serve_flags.begin(), serve_flags.end());
     std::string err;
-    ServerHandle server = launchServer(
-        cfg, name,
-        {"--shards=4", "--keys=1024", "--pm-dir=" + pm_dir,
-         "--pool-bytes=8388608",
-         "--fault-seed=" + std::to_string(cfg.seed), fault_flag,
-         "--fault-delay-ms=400", "--fault-region-start=65536"},
-        err);
+    ServerHandle server = launchServer(cfg, name, args, err);
     if (server.pid < 0)
         return fail(name, "launch: " + err);
 
@@ -773,14 +775,17 @@ scenarioMediaPoison(const HarnessConfig &cfg)
     // Poisoned lines throw on *read*; the log/data read paths cross
     // them during transactions and recovery scans. Gate on the
     // error counter so the scenario proves reads actually tripped.
-    return mediaScenario(cfg, "media_poison", "--fault-poison=192",
+    // Served with group commit, so the faults also hit relaxed
+    // commits joining an epoch (media_eio keeps the strict path).
+    return mediaScenario(cfg, "media_poison",
+                         {"--fault-poison=192", "--group-commit"},
                          "specpmt_pm_media_read_errors_total");
 }
 
 ScenarioOutcome
 scenarioMediaEio(const HarnessConfig &cfg)
 {
-    return mediaScenario(cfg, "media_eio", "--fault-eio=192",
+    return mediaScenario(cfg, "media_eio", {"--fault-eio=192"},
                          "specpmt_pm_media_write_errors_total");
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstring>
+#include <string>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -30,6 +31,14 @@ entryKey(PmOff off, std::size_t size)
 /** Skip compaction when it would save less than this fraction. */
 constexpr double kCompactionMinSavings = 0.10;
 
+/**
+ * A cycle starts only once the live log has grown to this multiple of
+ * what the previous cycle left: a log whose records are mostly fresh
+ * cannot be compacted, and re-walking it every poll would only burn
+ * the reclaimer's core.
+ */
+constexpr std::size_t kReclaimGrowthFactor = 2;
+
 /** SpecSPMT runtime counters, registered once per process. */
 struct SpecTxMetrics
 {
@@ -42,6 +51,9 @@ struct SpecTxMetrics
     obs::Counter &logBytesWritten;
     obs::Counter &reclaimCycles;
     obs::Counter &reclaimBytesFreed;
+    obs::Counter &reclaimBlocksWalked;
+    obs::Counter &reclaimFailures;
+    obs::Histogram &reclaimCycleNs;
     obs::Counter &recoveries;
     obs::Counter &recoveryReplayedTxs;
     obs::Gauge &logBytesInUse;
@@ -77,6 +89,15 @@ struct SpecTxMetrics
                         "log reclamation cycles completed"),
             reg.counter("specpmt_reclaim_bytes_freed_total",
                         "log bytes freed by reclamation"),
+            reg.counter("specpmt_reclaim_blocks_walked_total",
+                        "frozen log blocks walked by reclamation "
+                        "cycles"),
+            reg.counter("specpmt_reclaim_failures_total",
+                        "background reclamation cycles abandoned on "
+                        "pool exhaustion or a media error"),
+            reg.histogram("specpmt_reclaim_cycle_ns",
+                          "wall-clock duration of completed "
+                          "reclamation cycles"),
             reg.counter("specpmt_recoveries_total",
                         "SpecSPMT post-crash recoveries"),
             reg.counter("specpmt_recovery_replayed_txs_total",
@@ -282,6 +303,7 @@ SpecTx::initFreshLog(unsigned tid)
     {
         std::lock_guard<std::mutex> guard(log.mutex);
         log.blocks.assign(1, block);
+        log.tailBlock = block;
         log.tailPos = sizeof(BlockHeader);
     }
     endTx(log);
@@ -298,7 +320,7 @@ SpecTx::attachBlock(ThreadLog &log, std::size_t min_bytes)
         size = (need + kCacheLineSize - 1) & ~(kCacheLineSize - 1);
 
     const PmOff block = pool_.allocAligned(size, kCacheLineSize);
-    const PmOff old_tail = log.blocks.back();
+    const PmOff old_tail = log.tailBlock;
     size = pool_.allocationSize(block);
 
     BlockHeader header{kPmNull, old_tail, size, 0};
@@ -314,6 +336,7 @@ SpecTx::attachBlock(ThreadLog &log, std::size_t min_bytes)
     {
         std::lock_guard<std::mutex> guard(log.mutex);
         log.blocks.push_back(block);
+        log.tailBlock = block;
         log.tailPos = sizeof(BlockHeader);
     }
     noteLogBytes(static_cast<std::ptrdiff_t>(size));
@@ -333,13 +356,13 @@ SpecTx::openSegment(ThreadLog &log)
         attachBlock(log, sizeof(SegHead));
         log.retireTailOnBegin = false;
     }
-    const PmOff base = log.blocks.back();
+    const PmOff base = log.tailBlock;
     const auto cap = static_cast<std::size_t>(
         dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
     if (log.tailPos + sizeof(SegHead) + sizeof(std::uint64_t) > cap)
         attachBlock(log, sizeof(SegHead));
     log.openSegs.push_back(
-        {log.blocks.back() + log.tailPos, sizeof(SegHead), 0});
+        {log.tailBlock + log.tailPos, sizeof(SegHead), 0});
     log.tailPos += sizeof(SegHead);
 }
 
@@ -348,7 +371,7 @@ SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
                     std::size_t size)
 {
     const std::size_t bytes = entryBytes(size);
-    const PmOff base = log.blocks.back();
+    const PmOff base = log.tailBlock;
     const auto cap = static_cast<std::size_t>(
         dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
 
@@ -359,7 +382,7 @@ SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
         openSegment(log);
     }
 
-    const PmOff pos = log.blocks.back() + log.tailPos;
+    const PmOff pos = log.tailBlock + log.tailPos;
     EntryHead head{off, static_cast<std::uint32_t>(size), 0};
     dev_.storeT(pos, head);
     dev_.store(pos + sizeof(EntryHead), src, size);
@@ -376,7 +399,7 @@ SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
 void
 SpecTx::poisonTail(ThreadLog &log)
 {
-    const PmOff base = log.blocks.back();
+    const PmOff base = log.tailBlock;
     const auto cap = static_cast<std::size_t>(
         dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
     if (log.tailPos + sizeof(std::uint64_t) <= cap) {
@@ -581,8 +604,7 @@ SpecTx::commitStaged(ThreadId tid)
     SPECPMT_TRACE_END("tx", "tx", log.traceStartNs);
 
     // Implicit reclamation trigger (Section 4.2).
-    if (logBytes_.load() > config_.reclaimThresholdBytes &&
-        reclaimer_.joinable()) {
+    if (reclaimer_.joinable() && reclaimDue()) {
         {
             std::lock_guard<std::mutex> guard(reclaimMutex_);
             reclaimRequested_ = true;
@@ -747,16 +769,16 @@ SpecTx::txAbort(ThreadId tid)
             for (std::size_t i = keep + 1; i < log.blocks.size(); ++i)
                 freed.push_back(log.blocks[i]);
             log.blocks.resize(keep + 1);
-            log.tailPos = rewind_pos - log.blocks.back();
+            log.tailBlock = log.blocks.back();
+            log.tailPos = rewind_pos - log.tailBlock;
         }
 
         // Unlink and poison; drop pending flushes that point into
         // freed blocks.
-        dev_.storeT<PmOff>(
-            log.blocks.back() + offsetof(BlockHeader, next), kPmNull);
+        dev_.storeT<PmOff>(log.tailBlock + offsetof(BlockHeader, next),
+                           kPmNull);
         log.pendingFlush.emplace_back(
-            log.blocks.back() + offsetof(BlockHeader, next),
-            sizeof(PmOff));
+            log.tailBlock + offsetof(BlockHeader, next), sizeof(PmOff));
         auto in_freed = [&](PmOff off) {
             for (PmOff base : freed) {
                 const std::size_t cap = pool_.allocationSize(base);
@@ -822,6 +844,7 @@ SpecTx::switchMechanism()
             std::lock_guard<std::mutex> guard(log.mutex);
             old_blocks = log.blocks;
             log.blocks.clear();
+            log.tailBlock = kPmNull;
             log.tailPos = 0;
             log.firstOpenBlock = 0;
         }
@@ -1033,13 +1056,14 @@ SpecTx::recover()
             log.blocks.assign(walk.blocks.begin(),
                               walk.blocks.begin() +
                                   static_cast<std::ptrdiff_t>(keep + 1));
-            log.tailPos = adopt_pos - log.blocks.back();
+            log.tailBlock = log.blocks.back();
+            log.tailPos = adopt_pos - log.tailBlock;
         }
         endTx(log);
         log.pendingFlush.clear();
 
         // Cut the chain after the adopted tail and refresh the poison.
-        const PmOff tail_block = log.blocks.back();
+        const PmOff tail_block = log.tailBlock;
         dev_.storeT<PmOff>(tail_block + offsetof(BlockHeader, next),
                            kPmNull);
         dev_.clwb(tail_block + offsetof(BlockHeader, next),
@@ -1091,9 +1115,21 @@ SpecTx::recover()
 // Background log reclamation (Section 4.2)
 // ---------------------------------------------------------------------
 
+bool
+SpecTx::reclaimDue() const
+{
+    const std::size_t trigger =
+        std::max(config_.reclaimThresholdBytes,
+                 kReclaimGrowthFactor * liveAfterReclaim_.load());
+    return logBytes_.load() > trigger;
+}
+
 void
 SpecTx::reclaimerMain()
 {
+    // A commit's request only wakes the thread early: the trigger is
+    // evaluated here, so a request left over from before the last
+    // cycle cannot start another one.
     std::unique_lock<std::mutex> lock(reclaimMutex_);
     for (;;) {
         reclaimCv_.wait_for(lock, std::chrono::milliseconds(2), [&] {
@@ -1101,13 +1137,26 @@ SpecTx::reclaimerMain()
         });
         if (stopReclaimer_)
             return;
-        const bool over_threshold =
-            logBytes_.load() > config_.reclaimThresholdBytes;
-        if (!reclaimRequested_ && !over_threshold)
-            continue;
         reclaimRequested_ = false;
+        if (!reclaimDue())
+            continue;
         lock.unlock();
-        reclaimCycle();
+        // Out of pool space or a poisoned line: the cycle has undone
+        // its own allocations, the chain is unchanged, and the next
+        // attempt waits until the growth trigger fires again.
+        std::string failure; // a copy: the exception dies with its catch
+        try {
+            reclaimCycle();
+        } catch (const pmem::PoolExhausted &err) {
+            failure = err.what();
+        } catch (const pmem::MediaError &err) {
+            failure = err.what();
+        }
+        if (!failure.empty()) {
+            liveAfterReclaim_.store(logBytes_.load());
+            SpecTxMetrics::get().reclaimFailures.add();
+            SPECPMT_WARN("reclaim cycle abandoned: %s", failure.c_str());
+        }
         lock.lock();
     }
 }
@@ -1121,13 +1170,13 @@ SpecTx::reclaimNow()
 std::size_t
 SpecTx::reclaimCycle()
 {
-    // Serialize explicit reclaimNow() calls against the background
-    // thread; cycles are infrequent, contention is not a concern.
-    static std::mutex cycle_mutex;
-    std::lock_guard<std::mutex> cycle_guard(cycle_mutex);
+    // Serialize explicit reclaimNow() calls against this runtime's
+    // background thread; other runtimes (shards) cycle independently.
+    std::lock_guard<std::mutex> cycle_guard(cycleMutex_);
     if (needsRecovery_)
         return 0;
     SPECPMT_TRACE_SPAN("reclaim_cycle", "reclaim");
+    const auto cycle_start = std::chrono::steady_clock::now();
     flight_.record(forensic::EventType::ReclaimBegin, 0, 0,
                    logBytes_.load());
 
@@ -1166,6 +1215,7 @@ SpecTx::reclaimCycle()
      * transaction whose tail lives beyond the boundary. */
     std::vector<std::size_t> cutoff(numThreads_, 0);
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
+        SpecTxMetrics::get().reclaimBlocksWalked.add(frozen[tid].size());
         TxGrouper grouper;
         for (std::size_t i = 0; i < frozen[tid].size(); ++i) {
             walkBlock(dev_, frozen[tid][i],
@@ -1249,8 +1299,26 @@ SpecTx::reclaimCycle()
             continue; // not worth rewriting
         }
 
-        // Write the compact blocks.
+        // Write the compact blocks. Nothing links to them before the
+        // head switch, so a cycle that throws before it (pool
+        // exhausted, media error) returns them to the pool.
         std::vector<PmOff> compact_blocks;
+        struct Unspliced
+        {
+            SpecTx &self;
+            const std::vector<PmOff> &blocks;
+            bool spliced = false;
+            ~Unspliced()
+            {
+                if (spliced)
+                    return;
+                for (PmOff block : blocks) {
+                    self.noteLogBytes(-static_cast<std::ptrdiff_t>(
+                        self.pool_.allocationSize(block)));
+                    self.pool_.free(block);
+                }
+            }
+        } unspliced{*this, compact_blocks};
         PmOff tail_pos = 0;
         auto ensure = [&](std::size_t bytes) {
             const std::size_t need = bytes + sizeof(std::uint64_t);
@@ -1352,6 +1420,7 @@ SpecTx::reclaimCycle()
         dev_.clwb(successor + offsetof(BlockHeader, prev),
                   pmem::TrafficClass::Log);
         pool_.setRoot(txn::logHeadSlot(tid), new_head);
+        unspliced.spliced = true;
 
         // Publish the new chain to the worker and free the old blocks.
         {
@@ -1376,9 +1445,15 @@ SpecTx::reclaimCycle()
         }
     }
     flight_.record(forensic::EventType::ReclaimEnd, 0, 0, freed_total);
+    liveAfterReclaim_.store(logBytes_.load());
     reclaimCycles_.fetch_add(1);
-    SpecTxMetrics::get().reclaimCycles.add();
-    SpecTxMetrics::get().reclaimBytesFreed.add(freed_total);
+    auto &m = SpecTxMetrics::get();
+    m.reclaimCycles.add();
+    m.reclaimBytesFreed.add(freed_total);
+    m.reclaimCycleNs.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - cycle_start)
+            .count()));
     return freed_total;
 }
 

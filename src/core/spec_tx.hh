@@ -52,8 +52,9 @@ struct SpecTxConfig
     /** Start the background reclamation thread. */
     bool backgroundReclaim = true;
     /**
-     * Implicit reclamation trigger: run a cycle when the live log
-     * exceeds this many bytes (Section 4.2's tunable threshold).
+     * Implicit reclamation trigger (Section 4.2's tunable threshold):
+     * run a cycle when the live log exceeds this many bytes and
+     * twice what the previous cycle left.
      */
     std::size_t reclaimThresholdBytes = 1u << 20;
     /**
@@ -175,7 +176,11 @@ class SpecTx : public txn::TxRuntime
     {
         mutable std::mutex mutex; ///< guards blocks/tail vs reclaimer
         std::vector<PmOff> blocks; ///< chain, oldest -> newest
-        std::size_t tailPos = 0;   ///< append offset in blocks.back()
+        /** blocks.back(). The owning thread reads it without the
+         * mutex; the reclaimer rebuilds blocks under the mutex but
+         * never changes its last element. */
+        PmOff tailBlock = kPmNull;
+        std::size_t tailPos = 0;   ///< append offset in tailBlock
         bool inTx = false;
         std::vector<OpenSeg> openSegs;
         /** (off,size) -> logged value position, for last-update dedup. */
@@ -218,6 +223,9 @@ class SpecTx : public txn::TxRuntime
 
     /** One reclamation cycle; returns bytes freed. */
     std::size_t reclaimCycle();
+
+    /** The reclamation trigger shared by commits and the poll. */
+    bool reclaimDue() const;
 
     void reclaimerMain();
 
@@ -270,6 +278,10 @@ class SpecTx : public txn::TxRuntime
     std::atomic<std::size_t> peakLogBytes_{0};
     std::atomic<std::uint64_t> reclaimCycles_{0};
 
+    /** Live log bytes the last completed (or failed) cycle left. */
+    std::atomic<std::size_t> liveAfterReclaim_{0};
+    /** Serializes this runtime's cycles (reclaimer vs reclaimNow). */
+    std::mutex cycleMutex_;
     std::mutex reclaimMutex_;
     std::condition_variable reclaimCv_;
     bool reclaimRequested_ = false;

@@ -1,25 +1,38 @@
 #include "core/splog_format.hh"
 
+#include <cstring>
+
 #include "common/crc32.hh"
 #include "common/logging.hh"
 
 namespace specpmt::core
 {
 
+namespace
+{
+
+/** Checksum of a segment whose entry bytes @p body are in memory. */
 std::uint32_t
-segmentCrc(const pmem::PmemDevice &dev, PmOff seg_pos, const SegHead &head)
+segmentCrcOf(PmOff seg_pos, const SegHead &head, const std::uint8_t *body)
 {
     std::uint32_t crc = crc32c(&seg_pos, sizeof(seg_pos));
     crc = crc32c(&head.sizeBytes, sizeof(head.sizeBytes), crc);
     crc = crc32c(&head.timestamp, sizeof(head.timestamp), crc);
     crc = crc32c(&head.flags, sizeof(head.flags), crc);
     crc = crc32c(&head.numEntries, sizeof(head.numEntries), crc);
+    return crc32c(body, head.sizeBytes - sizeof(SegHead), crc);
+}
 
+} // namespace
+
+std::uint32_t
+segmentCrc(const pmem::PmemDevice &dev, PmOff seg_pos, const SegHead &head)
+{
     // Entry bytes, straight from the device image.
     const std::size_t body = head.sizeBytes - sizeof(SegHead);
     std::vector<std::uint8_t> buffer(body);
     dev.load(seg_pos + sizeof(SegHead), buffer.data(), body);
-    return crc32c(buffer.data(), body, crc);
+    return segmentCrcOf(seg_pos, head, buffer.data());
 }
 
 std::uint32_t
@@ -39,6 +52,62 @@ epochFrontierValid(const EpochFrontier &frontier)
 
 namespace
 {
+
+/**
+ * One segment at a time, in a buffer reused across a block walk. A
+ * segment costs one load of the line(s) holding its header and one
+ * load of the lines after them, so the walk touches exactly the lines
+ * the segment spans (media faults surface as with any other read of
+ * it) and charges each line once. Checksum and entry heads are then
+ * computed from the buffer.
+ */
+class SegmentReader
+{
+  public:
+    explicit SegmentReader(const pmem::PmemDevice &dev) : dev_(dev) {}
+
+    /** Load the header at @p pos and the rest of its last line. */
+    SegHead
+    head(PmOff pos)
+    {
+        pos_ = pos;
+        loaded_ = (lineIndex(pos + sizeof(SegHead) - 1) + 1) *
+                      kCacheLineSize -
+                  pos;
+        reserve(loaded_);
+        dev_.load(pos, buffer_.data(), loaded_);
+        SegHead head;
+        std::memcpy(&head, buffer_.data(), sizeof(head));
+        return head;
+    }
+
+    /** Load the rest of the segment whose header head() returned;
+     * returns its entry bytes. */
+    const std::uint8_t *
+    body(const SegHead &head)
+    {
+        if (head.sizeBytes > loaded_) {
+            reserve(head.sizeBytes);
+            dev_.load(pos_ + loaded_, buffer_.data() + loaded_,
+                      head.sizeBytes - loaded_);
+            loaded_ = head.sizeBytes;
+        }
+        return buffer_.data() + sizeof(SegHead);
+    }
+
+  private:
+    void
+    reserve(std::size_t bytes)
+    {
+        if (buffer_.size() < bytes)
+            buffer_.resize(bytes);
+    }
+
+    const pmem::PmemDevice &dev_;
+    std::vector<std::uint8_t> buffer_;
+    PmOff pos_ = kPmNull;
+    std::size_t loaded_ = 0; ///< bytes of the segment at pos_ in buffer_
+};
 
 /**
  * Parse the segments of one block starting at its first record slot.
@@ -81,13 +150,16 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
         }
     } stop_guard{stop_out, &pos};
     const PmOff end = block + bh.capacity;
+    SegmentReader reader(dev);
+    DecodedSegment seg;
     while (pos + sizeof(SegHead) <= end) {
-        const auto head = dev.loadT<SegHead>(pos);
+        const SegHead head = reader.head(pos);
         if (head.sizeBytes == 0)
             return WalkEnd::CleanTail; // poison: chronological tail here
         if (head.sizeBytes < sizeof(SegHead) || pos + head.sizeBytes > end)
             return WalkEnd::TornRecord;
-        if (segmentCrc(dev, pos, head) != head.crc) {
+        const std::uint8_t *body = reader.body(head);
+        if (segmentCrcOf(pos, head, body) != head.crc) {
             // Torn tail or corrupted interior record? A crash-torn
             // commit is by construction the chronologically last
             // record, so if the position this header's size points to
@@ -100,10 +172,12 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
             bool interior = false;
             if (quarantine != nullptr &&
                 skip + sizeof(SegHead) <= end) {
-                const auto next_head = dev.loadT<SegHead>(skip);
+                const SegHead next_head = reader.head(skip);
                 if (next_head.sizeBytes >= sizeof(SegHead) &&
                     skip + next_head.sizeBytes <= end &&
-                    segmentCrc(dev, skip, next_head) == next_head.crc)
+                    segmentCrcOf(skip, next_head,
+                                 reader.body(next_head)) ==
+                        next_head.crc)
                     interior = true;
             }
             if (!interior)
@@ -116,34 +190,30 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
             continue;
         }
 
-        DecodedSegment seg;
         seg.pos = pos;
         seg.timestamp = head.timestamp;
         seg.final = (head.flags & kSegFinal) != 0;
         seg.flags = head.flags;
         seg.txSegments = segCountFromFlags(head.flags);
         seg.sizeBytes = head.sizeBytes;
+        seg.entries.clear();
 
-        PmOff cursor = pos + sizeof(SegHead);
-        const PmOff seg_end = pos + head.sizeBytes;
-        bool entries_ok = true;
+        // Entry heads come from the buffer; cursor is body-relative.
+        const std::size_t body_bytes = head.sizeBytes - sizeof(SegHead);
+        std::size_t cursor = 0;
         for (std::uint32_t i = 0; i < head.numEntries; ++i) {
-            if (cursor + sizeof(EntryHead) > seg_end) {
-                entries_ok = false;
-                break;
-            }
-            const auto ehead = dev.loadT<EntryHead>(cursor);
+            if (cursor + sizeof(EntryHead) > body_bytes)
+                return WalkEnd::TornRecord; // crc matched garbage?
+            EntryHead ehead;
+            std::memcpy(&ehead, body + cursor, sizeof(ehead));
             if (ehead.size == 0 ||
-                cursor + entryBytes(ehead.size) > seg_end) {
-                entries_ok = false;
-                break;
-            }
+                cursor + entryBytes(ehead.size) > body_bytes)
+                return WalkEnd::TornRecord;
             seg.entries.push_back({ehead.off, ehead.size,
-                                   cursor + sizeof(EntryHead)});
+                                   pos + sizeof(SegHead) + cursor +
+                                       sizeof(EntryHead)});
             cursor += entryBytes(ehead.size);
         }
-        if (!entries_ok)
-            return WalkEnd::TornRecord; // crc matched garbage? bail out
 
         visit(seg);
         pos += (head.sizeBytes + 7) & ~std::uint64_t{7};

@@ -94,9 +94,7 @@ PmemPool::free(PmOff off)
     const unsigned cls = sizeClass(bytes);
     if (cls < kNumClasses && classBytes(cls) == bytes)
         freeLists_[cls].push_back(off);
-    // Large allocations are leaked back to the bump region; the pools
-    // in this repository are recreated per run, so fragmentation of
-    // oversized blocks is a non-issue.
+    // Large allocations are not recycled.
 }
 
 std::size_t

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/crc32.hh"
 #include "common/hash.hh"
@@ -23,7 +24,34 @@ TEST(Crc32, KnownVectors)
 {
     // CRC32C ("123456789") = 0xE3069283 is the canonical check value.
     EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+    EXPECT_EQ(crc32cTable("123456789", 9), 0xE3069283u);
     EXPECT_EQ(crc32c("", 0), 0u);
+}
+
+TEST(Crc32, KernelMatchesTableReference)
+{
+    // On SSE4.2 CPUs crc32c() runs on the crc32 instruction; either
+    // way it must agree with the table loop on every length, start
+    // alignment and seed, one-shot and chained.
+    RecordProperty("hardware", crc32cHardware() ? "sse4.2" : "table");
+    Rng rng(0xC4C32C);
+    std::vector<std::uint8_t> buffer(300 + 8);
+    for (int trial = 0; trial < 2000; ++trial) {
+        for (auto &byte : buffer)
+            byte = static_cast<std::uint8_t>(rng.next());
+        const std::size_t start = rng.below(8);
+        const std::size_t size = rng.below(301);
+        const auto seed = static_cast<std::uint32_t>(rng.next());
+        const std::uint8_t *data = buffer.data() + start;
+        ASSERT_EQ(crc32c(data, size, seed), crc32cTable(data, size, seed))
+            << "size " << size << " start " << start << " seed " << seed;
+
+        const std::size_t split = size == 0 ? 0 : rng.below(size + 1);
+        const std::uint32_t chained =
+            crc32c(data + split, size - split, crc32c(data, split, seed));
+        ASSERT_EQ(chained, crc32cTable(data, size, seed))
+            << "size " << size << " split " << split;
+    }
 }
 
 TEST(Crc32, IncrementalMatchesOneShot)

@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <thread>
 
 #include "core/spec_tx.hh"
+#include "obs/metrics.hh"
 #include "pmem/pmem_device.hh"
 #include "pmem/pmem_pool.hh"
 #include "txn/undo_tx.hh"
@@ -301,6 +306,135 @@ TEST_F(SpecTxTest, BackgroundReclaimerBoundsLogGrowth)
     EXPECT_LT(tx.logBytesInUse(), 4u << 20)
         << "background reclamation must bound the log";
     EXPECT_EQ(dev.loadT<std::uint64_t>(off + (19999 % 8) * 8), 19999u);
+}
+
+/** Background reclaimer on, 4 KiB blocks, a 64 KiB threshold. */
+SpecTxConfig
+backgroundConfig()
+{
+    SpecTxConfig config;
+    config.backgroundReclaim = true;
+    config.logBlockSize = 4096;
+    config.reclaimThresholdBytes = 64 * 1024;
+    return config;
+}
+
+TEST(SpecTxReclaim, GrowthTriggerIdlesOnAllFreshLog)
+{
+    // Every record is its slot's newest, so no cycle can compact
+    // anything. One cycle runs when the log first crosses the
+    // threshold; the next waits until the log has doubled, which it
+    // never does here. (Polling on the threshold alone ran a cycle
+    // every 2 ms.)
+    pmem::PmemDevice dev(16u << 20);
+    pmem::PmemPool pool(dev);
+    const SpecTxConfig config = backgroundConfig();
+    SpecTx tx(pool, 1, config);
+
+    constexpr unsigned kSlots = 2048; // 48 log bytes each: ~96 KiB
+    const PmOff off = pool.alloc(kSlots * 8);
+    for (unsigned i = 0; i < kSlots; ++i) {
+        tx.txBegin(0);
+        tx.txStoreT<std::uint64_t>(0, off + i * 8, i + 1);
+        tx.txCommit(0);
+    }
+    ASSERT_GT(tx.logBytesInUse(), config.reclaimThresholdBytes);
+    ASSERT_LT(tx.logBytesInUse(), 2 * config.reclaimThresholdBytes);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_GE(tx.reclaimCycles(), 1u);
+    EXPECT_LE(tx.reclaimCycles(), 2u);
+}
+
+/**
+ * Fill a log up to its threshold with compactable records, let
+ * @p sabotage doom the next background cycle, and cross the threshold.
+ * The cycle must give up without touching the chain and count the
+ * failure; the worker keeps committing, and recovery returns every
+ * committed value.
+ */
+void
+expectBackgroundCycleFailureSurvived(
+    const std::function<void(pmem::PmemDevice &, pmem::PmemPool &)>
+        &sabotage)
+{
+    pmem::PmemDevice dev(4u << 20);
+    pmem::PmemPool pool(dev);
+    const SpecTxConfig config = backgroundConfig();
+    auto tx = std::make_unique<SpecTx>(pool, 1, config);
+    auto &failures = obs::Registry::global().counter(
+        "specpmt_reclaim_failures_total");
+    const std::uint64_t failures_before = failures.value();
+
+    // A 48-byte value makes a transaction 88 log bytes, so 46 fill a
+    // block and none straddles two: the frozen span is compactable.
+    using Value = std::array<std::uint64_t, 6>;
+    constexpr unsigned kSlots = 4;
+    const PmOff off = pool.alloc(kSlots * sizeof(Value));
+    std::array<std::uint64_t, kSlots> last{};
+    std::uint64_t round = 0;
+    auto commit = [&] {
+        const unsigned slot = round % kSlots;
+        Value value;
+        value.fill(++round);
+        tx->txBegin(0);
+        tx->txStoreT(0, off + slot * sizeof(Value), value);
+        tx->txCommit(0);
+        last[slot] = round;
+    };
+
+    while (tx->logBytesInUse() < config.reclaimThresholdBytes)
+        commit();
+    ASSERT_EQ(tx->reclaimCycles(), 0u);
+    sabotage(dev, pool);
+    while (tx->logBytesInUse() <= config.reclaimThresholdBytes)
+        commit();
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (failures.value() == failures_before &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (int i = 0; i < 8; ++i)
+        commit();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(failures.value() - failures_before, 1u);
+    EXPECT_EQ(tx->reclaimCycles(), 0u);
+
+    tx.reset();
+    dev.simulateCrash(pmem::CrashPolicy::nothing());
+    pool.reopenAfterCrash();
+    SpecTx recovered(pool, 1, testConfig());
+    recovered.recover();
+    for (unsigned slot = 0; slot < kSlots; ++slot) {
+        const auto value =
+            dev.loadT<Value>(off + slot * sizeof(Value));
+        for (std::uint64_t word : value)
+            EXPECT_EQ(word, last[slot]) << "slot " << slot;
+    }
+}
+
+TEST(SpecTxReclaim, BackgroundCycleSurvivesPoolExhaustion)
+{
+    // Room for exactly one more log block: the one that takes the log
+    // past its threshold. The compact block cannot be allocated.
+    expectBackgroundCycleFailureSurvived(
+        [](pmem::PmemDevice &dev, pmem::PmemPool &pool) {
+            pool.reserveBelow(dev.size() - backgroundConfig().logBlockSize);
+        });
+}
+
+TEST(SpecTxReclaim, BackgroundCycleSurvivesPoisonedFrozenBlock)
+{
+    // A poisoned line in the oldest block faults the cycle's walk.
+    expectBackgroundCycleFailureSurvived(
+        [](pmem::PmemDevice &dev, pmem::PmemPool &pool) {
+            const PmOff head = pool.getRoot(txn::logHeadSlot(0));
+            pmem::FaultPlan plan;
+            plan.poisonLines = 1;
+            plan.regionStart = head + kCacheLineSize;
+            plan.regionEnd = head + 2 * kCacheLineSize;
+            dev.applyFaultPlan(plan);
+        });
 }
 
 TEST_F(SpecTxTest, CrashDuringCompactionIsRecoverable)

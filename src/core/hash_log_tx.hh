@@ -7,7 +7,7 @@
  * This conserves memory (no stale records) but replaces the sequential
  * log-append pattern with random persistent-memory writes, which the
  * paper measures at a 3.2x slowdown versus the sequential design.
- * bench_seq_vs_hash_log reproduces that comparison. The class is a
+ * `specfig seq-vs-hash` reproduces that comparison. The class is a
  * *performance* strawman, faithful to the paper's framing; it is not
  * part of the recoverable-runtime set (in-place record overwrites are
  * not crash-atomic across a transaction without further machinery).

@@ -745,7 +745,8 @@ SpecTx::txAbort(ThreadId tid)
     }
 
     // A transaction that failed before its first segment opened (pool
-    // exhaustion inside txBegin) has nothing staged to rewind.
+    // exhaustion or a media fault inside txBegin) has nothing staged
+    // to rewind.
     if (!log.openSegs.empty()) {
         // Rewind the log tail to where this transaction started and
         // drop any blocks attached on its behalf.
@@ -802,8 +803,11 @@ SpecTx::txAbort(ThreadId tid)
         for (PmOff base : freed)
             noteLogBytes(-static_cast<std::ptrdiff_t>(
                 pool_.allocationSize(base)));
-        log.retireTailOnBegin = true;
     }
+    // Also when no segment opened: openSegment's load of the tail
+    // block's capacity may be what faulted, and the next begin would
+    // load that same header line again.
+    log.retireTailOnBegin = true;
 
     endTx(log);
     SpecTxMetrics::get().aborts.add();

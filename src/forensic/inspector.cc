@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "core/splog_walk.hh"
+#include "obs/metrics.hh"
 #include "txn/tx_runtime.hh"
 
 namespace specpmt::forensic
@@ -343,35 +344,6 @@ namespace
 {
 
 void
-appendJsonEscaped(std::string &out, std::string_view text)
-{
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
 appendFlightText(std::string &out, const DecodedFlightRing &flight)
 {
     if (!flight.present) {
@@ -462,7 +434,7 @@ std::string
 InspectReport::toJson(const std::string &metrics_json) const
 {
     std::string out = "{\n  \"image\": {\"source\": \"";
-    appendJsonEscaped(out, source);
+    obs::appendJsonEscaped(out, source);
     out += "\", \"bytes\": " + std::to_string(deviceBytes) + "},\n";
 
     out += "  \"chains\": [";
@@ -483,7 +455,7 @@ InspectReport::toJson(const std::string &metrics_json) const
         out += chain.tornTail ? "true" : "false";
         out += ", \"tailPos\": " + std::to_string(chain.tailPos) +
                ", \"tailDetail\": \"";
-        appendJsonEscaped(out, chain.tailDetail);
+        obs::appendJsonEscaped(out, chain.tailDetail);
         out += "\", \"lastCommittedEnd\": " +
                std::to_string(chain.lastCommittedEnd);
         if (!chain.quarantined.empty()) {
@@ -510,7 +482,7 @@ InspectReport::toJson(const std::string &metrics_json) const
             out += txVerdictName(tx.verdict);
             out += "\", \"ts\": " + std::to_string(tx.ts) +
                    ", \"reason\": \"";
-            appendJsonEscaped(out, tx.reason);
+            obs::appendJsonEscaped(out, tx.reason);
             out += "\", \"segments\": [";
             bool first_seg = true;
             for (const auto &seg : tx.segs) {
@@ -548,7 +520,7 @@ InspectReport::toJson(const std::string &metrics_json) const
     out += "  \"flight\": {\"present\": ";
     out += flight.present ? "true" : "false";
     out += ", \"error\": \"";
-    appendJsonEscaped(out, flight.error);
+    obs::appendJsonEscaped(out, flight.error);
     out += "\", \"capacity\": " + std::to_string(flight.capacity) +
            ", \"invalidSlots\": " +
            std::to_string(flight.invalidSlots) + ", \"records\": [";

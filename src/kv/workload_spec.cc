@@ -37,6 +37,16 @@ mixName(Mix mix)
     return "?";
 }
 
+std::optional<Mix>
+parseMix(std::string_view name)
+{
+    for (const Mix mix : {Mix::A, Mix::B, Mix::C}) {
+        if (name == mixName(mix))
+            return mix;
+    }
+    return std::nullopt;
+}
+
 double
 mixUpdateFraction(Mix mix)
 {
@@ -61,6 +71,16 @@ keyDistName(KeyDist dist)
         return "zipfian";
     }
     return "?";
+}
+
+std::optional<KeyDist>
+parseKeyDist(std::string_view name)
+{
+    for (const KeyDist dist : {KeyDist::Uniform, KeyDist::Zipfian}) {
+        if (name == keyDistName(dist))
+            return dist;
+    }
+    return std::nullopt;
 }
 
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)

@@ -21,6 +21,8 @@
 #define SPECPMT_KV_WORKLOAD_SPEC_HH
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -40,6 +42,9 @@ enum class Mix
 
 const char *mixName(Mix mix);
 
+/** The mix mixName() calls @p name; nullopt for any other name. */
+std::optional<Mix> parseMix(std::string_view name);
+
 /** Update fraction of @p mix (0.5 / 0.05 / 0). */
 double mixUpdateFraction(Mix mix);
 
@@ -51,6 +56,9 @@ enum class KeyDist
 };
 
 const char *keyDistName(KeyDist dist);
+
+/** The distribution keyDistName() calls @p name; nullopt otherwise. */
+std::optional<KeyDist> parseKeyDist(std::string_view name);
 
 /**
  * The YCSB zipfian rank generator (Gray et al.'s algorithm): ranks in

@@ -868,6 +868,16 @@ arrivalName(Arrival arrival)
     return "?";
 }
 
+std::optional<Arrival>
+parseArrival(std::string_view name)
+{
+    for (const Arrival arrival : {Arrival::Fixed, Arrival::Poisson}) {
+        if (name == arrivalName(arrival))
+            return arrival;
+    }
+    return std::nullopt;
+}
+
 LoadgenResult
 runOpenLoop(const LoadgenConfig &config)
 {

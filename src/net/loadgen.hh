@@ -31,7 +31,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hh"
@@ -48,6 +50,9 @@ enum class Arrival
 };
 
 const char *arrivalName(Arrival arrival);
+
+/** The process arrivalName() calls @p name; nullopt otherwise. */
+std::optional<Arrival> parseArrival(std::string_view name);
 
 /** Load generator parameters. */
 struct LoadgenConfig

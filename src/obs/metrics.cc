@@ -171,7 +171,16 @@ void
 appendJsonString(std::string &out, std::string_view s)
 {
     out += '"';
-    for (char c : s) {
+    appendJsonEscaped(out, s);
+    out += '"';
+}
+
+} // namespace
+
+void
+appendJsonEscaped(std::string &out, std::string_view text)
+{
+    for (char c : text) {
         switch (c) {
         case '"': out += "\\\""; break;
         case '\\': out += "\\\\"; break;
@@ -187,10 +196,7 @@ appendJsonString(std::string &out, std::string_view s)
             }
         }
     }
-    out += '"';
 }
-
-} // namespace
 
 std::string
 Snapshot::toPrometheus() const

@@ -254,6 +254,13 @@ bool parsePrometheus(std::string_view text, FlatSamples &out,
 std::string expositionName(std::string_view name, const Labels &labels);
 
 /**
+ * Append @p text to @p out as the body of a JSON string literal, with
+ * the quote, the backslash and every control character escaped. Every
+ * JSON writer in the tree escapes through this one function.
+ */
+void appendJsonEscaped(std::string &out, std::string_view text);
+
+/**
  * Force @p name into the Prometheus metric-name charset
  * `[a-zA-Z_:][a-zA-Z0-9_:]*`: every illegal byte becomes '_', an
  * illegal (or missing) leading byte gains a '_' prefix. Applied on

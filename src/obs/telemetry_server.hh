@@ -28,6 +28,7 @@
 #ifndef SPECPMT_OBS_TELEMETRY_SERVER_HH
 #define SPECPMT_OBS_TELEMETRY_SERVER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -131,7 +132,8 @@ class TelemetryServer
     int listenFd_ = -1;
     int wakeFd_ = -1;
     std::uint16_t boundPort_ = 0;
-    bool running_ = false;
+    /** Written by start()/stop(), read by the server thread. */
+    std::atomic<bool> running_{false};
     std::thread thread_;
 };
 

@@ -159,21 +159,6 @@ Tracer::bufferedEvents() const
     return total;
 }
 
-namespace
-{
-
-void
-appendEscaped(std::string &out, const char *s)
-{
-    for (; *s != '\0'; ++s) {
-        if (*s == '"' || *s == '\\')
-            out += '\\';
-        out += *s;
-    }
-}
-
-} // namespace
-
 std::string
 Tracer::toChromeJson(std::uint64_t sinceNs) const
 {
@@ -191,9 +176,9 @@ Tracer::toChromeJson(std::uint64_t sinceNs) const
             out += first ? "\n" : ",\n";
             first = false;
             out += "{\"name\": \"";
-            appendEscaped(out, e.name);
+            appendJsonEscaped(out, e.name);
             out += "\", \"cat\": \"";
-            appendEscaped(out, e.category);
+            appendJsonEscaped(out, e.category);
             // Chrome trace timestamps are microseconds; keep sub-µs
             // resolution by emitting three decimal places.
             char buf2[160];
@@ -222,7 +207,7 @@ Tracer::toChromeJson(std::uint64_t sinceNs) const
                         out += ", ";
                     firstArg = false;
                     out += '"';
-                    appendEscaped(out, e.args[a].key);
+                    appendJsonEscaped(out, e.args[a].key);
                     std::snprintf(
                         buf2, sizeof buf2, "\": %llu",
                         static_cast<unsigned long long>(e.args[a].value));

@@ -39,16 +39,6 @@ formatDouble(double value)
     return buffer;
 }
 
-void
-appendJsonEscaped(std::string &out, std::string_view text)
-{
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-}
-
 } // namespace
 
 std::uint64_t
@@ -545,7 +535,7 @@ ExploreReport::toJson(const CrashCell &cell) const
         out += '"';
         out += key;
         out += "\":\"";
-        appendJsonEscaped(out, value);
+        obs::appendJsonEscaped(out, value);
         out += '"';
         if (comma)
             out += ',';
@@ -595,7 +585,7 @@ ExploreReport::toJson(const CrashCell &cell) const
                 out += ',';
             first = false;
             out += '"';
-            appendJsonEscaped(out, name);
+            obs::appendJsonEscaped(out, name);
             out += "\":" + std::to_string(value);
         }
     }

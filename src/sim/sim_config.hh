@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulated system configuration, mirroring Table 1 of the paper
- * (Section 7.1.3). bench_table1_config prints it.
+ * (Section 7.1.3). `specfig table1` prints it.
  */
 
 #ifndef SPECPMT_SIM_SIM_CONFIG_HH

@@ -8,7 +8,7 @@
  * its STAMP counterpart — the same data structures, write-set sizes
  * (Table 2), update counts, and compute/transaction ratios — as a
  * compact kernel over this repository's TxRuntime API. DESIGN.md
- * documents the substitution; bench_table2_tx_stats prints the
+ * documents the substitution; `specfig table2` prints the
  * resulting per-workload statistics next to the paper's.
  *
  * Rules every workload obeys:

@@ -1,11 +1,11 @@
-# Runs bench_kv_ycsb with --metrics-out/--trace-out and validates the
+# Runs `speckv bench` with --metrics-out/--trace-out and validates the
 # artifacts: both must pass `specstat check` (and broken copies must
 # fail it), the metrics exposition must carry the core
 # tx/fence/reclaim/recovery series, and the trace must hold at least
 # one span of every category. Invoked by ctest as
-#   cmake -DBENCH_KV=... -DSPECSTAT=... -DWORK_DIR=... -P this-file
+#   cmake -DSPECKV=... -DSPECSTAT=... -DWORK_DIR=... -P this-file
 
-foreach(var BENCH_KV SPECSTAT WORK_DIR)
+foreach(var SPECKV SPECSTAT WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR "missing -D${var}=")
     endif()
@@ -16,7 +16,7 @@ set(metrics "${WORK_DIR}/metrics.prom")
 set(trace "${WORK_DIR}/trace.json")
 
 execute_process(
-    COMMAND "${BENCH_KV}" --runtimes=spec --mixes=A --threads=2
+    COMMAND "${SPECKV}" bench --runtimes=spec --mixes=A --threads=2
             --shards=2 --keys=2048 --ops=400
             "--metrics-out=${metrics}" "--trace-out=${trace}"
     RESULT_VARIABLE bench_status
@@ -24,7 +24,7 @@ execute_process(
     ERROR_VARIABLE bench_output)
 if(NOT bench_status EQUAL 0)
     message(FATAL_ERROR
-            "bench_kv_ycsb failed (${bench_status}):\n${bench_output}")
+            "speckv bench failed (${bench_status}):\n${bench_output}")
 endif()
 
 foreach(artifact "${metrics}" "${trace}")

@@ -263,5 +263,18 @@ TEST(CrashExplorer, ReportJsonCarriesTheAccounting)
     EXPECT_NE(json.find("\"runtime\":\"spec\""), std::string::npos);
 }
 
+TEST(CrashExplorer, ReportJsonEscapesControlCharacters)
+{
+    // Failure messages carry arbitrary text, such as an exception's
+    // what(); a raw control character would make the report invalid
+    // JSON.
+    ExploreReport report;
+    report.failures.push_back({7, "tok", "line\nnext\ttab\x01" "end"});
+    const std::string json = report.toJson(smallSlotsCell());
+    EXPECT_NE(json.find("\"message\":\"line\\nnext\\ttab\\u0001end\""),
+              std::string::npos)
+        << json;
+}
+
 } // namespace
 } // namespace specpmt::sim

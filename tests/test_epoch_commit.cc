@@ -396,7 +396,7 @@ struct YcsbCell
 
 /**
  * Closed-loop YCSB-A zipfian over 2 shards x 2 threads, 4,096 keys,
- * 2,000 ops per thread — bench_kv_ycsb's smoke shape. @p epoch_max_ops
+ * 2,000 ops per thread — `speckv bench`'s smoke shape. @p epoch_max_ops
  * 0 issues strict puts; otherwise puts are relaxed and each shard
  * seals every @p epoch_max_ops relaxed mutations.
  */

@@ -8,19 +8,24 @@
  * abort must not punch a hole into the epoch's timestamp sequence;
  * forced and log-exhaustion read-only modes refuse mutations
  * individually while reads stay alive, through every entry point
- * (put, erase, multiPut, executeShardBatch); and a file-backed pm dir
- * reattaches across a service teardown with every strict put intact.
+ * (put, erase, multiPut, executeShardBatch); a poisoned header of a
+ * thread's tail log block fails one transaction, not every later one;
+ * and a file-backed pm dir reattaches across a service teardown with
+ * every strict put intact.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "core/splog_format.hh"
 #include "kv/kv_service.hh"
 #include "pmem/pmem_device.hh"
+#include "pmem/pmem_pool.hh"
 
 namespace specpmt::kv
 {
@@ -300,6 +305,40 @@ TEST(MediaFaults, RelaxedIoAbortsKeepEpochTimestampsDense)
             EXPECT_FALSE(service.get(0, key).has_value())
                 << "aborted key " << key << " replayed";
     }
+    service.shutdown();
+}
+
+TEST(MediaFaults, PoisonedTailHeaderFailsOnlyOneTransaction)
+{
+    // txBegin loads the capacity from the header of its thread's tail
+    // log block before any segment opens. A poisoned line there must
+    // fail that one transaction; the next opens in a fresh block
+    // instead of faulting on the same line forever.
+    KvServiceConfig config = baseConfig(1);
+    config.runtimeOptions.backgroundWorkers = false;
+    KvService service(config);
+    auto &dev = service.shardDevice(0);
+    // Thread 0's tail block: the end of its block chain.
+    PmOff tail = service.shardRuntime(0).pool().getRoot(txn::logHeadSlot(0));
+    while (const PmOff next =
+               dev.loadT<PmOff>(tail + offsetof(core::BlockHeader, next)))
+        tail = next;
+    pmem::FaultPlan plan;
+    plan.poisonLines = 1;
+    plan.regionStart = tail;
+    plan.regionEnd = tail + kCacheLineSize;
+    dev.applyFaultPlan(plan);
+
+    std::vector<BatchOpResult> results;
+    EXPECT_EQ(service.executeShardBatch(0, 0, putBatch(1, 1, 5), results),
+              BatchStatus::Io);
+    ASSERT_EQ(service.executeShardBatch(0, 0, putBatch(1, 1, 6), results),
+              BatchStatus::Ok);
+    EXPECT_EQ(service.shardMediaAborts(0), 1u);
+
+    service.crash(pmem::CrashPolicy::nothing());
+    service.recover();
+    EXPECT_EQ(service.get(0, 1), KvValue::tagged(1, 6));
     service.shutdown();
 }
 

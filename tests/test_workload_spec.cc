@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the shared workload-shape generator (kv/workload_spec):
- * determinism across generators, mix/distribution contracts, and the
- * tagged-value invariant every load path relies on for verification.
+ * determinism across generators, mix/distribution contracts, the
+ * tagged-value invariant every load path relies on for verification,
+ * and the name parsers every CLI shares.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <map>
 
 #include "kv/workload_spec.hh"
+#include "net/loadgen.hh"
 
 namespace specpmt::kv
 {
@@ -183,6 +185,26 @@ TEST(WorkloadSpec, RankToKeyScramblesAcrossTheKeyspace)
     EXPECT_GT(seen.size(), keys / 2);
     EXPECT_LT(seen.size(), keys); // collisions expected: a scramble
     EXPECT_LT(adjacent, keys / 64); // no sequential structure
+}
+
+TEST(WorkloadSpec, NamesRoundTripAndMisspellingsAreRejected)
+{
+    // Every CLI parses --mix, --dist and --arrival through these; an
+    // unknown name must be an error, not a silent default.
+    for (const Mix mix : {Mix::A, Mix::B, Mix::C})
+        EXPECT_EQ(parseMix(mixName(mix)), mix);
+    for (const KeyDist dist : {KeyDist::Uniform, KeyDist::Zipfian})
+        EXPECT_EQ(parseKeyDist(keyDistName(dist)), dist);
+    for (const net::Arrival arrival :
+         {net::Arrival::Fixed, net::Arrival::Poisson})
+        EXPECT_EQ(net::parseArrival(net::arrivalName(arrival)), arrival);
+
+    for (const char *bad : {"D", "a", "", "AB"})
+        EXPECT_FALSE(parseMix(bad)) << bad;
+    for (const char *bad : {"unifrom", "Zipfian", ""})
+        EXPECT_FALSE(parseKeyDist(bad)) << bad;
+    for (const char *bad : {"poison", "Fixed", ""})
+        EXPECT_FALSE(net::parseArrival(bad)) << bad;
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
- * speckv — operational walkthrough of the sharded KV service.
+ * speckv — operational walkthrough and YCSB bench of the sharded KV
+ * service.
  *
- * Phases:
+ * Walkthrough phases:
  *   1. load    — insert the whole keyspace via multiPut batches;
  *   2. run     — closed-loop YCSB mix on N client threads;
  *   3. crash   — re-run with a power failure armed mid-traffic, then
@@ -22,6 +23,28 @@
  *          [--keys=4096] [--ops=2000] [--mix=A|B|C]
  *          [--dist=zipfian|uniform] [--crash-after=500] [--seed=1]
  *          [--metrics-out=m.prom] [--trace-out=t.json]
+ *
+ * `speckv bench` runs mixes A (50/50 read/update), B (95/5) and C
+ * (read-only) against each requested runtime on a fresh service per
+ * cell, reporting wall and simulated-clock throughput, wall-clock
+ * latency percentiles, and per-shard persistence traffic (fences,
+ * media line writes). This is the serving-shaped analog of Figure 12:
+ * on the write-heavy mixes the speculative runtime's fence elision
+ * shows up directly as throughput. It never crashes the service, so
+ * it also takes the runtimes the walkthrough refuses:
+ *
+ *   speckv bench [--runtimes=spec,pmdk] [--mixes=A,B,C]
+ *                [--threads=4] [--shards=4] [--keys=8192]
+ *                [--ops=4000] [--dist=zipfian|uniform]
+ *                [--multiput=0.1] [--group-commit=N]
+ *                [--metrics-out=m.prom] [--trace-out=t.json]
+ *
+ * --group-commit=N issues updates with relaxed durability and seals
+ * each shard's epoch every N relaxed mutations (0 = strict, the
+ * default); only group-commit-capable runtimes ("spec", "spec-dp")
+ * are affected. The final stdout line is a JSON summary of every
+ * cell. --trace-out appends a small crash+recover+reclaim probe so
+ * every span category is witnessed.
  *
  * `speckv serve` instead runs the networked front end (src/net): the
  * sharded service behind per-shard epoll event loops speaking the
@@ -64,21 +87,27 @@
  * runtime ("spec", "spec-dp").
  */
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/rand.hh"
+#include "core/spec_tx.hh"
 #include "kv/driver.hh"
 #include "kv/kv_service.hh"
 #include "net/server.hh"
 #include "obs/artifacts.hh"
+#include "pmem/crash_policy.hh"
 #include "pmem/pmem_device.hh"
 #include "obs/telemetry_server.hh"
 #include "obs/trace.hh"
@@ -88,33 +117,78 @@ using namespace specpmt;
 namespace
 {
 
+/** Flags of the walkthrough and of `speckv bench`; see file comment. */
 struct Args
 {
-    std::string runtime = "spec";
+    /** The walkthrough takes exactly one runtime and one mix. */
+    std::vector<std::string> runtimes = {"spec"};
+    std::vector<kv::Mix> mixes = {kv::Mix::A};
     unsigned shards = 4;
     unsigned threads = 4;
     std::uint64_t keys = 4096;
     std::uint64_t opsPerThread = 2000;
-    kv::Mix mix = kv::Mix::A;
     kv::KeyDist dist = kv::KeyDist::Zipfian;
-    long crashAfter = 500;
-    std::uint64_t seed = 1;
+    long crashAfter = 500;         ///< walkthrough only
+    std::uint64_t seed = 1;        ///< walkthrough only
+    double multiPutFraction = 0.0; ///< bench only
+    unsigned groupCommit = 0;      ///< bench only
     obs::OutputFlags obs;
 };
 
+std::vector<std::string>
+splitCsv(const std::string &arg)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start <= arg.size()) {
+        const auto comma = arg.find(',', start);
+        const auto end = comma == std::string::npos ? arg.size()
+                                                    : comma;
+        if (end > start)
+            out.push_back(arg.substr(start, end - start));
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
+    }
+    return out;
+}
+
+/** @p parsed, or the usage error for an unknown @p what name. */
+template <typename T>
+T
+named(const std::optional<T> &parsed, const char *what,
+      const std::string &name)
+{
+    if (!parsed)
+        SPECPMT_FATAL("unknown %s: %s", what, name.c_str());
+    return *parsed;
+}
+
+/** The walkthrough's flags, or with @p bench `speckv bench`'s. */
 Args
-parseArgs(int argc, char **argv)
+parseArgs(int argc, char **argv, bool bench)
 {
     Args args;
-    for (int i = 1; i < argc; ++i) {
+    if (bench) {
+        args.runtimes = {"spec", "pmdk"};
+        args.mixes = {kv::Mix::A, kv::Mix::B, kv::Mix::C};
+        args.keys = 8192;
+        args.opsPerThread = 4000;
+    }
+    const bool walkthrough = !bench;
+    for (int i = bench ? 2 : 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
+        // A flag of one mode matches only in that mode.
+        auto value = [&](const char *prefix,
+                         bool in_mode = true) -> const char * {
             const std::size_t n = std::string(prefix).size();
-            return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                             : nullptr;
+            return in_mode && arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
+                                                        : nullptr;
         };
-        if (const char *v = value("--runtime="))
-            args.runtime = v;
+        if (const char *v = value("--runtime=", walkthrough))
+            args.runtimes = {v};
+        else if (const char *v = value("--runtimes=", bench))
+            args.runtimes = splitCsv(v);
         else if (const char *v = value("--shards="))
             args.shards = static_cast<unsigned>(std::atoi(v));
         else if (const char *v = value("--threads="))
@@ -123,49 +197,63 @@ parseArgs(int argc, char **argv)
             args.keys = std::strtoull(v, nullptr, 10);
         else if (const char *v = value("--ops="))
             args.opsPerThread = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--crash-after="))
+        else if (const char *v = value("--crash-after=", walkthrough))
             args.crashAfter = std::atol(v);
-        else if (const char *v = value("--seed="))
+        else if (const char *v = value("--seed=", walkthrough))
             args.seed = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--mix=")) {
-            const std::string m = v;
-            args.mix = m == "B" ? kv::Mix::B
-                : m == "C"      ? kv::Mix::C
-                                : kv::Mix::A;
-        } else if (const char *v = value("--dist=")) {
-            args.dist = std::string(v) == "uniform"
-                ? kv::KeyDist::Uniform
-                : kv::KeyDist::Zipfian;
-        } else if (!args.obs.accept(arg)) {
+        else if (const char *v = value("--multiput=", bench))
+            args.multiPutFraction = std::atof(v);
+        else if (const char *v = value("--group-commit=", bench))
+            args.groupCommit = static_cast<unsigned>(std::atoi(v));
+        else if (const char *v = value("--mix=", walkthrough))
+            args.mixes = {named(kv::parseMix(v), "mix", v)};
+        else if (const char *v = value("--mixes=", bench)) {
+            args.mixes.clear();
+            for (const auto &name : splitCsv(v))
+                args.mixes.push_back(named(kv::parseMix(name), "mix", name));
+        } else if (const char *v = value("--dist="))
+            args.dist = named(kv::parseKeyDist(v), "dist", v);
+        else if (!args.obs.accept(arg))
             SPECPMT_FATAL("unknown argument: %s", arg.c_str());
+    }
+    for (const auto &runtime : args.runtimes) {
+        if (!txn::isRuntimeName(runtime)) {
+            std::string names;
+            for (const auto &name : txn::runtimeNames())
+                names += " " + name;
+            SPECPMT_FATAL("unknown runtime %s; known:%s",
+                          runtime.c_str(), names.c_str());
         }
-    }
-    if (!txn::isRuntimeName(args.runtime)) {
-        std::string names;
-        for (const auto &name : txn::runtimeNames())
-            names += " " + name;
-        SPECPMT_FATAL("unknown runtime %s; known:%s",
-                      args.runtime.c_str(), names.c_str());
-    }
-    // The walkthrough power-fails the service and recovers it, so the
-    // non-recoverable runtimes (the no-crash-consistency baseline and
-    // the §4 hash-table-log strawman) cannot drive it; use
-    // bench_kv_ycsb (which never crashes) to measure those.
-    if (args.runtime == "direct" || args.runtime == "hashlog") {
-        SPECPMT_FATAL("runtime %s is not crash-recoverable; speckv "
-                      "needs one of: pmdk kamino spht spec spec-dp",
-                      args.runtime.c_str());
+        // The walkthrough power-fails the service and recovers it, so
+        // the non-recoverable runtimes (the no-crash-consistency
+        // baseline and the §4 hash-table-log strawman) cannot drive
+        // it; `speckv bench` (which never crashes) measures those.
+        if (walkthrough && (runtime == "direct" || runtime == "hashlog")) {
+            SPECPMT_FATAL("runtime %s is not crash-recoverable; speckv "
+                          "needs one of: pmdk kamino spht spec spec-dp",
+                          runtime.c_str());
+        }
     }
     return args;
 }
 
-std::uint64_t
-nextPow2(std::uint64_t x)
+/**
+ * The service every mode runs: @p keys keys over @p shards shards,
+ * transacted on by @p threads client threads.
+ */
+kv::KvServiceConfig
+serviceConfig(const std::string &runtime, unsigned shards,
+              unsigned threads, std::uint64_t keys)
 {
-    std::uint64_t p = 1;
-    while (p < x)
-        p <<= 1;
-    return p;
+    kv::KvServiceConfig config;
+    config.shards = shards;
+    config.threads = threads;
+    config.runtime = runtime;
+    // Keep the per-shard load factor around 25% so probe chains stay
+    // short at every shard size.
+    config.bucketsPerShard =
+        std::bit_ceil(std::max<std::uint64_t>(1024, 4 * keys / shards));
+    return config;
 }
 
 void
@@ -292,13 +380,9 @@ serveMain(int argc, char **argv)
     if (!txn::isRuntimeName(runtime))
         SPECPMT_FATAL("unknown runtime %s", runtime.c_str());
 
-    kv::KvServiceConfig service_config;
-    service_config.shards = shards;
     // Loop i of the server transacts as client thread id i.
-    service_config.threads = shards;
-    service_config.runtime = runtime;
-    service_config.bucketsPerShard =
-        nextPow2(std::max<std::uint64_t>(1024, 4 * keys / shards));
+    kv::KvServiceConfig service_config =
+        serviceConfig(runtime, shards, shards, keys);
     if (group_commit)
         service_config.runtimeOptions.groupCommit = true;
     service_config.pmDir = pm_dir;
@@ -428,39 +512,193 @@ serveMain(int argc, char **argv)
     return 0;
 }
 
-} // namespace
-
+/** `speckv bench`: one fresh service per runtime x mix cell. */
 int
-main(int argc, char **argv)
+benchMain(const Args &args)
 {
-    if (argc > 1 && std::string(argv[1]) == "serve")
-        return serveMain(argc, argv);
-    const Args args = parseArgs(argc, argv);
-
-    kv::KvServiceConfig service_config;
-    service_config.shards = args.shards;
-    service_config.threads = args.threads;
-    service_config.runtime = args.runtime;
-    service_config.bucketsPerShard = nextPow2(
-        std::max<std::uint64_t>(1024, 4 * args.keys / args.shards));
-
     kv::DriverConfig driver_config;
     driver_config.threads = args.threads;
     driver_config.keys = args.keys;
     driver_config.opsPerThread = args.opsPerThread;
-    driver_config.mix = args.mix;
+    driver_config.dist = args.dist;
+    driver_config.multiPutFraction = args.multiPutFraction;
+    driver_config.relaxedPuts = args.groupCommit > 0;
+
+    std::printf("kv_ycsb: %u shards, %u threads, %llu keys, "
+                "%llu ops/thread, %s keys\n",
+                args.shards, args.threads,
+                static_cast<unsigned long long>(args.keys),
+                static_cast<unsigned long long>(args.opsPerThread),
+                kv::keyDistName(args.dist));
+    if (args.groupCommit > 0)
+        std::printf("group commit: epoch sealed every %u relaxed ops\n",
+                    args.groupCommit);
+    std::printf("%-9s %-4s %12s %12s %9s %9s %9s %9s %10s %8s %12s\n",
+                "runtime", "mix", "wall-kops", "sim-kops",
+                "p50-us", "p95-us", "p99-us", "p999-us", "fences",
+                "fn/tx", "pm-lines");
+
+    struct Cell
+    {
+        std::string runtime;
+        kv::Mix mix;
+        kv::DriverResult result;
+    };
+    std::vector<Cell> cells;
+    for (const auto &runtime : args.runtimes) {
+        for (const kv::Mix mix : args.mixes) {
+            kv::KvServiceConfig service_config = serviceConfig(
+                runtime, args.shards, args.threads, args.keys);
+            if (args.groupCommit > 0) {
+                service_config.runtimeOptions.groupCommit = true;
+                service_config.epochMaxOps = args.groupCommit;
+            }
+            kv::KvService service(service_config);
+            kv::loadKeyspace(service, driver_config);
+
+            driver_config.mix = mix;
+            auto result = kv::runClosedLoop(service, driver_config);
+            service.shutdown();
+            SPECPMT_ASSERT(result.failed == 0);
+
+            // Latency over all ops: merge the two op-type histograms.
+            LatencyHistogram latency = result.readLatency;
+            latency.merge(result.updateLatency);
+            std::uint64_t fences = 0;
+            std::uint64_t pm_lines = 0;
+            std::uint64_t txs = 0;
+            for (const auto &shard : result.shards) {
+                fences += shard.device.fences;
+                pm_lines += shard.pmLineWrites;
+                txs += shard.committedTxs;
+            }
+            const double fences_per_tx =
+                txs > 0 ? static_cast<double>(fences) /
+                              static_cast<double>(txs)
+                        : 0.0;
+            std::printf("%-9s %-4s %12.1f %12.1f %9.1f %9.1f %9.1f "
+                        "%9.1f %10llu %8.3f %12llu\n",
+                        runtime.c_str(), kv::mixName(mix),
+                        result.throughputOps / 1e3,
+                        result.simThroughputOps / 1e3,
+                        latency.percentile(50) / 1e3,
+                        latency.percentile(95) / 1e3,
+                        latency.percentile(99) / 1e3,
+                        latency.percentile(99.9) / 1e3,
+                        static_cast<unsigned long long>(fences),
+                        fences_per_tx,
+                        static_cast<unsigned long long>(pm_lines));
+            cells.push_back({runtime, mix, std::move(result)});
+        }
+    }
+
+    // Machine-readable summary, one results[] entry per cell.
+    std::printf("{\"bench\":\"kv_ycsb\",\"shards\":%u,\"threads\":%u,"
+                "\"keys\":%llu,\"ops_per_thread\":%llu,\"dist\":\"%s\","
+                "\"group_commit\":%u,"
+                "\"results\":[",
+                args.shards, args.threads,
+                static_cast<unsigned long long>(args.keys),
+                static_cast<unsigned long long>(args.opsPerThread),
+                kv::keyDistName(args.dist), args.groupCommit);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const auto &cell = cells[i];
+        LatencyHistogram latency = cell.result.readLatency;
+        latency.merge(cell.result.updateLatency);
+        std::uint64_t cell_fences = 0;
+        std::uint64_t cell_txs = 0;
+        for (const auto &shard : cell.result.shards) {
+            cell_fences += shard.device.fences;
+            cell_txs += shard.committedTxs;
+        }
+        std::printf("%s{\"runtime\":\"%s\",\"mix\":\"%s\","
+                    "\"fences_per_tx\":%.4f,"
+                    "\"ops\":%llu,"
+                    "\"wall_ops_per_sec\":%.1f,"
+                    "\"sim_ops_per_sec\":%.1f,"
+                    "\"p50_ns\":%llu,\"p95_ns\":%llu,"
+                    "\"p99_ns\":%llu,\"p999_ns\":%llu,"
+                    "\"shards\":[",
+                    i == 0 ? "" : ",", cell.runtime.c_str(),
+                    kv::mixName(cell.mix),
+                    cell_txs > 0
+                        ? static_cast<double>(cell_fences) /
+                              static_cast<double>(cell_txs)
+                        : 0.0,
+                    static_cast<unsigned long long>(
+                        cell.result.totalOps()),
+                    cell.result.throughputOps,
+                    cell.result.simThroughputOps,
+                    static_cast<unsigned long long>(
+                        latency.percentile(50)),
+                    static_cast<unsigned long long>(
+                        latency.percentile(95)),
+                    static_cast<unsigned long long>(
+                        latency.percentile(99)),
+                    static_cast<unsigned long long>(
+                        latency.percentile(99.9)));
+        for (std::size_t s = 0; s < cell.result.shards.size(); ++s) {
+            const auto &shard = cell.result.shards[s];
+            std::printf("%s{\"fences\":%llu,\"clwbs\":%llu,"
+                        "\"pm_line_writes\":%llu,\"txs\":%llu}",
+                        s == 0 ? "" : ",",
+                        static_cast<unsigned long long>(
+                            shard.device.fences),
+                        static_cast<unsigned long long>(
+                            shard.device.totalClwbs()),
+                        static_cast<unsigned long long>(
+                            shard.pmLineWrites),
+                        static_cast<unsigned long long>(
+                            shard.committedTxs));
+        }
+        std::printf("]}");
+    }
+    std::printf("]}\n");
+
+    if (!args.obs.tracePath.empty()) {
+        // The trace artifact should witness every span category
+        // (tx/flush during the run above); drive a reclaim cycle and
+        // a crash+recover so reclaim/recovery spans appear even on
+        // short runs that never fill the log.
+        kv::KvService probe(serviceConfig("spec", 1, 1, 64));
+        for (kv::KvKey key = 1; key <= 64; ++key)
+            probe.put(0, key, kv::KvValue::tagged(key, key));
+        if (auto *spec = dynamic_cast<core::SpecTx *>(
+                &probe.shardRuntime(0))) {
+            spec->reclaimNow();
+        }
+        probe.crash(pmem::CrashPolicy::nothing());
+        probe.recover();
+        probe.shutdown();
+    }
+    args.obs.writeArtifacts();
+    return 0;
+}
+
+/** The walkthrough; see file comment. */
+int
+walkthroughMain(const Args &args)
+{
+    const std::string &runtime = args.runtimes.front();
+    const kv::Mix mix = args.mixes.front();
+    kv::DriverConfig driver_config;
+    driver_config.threads = args.threads;
+    driver_config.keys = args.keys;
+    driver_config.opsPerThread = args.opsPerThread;
+    driver_config.mix = mix;
     driver_config.dist = args.dist;
     driver_config.seed = args.seed;
     driver_config.multiPutFraction = 0.05;
 
     std::printf("speckv: runtime=%s shards=%u threads=%u keys=%llu "
                 "mix=%s dist=%s\n",
-                args.runtime.c_str(), args.shards, args.threads,
+                runtime.c_str(), args.shards, args.threads,
                 static_cast<unsigned long long>(args.keys),
-                kv::mixName(args.mix), kv::keyDistName(args.dist));
+                kv::mixName(mix), kv::keyDistName(args.dist));
 
     // Phase 1: load.
-    kv::KvService service(service_config);
+    kv::KvService service(
+        serviceConfig(runtime, args.shards, args.threads, args.keys));
     kv::loadKeyspace(service, driver_config);
     std::printf("[load] %llu keys loaded across %u shards\n",
                 static_cast<unsigned long long>(args.keys),
@@ -535,4 +773,17 @@ main(int argc, char **argv)
     args.obs.writeArtifacts();
     std::printf("speckv: OK\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const std::string mode = argc > 1 ? argv[1] : "";
+    if (mode == "serve")
+        return serveMain(argc, argv);
+    if (mode == "bench")
+        return benchMain(parseArgs(argc, argv, true));
+    return walkthroughMain(parseArgs(argc, argv, false));
 }

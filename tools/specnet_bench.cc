@@ -41,6 +41,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -66,6 +67,17 @@ readPortFile(const std::string &path)
     }
     std::fclose(f);
     return static_cast<std::uint16_t>(port);
+}
+
+/** @p parsed, or the usage error for an unknown @p what name. */
+template <typename T>
+T
+named(const std::optional<T> &parsed, const char *what,
+      const char *name)
+{
+    if (!parsed)
+        SPECPMT_FATAL("unknown %s: %s", what, name);
+    return *parsed;
 }
 
 void
@@ -124,18 +136,12 @@ main(int argc, char **argv)
         else if (const char *v = value("--seconds="))
             config.seconds = std::atof(v);
         else if (const char *v = value("--arrival="))
-            config.arrival = std::string(v) == "fixed"
-                ? net::Arrival::Fixed
-                : net::Arrival::Poisson;
-        else if (const char *v = value("--mix=")) {
-            const std::string m = v;
-            config.workload.mix = m == "B" ? kv::Mix::B
-                : m == "C"                 ? kv::Mix::C
-                                           : kv::Mix::A;
-        } else if (const char *v = value("--dist="))
-            config.workload.dist = std::string(v) == "uniform"
-                ? kv::KeyDist::Uniform
-                : kv::KeyDist::Zipfian;
+            config.arrival = named(net::parseArrival(v), "arrival", v);
+        else if (const char *v = value("--mix="))
+            config.workload.mix = named(kv::parseMix(v), "mix", v);
+        else if (const char *v = value("--dist="))
+            config.workload.dist =
+                named(kv::parseKeyDist(v), "dist", v);
         else if (const char *v = value("--keys="))
             config.workload.keys = std::strtoull(v, nullptr, 10);
         else if (const char *v = value("--multiput="))

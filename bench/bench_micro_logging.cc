@@ -3,7 +3,8 @@
  * Microbenchmarks (google-benchmark) of the primitive costs the paper
  * reasons about: the per-update persist barrier of undo logging vs
  * the fence-free speculative append, commit anatomy, checksum cost,
- * and the sequential-vs-random PM write gap of the timing model.
+ * the sequential-vs-random PM write gap of the timing model, and the
+ * host cost of the emulated device's own calls.
  *
  * Two time domains appear here: google-benchmark measures host CPU
  * time of the emulation (a proxy for implementation overhead), and
@@ -13,6 +14,8 @@
  */
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 #include "common/crc32.hh"
 #include "core/spec_tx.hh"
@@ -151,6 +154,55 @@ BENCHMARK(BM_SequentialVsRandomPmWrites)
     ->Arg(1)
     ->Arg(0)
     ->ArgNames({"sequential"});
+
+/**
+ * One device shared by every thread of a device benchmark, so that
+ * Threads(2) measures the device lock under contention. Each thread
+ * works on its own line, a page apart from the others.
+ */
+pmem::PmemDevice &
+sharedDevice()
+{
+    static pmem::PmemDevice dev(1u << 20);
+    return dev;
+}
+
+PmOff
+threadLine(const benchmark::State &state)
+{
+    return static_cast<PmOff>(state.thread_index()) * 4096;
+}
+
+void
+BM_DeviceStoreFlushFence(benchmark::State &state)
+{
+    // The device calls behind one persisted 64 B update.
+    pmem::PmemDevice &dev = sharedDevice();
+    const PmOff off = threadLine(state);
+    std::array<std::uint8_t, kCacheLineSize> line{};
+    for (auto _ : state) {
+        ++line[0];
+        dev.store(off, line.data(), line.size());
+        dev.clwb(off);
+        dev.sfence();
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_DeviceStoreFlushFence)->Threads(1)->Threads(2)->UseRealTime();
+
+void
+BM_DeviceLoad(benchmark::State &state)
+{
+    pmem::PmemDevice &dev = sharedDevice();
+    const PmOff off = threadLine(state);
+    std::array<std::uint8_t, kCacheLineSize> line{};
+    for (auto _ : state) {
+        dev.load(off, line.data(), line.size());
+        benchmark::DoNotOptimize(line.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_DeviceLoad)->Threads(1)->Threads(2)->UseRealTime();
 
 } // namespace
 

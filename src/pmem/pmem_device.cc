@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -160,6 +161,10 @@ PmemDevice::PmemDevice(std::size_t size, const TimingParams &params)
     SPECPMT_ASSERT(rounded > 0);
     volatileImage_.assign(rounded, 0);
     persistentImage_.assign(rounded, 0);
+    const std::size_t lines = rounded / kCacheLineSize;
+    SPECPMT_ASSERT(lines < std::numeric_limits<std::uint32_t>::max());
+    dirty_.assign(lines, 0);
+    pendingSlot_.assign(lines, 0);
 }
 
 PmemDevice::PmemDevice(std::size_t size, const std::string &backingPath,
@@ -249,7 +254,8 @@ PmemDevice::checkMediaLines(
 void
 PmemDevice::applyFaultPlan(const FaultPlan &plan)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    auto &m = DeviceMetrics::get();
+    std::lock_guard<SpinLock> guard(lock_);
     poisonLines_.clear();
     eioLines_.clear();
     const std::uint64_t firstLine = lineIndex(plan.regionStart);
@@ -310,7 +316,6 @@ PmemDevice::applyFaultPlan(const FaultPlan &plan)
         }
     }
 
-    auto &m = DeviceMetrics::get();
     m.mediaPoisonInjected.add(poisonLines_.size());
     m.mediaEioInjected.add(eioLines_.size());
     m.mediaCorruptInjected.add(corrupted);
@@ -319,7 +324,7 @@ PmemDevice::applyFaultPlan(const FaultPlan &plan)
 void
 PmemDevice::clearFaultPlan()
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     poisonLines_.clear();
     eioLines_.clear();
 }
@@ -327,8 +332,8 @@ PmemDevice::clearFaultPlan()
 void
 PmemDevice::publishMetrics()
 {
-    std::lock_guard<std::mutex> guard(mutex_);
     auto &m = DeviceMetrics::get();
+    std::lock_guard<SpinLock> guard(lock_);
     flushDelta(m.stores, stats_.stores, published_.stores);
     flushDelta(m.storeBytes, stats_.storeBytes, published_.storeBytes);
     flushDelta(m.loads, stats_.loads, published_.loads);
@@ -357,7 +362,7 @@ PmemDevice::checkRange(PmOff off, std::size_t size) const
 void
 PmemDevice::armCrash(long ops)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     if (ops < 0) {
         countdown_.reset();
         return;
@@ -370,7 +375,7 @@ PmemDevice::armCrash(long ops)
 void
 PmemDevice::armCrash(std::shared_ptr<CrashCountdown> countdown)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     countdown_ = std::move(countdown);
     crashThread_ = std::this_thread::get_id();
 }
@@ -378,21 +383,21 @@ PmemDevice::armCrash(std::shared_ptr<CrashCountdown> countdown)
 std::shared_ptr<CrashCountdown>
 PmemDevice::crashCountdown() const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     return countdown_;
 }
 
 void
 PmemDevice::injectFault(DeviceFault fault)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     fault_ = fault;
 }
 
 std::uint64_t
 PmemDevice::persistEventId() const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     return persistEvents_;
 }
 
@@ -421,11 +426,103 @@ PmemDevice::maybeCrash()
 }
 
 void
+PmemDevice::markDirty(std::uint64_t line)
+{
+    if (!dirty_[line]) {
+        dirty_[line] = 1;
+        ++dirtyCount_;
+    }
+}
+
+void
+PmemDevice::clearDirty(std::uint64_t line)
+{
+    if (dirty_[line]) {
+        dirty_[line] = 0;
+        --dirtyCount_;
+    }
+}
+
+template <typename Fn>
+void
+PmemDevice::forEachDirtyLine(Fn fn) const
+{
+    // Stops after the last dirty line rather than at the device end.
+    std::size_t left = dirtyCount_;
+    for (std::uint64_t line = 0; left > 0; ++line) {
+        if (dirty_[line]) {
+            --left;
+            fn(line);
+        }
+    }
+}
+
+void
+PmemDevice::snapshotLine(std::uint64_t line)
+{
+    std::uint32_t &slot = pendingSlot_[line];
+    if (slot == 0) {
+        pending_.push_back({line, {}});
+        slot = static_cast<std::uint32_t>(pending_.size());
+    }
+    std::memcpy(pending_[slot - 1].bytes.data(),
+                volatileImage_.data() + line * kCacheLineSize,
+                kCacheLineSize);
+}
+
+void
+PmemDevice::dropPending(std::uint64_t line)
+{
+    const std::uint32_t slot = pendingSlot_[line];
+    if (slot == 0)
+        return;
+    // Move the last snapshot into the freed slot.
+    pending_[slot - 1] = pending_.back();
+    pendingSlot_[pending_.back().line] = slot;
+    pendingSlot_[line] = 0;
+    pending_.pop_back();
+}
+
+void
+PmemDevice::promotePending()
+{
+    for (const PendingLine &pending : pending_) {
+        std::memcpy(persistentImage_.data() +
+                        pending.line * kCacheLineSize,
+                    pending.bytes.data(), kCacheLineSize);
+        mirrorLine(pending.line);
+        pendingSlot_[pending.line] = 0;
+    }
+    pending_.clear();
+}
+
+void
+PmemDevice::clearLineState()
+{
+    std::fill(dirty_.begin(), dirty_.end(), 0);
+    dirtyCount_ = 0;
+    for (const PendingLine &pending : pending_)
+        pendingSlot_[pending.line] = 0;
+    pending_.clear();
+}
+
+void
+PmemDevice::accountFlush(std::uint64_t line, TrafficClass cls)
+{
+    ++stats_.clwbs[static_cast<unsigned>(cls)];
+    chargeFlush(cls);
+    if (timed())
+        timing_.onClwb(line);
+    else if (timedThreadOnly_)
+        timing_.onClwbAsync(line);
+}
+
+void
 PmemDevice::store(PmOff off, const void *src, std::size_t size)
 {
     if (size == 0)
         return; // avoid memcpy(nullptr) UB and line-index underflow
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     maybeCrash();
     checkRange(off, size);
     checkMediaLines(eioLines_, MediaErrorKind::WriteEio, off, size);
@@ -433,7 +530,7 @@ PmemDevice::store(PmOff off, const void *src, std::size_t size)
     const std::uint64_t first = lineIndex(off);
     const std::uint64_t last = lineIndex(off + size - 1);
     for (std::uint64_t line = first; line <= last; ++line)
-        dirtyLines_.insert(line);
+        markDirty(line);
     ++stats_.stores;
     stats_.storeBytes += size;
     if (timed())
@@ -445,7 +542,7 @@ PmemDevice::load(PmOff off, void *dst, std::size_t size) const
 {
     if (size == 0)
         return; // zero-length reads may pass a null buffer
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     checkRange(off, size);
     checkMediaLines(poisonLines_, MediaErrorKind::PoisonedRead, off,
                     size);
@@ -464,27 +561,18 @@ PmemDevice::clwbLocked(PmOff off, TrafficClass cls)
     // clwb of a clean line is a no-op on real hardware (nothing to
     // write back); modelling it as free keeps runtimes honest about
     // redundant flushes without inflating their traffic counters.
-    if (!dirtyLines_.count(line))
+    if (!dirty_[line])
         return;
     maybeCrash();
-    Line snapshot;
-    std::memcpy(snapshot.data(),
-                volatileImage_.data() + line * kCacheLineSize,
-                kCacheLineSize);
-    pendingLines_[line] = snapshot;
-    dirtyLines_.erase(line);
-    ++stats_.clwbs[static_cast<unsigned>(cls)];
-    chargeFlush(cls);
-    if (timed())
-        timing_.onClwb(line);
-    else if (timedThreadOnly_)
-        timing_.onClwbAsync(line);
+    snapshotLine(line);
+    clearDirty(line);
+    accountFlush(line, cls);
 }
 
 void
 PmemDevice::clwb(PmOff off, TrafficClass cls)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     clwbLocked(off, cls);
 }
 
@@ -493,7 +581,7 @@ PmemDevice::clwbRange(PmOff off, std::size_t size, TrafficClass cls)
 {
     if (size == 0)
         return;
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     const std::uint64_t first = lineIndex(off);
     const std::uint64_t last = lineIndex(off + size - 1);
     for (std::uint64_t line = first; line <= last; ++line)
@@ -503,17 +591,10 @@ PmemDevice::clwbRange(PmOff off, std::size_t size, TrafficClass cls)
 void
 PmemDevice::sfence()
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     maybeCrash();
-    if (fault_ != DeviceFault::DropFences) {
-        for (const auto &[line, snapshot] : pendingLines_) {
-            std::memcpy(persistentImage_.data() +
-                            line * kCacheLineSize,
-                        snapshot.data(), kCacheLineSize);
-            mirrorLine(line);
-        }
-        pendingLines_.clear();
-    }
+    if (fault_ != DeviceFault::DropFences)
+        promotePending();
     ++stats_.fences;
     ++obs::traceContext().cost.fences;
     if (timed())
@@ -524,7 +605,9 @@ void
 PmemDevice::ntstore(PmOff off, const void *src, std::size_t size,
                     TrafficClass cls)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    if (size == 0)
+        return;
+    std::lock_guard<SpinLock> guard(lock_);
     maybeCrash();
     checkRange(off, size);
     checkMediaLines(eioLines_, MediaErrorKind::WriteEio, off, size);
@@ -534,18 +617,9 @@ PmemDevice::ntstore(PmOff off, const void *src, std::size_t size,
     const std::uint64_t first = lineIndex(off);
     const std::uint64_t last = lineIndex(off + size - 1);
     for (std::uint64_t line = first; line <= last; ++line) {
-        Line snapshot;
-        std::memcpy(snapshot.data(),
-                    volatileImage_.data() + line * kCacheLineSize,
-                    kCacheLineSize);
-        pendingLines_[line] = snapshot;
-        dirtyLines_.erase(line);
-        ++stats_.clwbs[static_cast<unsigned>(cls)];
-        chargeFlush(cls);
-            if (timed())
-            timing_.onClwb(line);
-        else if (timedThreadOnly_)
-            timing_.onClwbAsync(line);
+        snapshotLine(line);
+        clearDirty(line);
+        accountFlush(line, cls);
     }
 }
 
@@ -554,7 +628,7 @@ PmemDevice::adrPersist(PmOff off, std::size_t size, TrafficClass cls)
 {
     if (size == 0)
         return;
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     maybeCrash();
     checkRange(off, size);
     const std::uint64_t first = lineIndex(off);
@@ -564,21 +638,16 @@ PmemDevice::adrPersist(PmOff off, std::size_t size, TrafficClass cls)
                     volatileImage_.data() + line * kCacheLineSize,
                     kCacheLineSize);
         mirrorLine(line);
-        dirtyLines_.erase(line);
-        pendingLines_.erase(line);
-        ++stats_.clwbs[static_cast<unsigned>(cls)];
-        chargeFlush(cls);
-            if (timed())
-            timing_.onClwb(line);
-        else if (timedThreadOnly_)
-            timing_.onClwbAsync(line);
+        clearDirty(line);
+        dropPending(line);
+        accountFlush(line, cls);
     }
 }
 
 std::vector<std::uint8_t>
 PmemDevice::crashImage(const CrashPolicy &policy) const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     std::vector<std::uint8_t> image = persistentImage_;
     Rng rng(policy.seed);
 
@@ -595,30 +664,28 @@ PmemDevice::crashImage(const CrashPolicy &policy) const
     };
 
     // Flushed-but-unfenced snapshots may have drained. Iterate in
-    // sorted line order so RandomSubset draws are reproducible.
+    // ascending line order so RandomSubset draws are reproducible.
     std::vector<std::uint64_t> pending_lines;
-    pending_lines.reserve(pendingLines_.size());
-    for (const auto &[line, snapshot] : pendingLines_)
-        pending_lines.push_back(line);
+    pending_lines.reserve(pending_.size());
+    for (const PendingLine &pending : pending_)
+        pending_lines.push_back(pending.line);
     std::sort(pending_lines.begin(), pending_lines.end());
     for (std::uint64_t line : pending_lines) {
         if (persists()) {
             std::memcpy(image.data() + line * kCacheLineSize,
-                        pendingLines_.at(line).data(), kCacheLineSize);
+                        pending_[pendingSlot_[line] - 1].bytes.data(),
+                        kCacheLineSize);
         }
     }
 
     // Dirty lines may have been evicted with their current contents.
-    std::vector<std::uint64_t> dirty_lines(dirtyLines_.begin(),
-                                           dirtyLines_.end());
-    std::sort(dirty_lines.begin(), dirty_lines.end());
-    for (std::uint64_t line : dirty_lines) {
+    forEachDirtyLine([&](std::uint64_t line) {
         if (persists()) {
             std::memcpy(image.data() + line * kCacheLineSize,
                         volatileImage_.data() + line * kCacheLineSize,
                         kCacheLineSize);
         }
-    }
+    });
     return image;
 }
 
@@ -626,43 +693,34 @@ void
 PmemDevice::simulateCrash(const CrashPolicy &policy)
 {
     auto image = crashImage(policy);
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     persistentImage_ = image;
     volatileImage_ = std::move(image);
     mirrorAll();
-    dirtyLines_.clear();
-    pendingLines_.clear();
+    clearLineState();
     ++stats_.crashes;
 }
 
 void
 PmemDevice::resetFromImage(const std::vector<std::uint8_t> &image)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<SpinLock> guard(lock_);
     SPECPMT_ASSERT(image.size() == volatileImage_.size());
     volatileImage_ = image;
     persistentImage_ = image;
     mirrorAll();
-    dirtyLines_.clear();
-    pendingLines_.clear();
+    clearLineState();
     ++stats_.crashes;
 }
 
 void
 PmemDevice::drainAll(TrafficClass cls)
 {
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::vector<std::uint64_t> dirty(dirtyLines_.begin(),
-                                     dirtyLines_.end());
-    std::sort(dirty.begin(), dirty.end());
-    for (std::uint64_t line : dirty)
+    std::lock_guard<SpinLock> guard(lock_);
+    forEachDirtyLine([&](std::uint64_t line) {
         clwbLocked(line * kCacheLineSize, cls);
-    for (const auto &[line, snapshot] : pendingLines_) {
-        std::memcpy(persistentImage_.data() + line * kCacheLineSize,
-                    snapshot.data(), kCacheLineSize);
-        mirrorLine(line);
-    }
-    pendingLines_.clear();
+    });
+    promotePending();
     ++stats_.fences;
     ++obs::traceContext().cost.fences;
     if (timed())
@@ -672,15 +730,16 @@ PmemDevice::drainAll(TrafficClass cls)
 bool
 PmemDevice::isLineDirty(PmOff off) const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return dirtyLines_.count(lineIndex(off)) > 0;
+    std::lock_guard<SpinLock> guard(lock_);
+    const std::uint64_t line = lineIndex(off);
+    return line < dirty_.size() && dirty_[line] != 0;
 }
 
 std::size_t
 PmemDevice::dirtyLineCount() const
 {
-    std::lock_guard<std::mutex> guard(mutex_);
-    return dirtyLines_.size();
+    std::lock_guard<SpinLock> guard(lock_);
+    return dirtyCount_;
 }
 
 } // namespace specpmt::pmem

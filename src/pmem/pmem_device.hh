@@ -38,11 +38,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/spin_lock.hh"
 #include "common/types.hh"
 #include "pmem/crash_policy.hh"
 #include "pmem/pmem_timing.hh"
@@ -210,9 +210,12 @@ struct DeviceStats
 };
 
 /**
- * The emulated device. Thread-safe: all mutating entry points take an
- * internal lock, because software SpecPMT runs worker threads alongside
- * a background log reclaimer.
+ * The emulated device. Thread-safe: each entry point runs under one
+ * internal spin lock, because software SpecPMT runs worker threads
+ * alongside a background log reclaimer (DESIGN section 17). The views
+ * stats(), raw(), persistentRaw() and timing(), and the reset in
+ * clearStats(), do not take it: they are exact only while no other
+ * thread uses the device.
  */
 class PmemDevice
 {
@@ -307,7 +310,7 @@ class PmemDevice
     void
     compute(SimNs ns)
     {
-        std::lock_guard<std::mutex> guard(mutex_);
+        std::lock_guard<SpinLock> guard(lock_);
         if (timed())
             timing_.compute(ns);
     }
@@ -322,7 +325,7 @@ class PmemDevice
     void
     timeOnlyCallingThread()
     {
-        std::lock_guard<std::mutex> guard(mutex_);
+        std::lock_guard<SpinLock> guard(lock_);
         timedThreadOnly_ = true;
         timedThread_ = std::this_thread::get_id();
     }
@@ -452,11 +455,30 @@ class PmemDevice
     /// @}
 
   private:
-    using Line = std::array<std::uint8_t, kCacheLineSize>;
+    /** A flushed-but-unfenced line: its contents at flush time. */
+    struct PendingLine
+    {
+        std::uint64_t line;
+        std::array<std::uint8_t, kCacheLineSize> bytes;
+    };
 
     void checkRange(PmOff off, std::size_t size) const;
     void clwbLocked(PmOff off, TrafficClass cls);
+    /** Count and time one effective flush of @p line. */
+    void accountFlush(std::uint64_t line, TrafficClass cls);
     void maybeCrash();
+    void markDirty(std::uint64_t line);
+    void clearDirty(std::uint64_t line);
+    /** Call @p fn on every dirty line, in ascending order. */
+    template <typename Fn> void forEachDirtyLine(Fn fn) const;
+    /** Snapshot the line's current contents as its pending write. */
+    void snapshotLine(std::uint64_t line);
+    /** Drop the line's pending snapshot, if any. */
+    void dropPending(std::uint64_t line);
+    /** Move every pending snapshot into the persistent image. */
+    void promotePending();
+    /** Forget every dirty flag and pending snapshot (power loss). */
+    void clearLineState();
     /** Throw MediaError if [off,off+size) overlaps @p lines. */
     void checkMediaLines(
         const std::unordered_set<std::uint64_t> &lines,
@@ -474,13 +496,17 @@ class PmemDevice
                std::this_thread::get_id() == timedThread_;
     }
 
-    mutable std::mutex mutex_;
+    mutable SpinLock lock_;
     std::vector<std::uint8_t> volatileImage_;
     std::vector<std::uint8_t> persistentImage_;
-    /** Lines with stores newer than any flush. */
-    std::unordered_set<std::uint64_t> dirtyLines_;
-    /** Flushed-but-unfenced line snapshots, keyed by line index. */
-    std::unordered_map<std::uint64_t, Line> pendingLines_;
+    /** Per line: 1 if it holds stores newer than any flush. */
+    std::vector<std::uint8_t> dirty_;
+    /** Number of lines whose dirty_ flag is set. */
+    std::size_t dirtyCount_ = 0;
+    /** Per line: 1 + its index in pending_, or 0 if not pending. */
+    std::vector<std::uint32_t> pendingSlot_;
+    /** Flushed-but-unfenced snapshots, in no particular order. */
+    std::vector<PendingLine> pending_;
     DeviceStats stats_;
     /** stats_ values already flushed by publishMetrics(). */
     DeviceStats published_;

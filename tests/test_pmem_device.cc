@@ -1,14 +1,22 @@
 /**
  * @file
  * Tests of the emulated persistence domain: store/flush/fence
- * semantics, crash policies, crash injection, traffic accounting.
+ * semantics, crash policies, crash injection, traffic accounting, a
+ * reference model of the persistence semantics, and a concurrency
+ * stress test of the device lock.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
+#include <map>
+#include <set>
 #include <thread>
+#include <vector>
 
+#include "common/rand.hh"
 #include "pmem/pmem_device.hh"
 
 namespace specpmt::pmem
@@ -110,6 +118,18 @@ TEST(PmemDevice, NtStoreBypassesCacheButNeedsFence)
     EXPECT_EQ(persisted, value);
 }
 
+TEST(PmemDevice, ZeroLengthNtstoreIsANoOp)
+{
+    PmemDevice dev(1 << 16);
+    const std::uint64_t value = 0xF00Du;
+    dev.ntstore(100, &value, 0);
+    EXPECT_EQ(dev.stats().stores, 0u);
+    EXPECT_EQ(dev.stats().totalClwbs(), 0u);
+    EXPECT_EQ(dev.persistEventId(), 0u);
+    EXPECT_EQ(dev.crashImage(CrashPolicy::everything()),
+              dev.crashImage(CrashPolicy::nothing()));
+}
+
 TEST(PmemDevice, DrainAllPersistsEverything)
 {
     PmemDevice dev(1 << 16);
@@ -206,6 +226,381 @@ TEST(PmemDevice, OutOfRangeAccessDies)
 {
     PmemDevice dev(1 << 12);
     EXPECT_DEATH(dev.storeT<std::uint64_t>((1 << 12) - 4, 1), "range");
+}
+
+/**
+ * The device's persistence semantics written out with ordered
+ * containers: dirty lines in a std::set, pending snapshots in a
+ * std::map. crashImage() draws RandomSubset decisions for pending
+ * lines in ascending order, then for dirty lines in ascending order,
+ * one Rng draw each; crashmatrix replay tokens and the golden files
+ * depend on that order.
+ */
+class ReferenceDevice
+{
+  public:
+    using Line = std::array<std::uint8_t, kCacheLineSize>;
+
+    explicit ReferenceDevice(std::size_t size)
+        : volatile_(size, 0), persistent_(size, 0)
+    {}
+
+    void
+    store(PmOff off, const std::uint8_t *src, std::size_t size)
+    {
+        if (size == 0)
+            return;
+        ++events;
+        std::memcpy(volatile_.data() + off, src, size);
+        for (auto line = lineIndex(off); line <= lineIndex(off + size - 1);
+             ++line)
+            dirty.insert(line);
+        ++stats.stores;
+        stats.storeBytes += size;
+    }
+
+    void
+    clwb(std::uint64_t line, TrafficClass cls)
+    {
+        if (!dirty.count(line))
+            return;
+        ++events;
+        pending[line] = lineOf(volatile_, line);
+        dirty.erase(line);
+        ++stats.clwbs[static_cast<unsigned>(cls)];
+    }
+
+    void
+    clwbRange(PmOff off, std::size_t size, TrafficClass cls)
+    {
+        if (size == 0)
+            return;
+        for (auto line = lineIndex(off); line <= lineIndex(off + size - 1);
+             ++line)
+            clwb(line, cls);
+    }
+
+    void
+    ntstore(PmOff off, const std::uint8_t *src, std::size_t size,
+            TrafficClass cls)
+    {
+        ++events;
+        std::memcpy(volatile_.data() + off, src, size);
+        ++stats.stores;
+        stats.storeBytes += size;
+        for (auto line = lineIndex(off); line <= lineIndex(off + size - 1);
+             ++line) {
+            pending[line] = lineOf(volatile_, line);
+            dirty.erase(line);
+            ++stats.clwbs[static_cast<unsigned>(cls)];
+        }
+    }
+
+    void
+    adrPersist(PmOff off, std::size_t size, TrafficClass cls)
+    {
+        if (size == 0)
+            return;
+        ++events;
+        for (auto line = lineIndex(off); line <= lineIndex(off + size - 1);
+             ++line) {
+            setLine(persistent_, line, lineOf(volatile_, line));
+            dirty.erase(line);
+            pending.erase(line);
+            ++stats.clwbs[static_cast<unsigned>(cls)];
+        }
+    }
+
+    void
+    sfence()
+    {
+        ++events;
+        if (!dropFences)
+            promotePending();
+        ++stats.fences;
+    }
+
+    void
+    drainAll(TrafficClass cls)
+    {
+        const std::set<std::uint64_t> lines = dirty;
+        for (std::uint64_t line : lines)
+            clwb(line, cls);
+        promotePending();
+        ++stats.fences;
+    }
+
+    std::vector<std::uint8_t>
+    crashImage(const CrashPolicy &policy) const
+    {
+        std::vector<std::uint8_t> image = persistent_;
+        Rng rng(policy.seed);
+        auto persists = [&] {
+            switch (policy.mode) {
+              case CrashMode::NothingExtra:
+                return false;
+              case CrashMode::EverythingDrains:
+                return true;
+              case CrashMode::RandomSubset:
+                return rng.chance(policy.persistProbability);
+            }
+            return false;
+        };
+        for (const auto &[line, snapshot] : pending)
+            if (persists())
+                setLine(image, line, snapshot);
+        for (std::uint64_t line : dirty)
+            if (persists())
+                setLine(image, line, lineOf(volatile_, line));
+        return image;
+    }
+
+    void
+    simulateCrash(const CrashPolicy &policy)
+    {
+        persistent_ = crashImage(policy);
+        volatile_ = persistent_;
+        dirty.clear();
+        pending.clear();
+        ++stats.crashes;
+    }
+
+    const std::vector<std::uint8_t> &
+    volatileImage() const
+    {
+        return volatile_;
+    }
+
+    std::set<std::uint64_t> dirty;
+    std::map<std::uint64_t, Line> pending;
+    DeviceStats stats;
+    std::uint64_t events = 0;
+    bool dropFences = false;
+
+  private:
+    static Line
+    lineOf(const std::vector<std::uint8_t> &image, std::uint64_t line)
+    {
+        Line out;
+        std::memcpy(out.data(), image.data() + line * kCacheLineSize,
+                    kCacheLineSize);
+        return out;
+    }
+
+    static void
+    setLine(std::vector<std::uint8_t> &image, std::uint64_t line,
+            const Line &bytes)
+    {
+        std::memcpy(image.data() + line * kCacheLineSize, bytes.data(),
+                    kCacheLineSize);
+    }
+
+    void
+    promotePending()
+    {
+        for (const auto &[line, snapshot] : pending)
+            setLine(persistent_, line, snapshot);
+        pending.clear();
+    }
+
+    std::vector<std::uint8_t> volatile_;
+    std::vector<std::uint8_t> persistent_;
+};
+
+void
+expectSameState(const PmemDevice &dev, const ReferenceDevice &model,
+                std::uint64_t crashSeed)
+{
+    for (const CrashPolicy &policy :
+         {CrashPolicy::nothing(), CrashPolicy::everything(),
+          CrashPolicy::random(crashSeed),
+          CrashPolicy::random(crashSeed, 0.2)})
+        ASSERT_EQ(dev.crashImage(policy), model.crashImage(policy))
+            << crashModeName(policy.mode) << " seed " << policy.seed;
+    ASSERT_EQ(std::memcmp(dev.raw(), model.volatileImage().data(),
+                          model.volatileImage().size()),
+              0);
+    for (std::uint64_t line = 0;
+         line < model.volatileImage().size() / kCacheLineSize; ++line)
+        ASSERT_EQ(dev.isLineDirty(line * kCacheLineSize),
+                  model.dirty.count(line) > 0)
+            << "line " << line;
+    ASSERT_EQ(dev.dirtyLineCount(), model.dirty.size());
+    const DeviceStats &got = dev.stats();
+    const DeviceStats &want = model.stats;
+    ASSERT_EQ(got.stores, want.stores);
+    ASSERT_EQ(got.storeBytes, want.storeBytes);
+    ASSERT_EQ(got.loads, want.loads);
+    for (unsigned cls = 0; cls < 3; ++cls)
+        ASSERT_EQ(got.clwbs[cls], want.clwbs[cls]) << "class " << cls;
+    ASSERT_EQ(got.fences, want.fences);
+    ASSERT_EQ(got.crashes, want.crashes);
+    ASSERT_EQ(dev.persistEventId(), model.events);
+}
+
+TEST(PmemDevice, MatchesReferenceModelOnRandomStreams)
+{
+    constexpr std::size_t kLines = 256;
+    constexpr std::size_t kSize = kLines * kCacheLineSize;
+    constexpr unsigned kOps = 12000;
+    constexpr unsigned kCheckEvery = 97;
+
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        PmemDevice dev(kSize);
+        ReferenceDevice model(kSize);
+        Rng rng(seed);
+        std::vector<std::uint8_t> buffer(4 * kCacheLineSize);
+        // Mostly short accesses, some spanning up to four lines.
+        auto pickSpan = [&](std::size_t minSize) {
+            const std::size_t size = rng.chance(0.8)
+                ? rng.range(minSize, 16)
+                : rng.range(minSize, buffer.size());
+            const PmOff off = rng.below(kSize - size + 1);
+            return std::pair<PmOff, std::size_t>(off, size);
+        };
+        auto pickClass = [&] {
+            return static_cast<TrafficClass>(rng.below(3));
+        };
+
+        for (unsigned op = 0; op < kOps; ++op) {
+            const std::uint64_t kind = rng.below(100);
+            if (kind < 35) {
+                const auto [off, size] = pickSpan(0);
+                for (std::size_t i = 0; i < size; ++i)
+                    buffer[i] = static_cast<std::uint8_t>(rng.next());
+                dev.store(off, buffer.data(), size);
+                model.store(off, buffer.data(), size);
+            } else if (kind < 45) {
+                const auto [off, size] = pickSpan(1);
+                std::vector<std::uint8_t> got(size);
+                dev.load(off, got.data(), size);
+                ++model.stats.loads;
+                ASSERT_EQ(std::memcmp(got.data(),
+                                      model.volatileImage().data() + off,
+                                      size),
+                          0);
+            } else if (kind < 60) {
+                // Half the flushes aim at a line the model knows is
+                // dirty; the rest land on clean or pending lines too.
+                std::uint64_t line = rng.below(kLines);
+                if (rng.chance(0.5) && !model.dirty.empty()) {
+                    const auto it = model.dirty.lower_bound(line);
+                    line = it != model.dirty.end() ? *it
+                                                   : *model.dirty.begin();
+                }
+                const TrafficClass cls = pickClass();
+                dev.clwb(line * kCacheLineSize + rng.below(kCacheLineSize),
+                         cls);
+                model.clwb(line, cls);
+            } else if (kind < 68) {
+                const auto [off, size] = pickSpan(0);
+                const TrafficClass cls = pickClass();
+                dev.clwbRange(off, size, cls);
+                model.clwbRange(off, size, cls);
+            } else if (kind < 74) {
+                const auto [off, size] = pickSpan(1);
+                for (std::size_t i = 0; i < size; ++i)
+                    buffer[i] = static_cast<std::uint8_t>(rng.next());
+                const TrafficClass cls = pickClass();
+                dev.ntstore(off, buffer.data(), size, cls);
+                model.ntstore(off, buffer.data(), size, cls);
+            } else if (kind < 78) {
+                const auto [off, size] = pickSpan(0);
+                const TrafficClass cls = pickClass();
+                dev.adrPersist(off, size, cls);
+                model.adrPersist(off, size, cls);
+            } else if (kind < 94) {
+                dev.sfence();
+                model.sfence();
+            } else if (kind < 96) {
+                const TrafficClass cls = pickClass();
+                dev.drainAll(cls);
+                model.drainAll(cls);
+            } else if (kind < 99) {
+                model.dropFences = !model.dropFences;
+                dev.injectFault(model.dropFences ? DeviceFault::DropFences
+                                                 : DeviceFault::None);
+            } else if (rng.chance(0.2)) {
+                const CrashPolicy policy = CrashPolicy::random(rng.next());
+                dev.simulateCrash(policy);
+                model.simulateCrash(policy);
+            }
+            if (op % kCheckEvery == 0 || op + 1 == kOps) {
+                ASSERT_NO_FATAL_FAILURE(
+                    expectSameState(dev, model, seed * 1000 + op));
+            }
+        }
+        EXPECT_GT(model.stats.fences, 0u);
+        EXPECT_GT(model.stats.totalClwbs(), 0u);
+    }
+}
+
+TEST(PmemDeviceConcurrency, ParallelFenceRoundsKeepCountsAndImages)
+{
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kLinesPerThread = 8;
+    constexpr unsigned kRounds = 4000;
+    PmemDevice dev(1 << 16);
+
+    std::atomic<bool> done{false};
+    std::atomic<unsigned> observed{0};
+    std::thread observer([&] {
+        std::uint64_t lastEvent = 0;
+        while (!done.load()) {
+            const auto image = dev.crashImage(CrashPolicy::nothing());
+            EXPECT_EQ(image.size(), dev.size());
+            EXPECT_LE(dev.dirtyLineCount(), kThreads * kLinesPerThread);
+            const std::uint64_t event = dev.persistEventId();
+            EXPECT_GE(event, lastEvent);
+            lastEvent = event;
+            observed.fetch_add(1);
+        }
+    });
+
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&dev, t] {
+            for (std::uint64_t round = 0; round < kRounds; ++round) {
+                const PmOff off =
+                    (t * kLinesPerThread + round % kLinesPerThread) *
+                    kCacheLineSize;
+                const std::uint64_t value = (std::uint64_t{t} << 32) | round;
+                dev.storeT(off, value);
+                EXPECT_EQ(dev.loadT<std::uint64_t>(off), value);
+                dev.clwb(off);
+                dev.sfence();
+            }
+        });
+    }
+    for (auto &worker : workers)
+        worker.join();
+    done.store(true);
+    observer.join();
+    EXPECT_GT(observed.load(), 0u);
+
+    const std::uint64_t ops = std::uint64_t{kThreads} * kRounds;
+    const DeviceStats &stats = dev.stats();
+    EXPECT_EQ(stats.stores, ops);
+    EXPECT_EQ(stats.loads, ops);
+    EXPECT_EQ(stats.clwbs[static_cast<unsigned>(TrafficClass::Data)], ops);
+    EXPECT_EQ(stats.fences, ops);
+    EXPECT_EQ(dev.persistEventId(), 3 * ops);
+    EXPECT_EQ(dev.dirtyLineCount(), 0u);
+
+    // Each line holds the last value its owner fenced.
+    const auto image = dev.crashImage(CrashPolicy::nothing());
+    for (unsigned t = 0; t < kThreads; ++t) {
+        for (std::uint64_t round = kRounds - kLinesPerThread;
+             round < kRounds; ++round) {
+            const PmOff off =
+                (t * kLinesPerThread + round % kLinesPerThread) *
+                kCacheLineSize;
+            std::uint64_t persisted;
+            std::memcpy(&persisted, image.data() + off, sizeof persisted);
+            EXPECT_EQ(persisted, (std::uint64_t{t} << 32) | round);
+        }
+    }
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Microbenchmarks (google-benchmark) of the primitive costs the paper
  * reasons about: the per-update persist barrier of undo logging vs
  * the fence-free speculative append, commit anatomy, checksum cost,
- * the sequential-vs-random PM write gap of the timing model, and the
- * host cost of the emulated device's own calls.
+ * the sequential-vs-random PM write gap of the timing model, the
+ * host cost of the emulated device's own calls, and the restart path
+ * (a device crash, SpecTx recovery).
  *
  * Two time domains appear here: google-benchmark measures host CPU
  * time of the emulation (a proxy for implementation overhead), and
@@ -16,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <memory>
 
 #include "common/crc32.hh"
 #include "core/spec_tx.hh"
@@ -203,6 +205,65 @@ BM_DeviceLoad(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DeviceLoad)->Threads(1)->Threads(2)->UseRealTime();
+
+void
+BM_DeviceSimulateCrash(benchmark::State &state)
+{
+    // The device's share of a restart: a crash of a 64 MiB device with
+    // N lines dirty, spread over the whole device. Wall ns per crash.
+    const auto lines = static_cast<std::uint64_t>(state.range(0));
+    pmem::PmemDevice dev(64u << 20);
+    const std::uint64_t stride = dev.size() / kCacheLineSize / lines;
+    std::uint64_t round = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        ++round;
+        for (std::uint64_t i = 0; i < lines; ++i)
+            dev.storeT<std::uint64_t>(i * stride * kCacheLineSize, round);
+        state.ResumeTiming();
+        dev.simulateCrash(pmem::CrashPolicy::nothing());
+    }
+}
+BENCHMARK(BM_DeviceSimulateCrash)->Arg(64)->Arg(16384)->UseRealTime();
+
+void
+BM_SpecTxRecover(benchmark::State &state)
+{
+    // SpecTx::recover() alone over a log of N committed transactions,
+    // each rewriting one whole line of a 4,096-line hot set, as KV
+    // puts rewrite hot buckets. Recovery keeps the log, so every
+    // iteration replays the same records.
+    const auto records = static_cast<std::uint64_t>(state.range(0));
+    pmem::PmemDevice dev(256u << 20);
+    pmem::PmemPool pool(dev);
+    core::SpecTxConfig config;
+    config.backgroundReclaim = false;
+    {
+        core::SpecTx tx(pool, 1, config);
+        const PmOff data = pool.allocAligned(4096 * kCacheLineSize,
+                                             kCacheLineSize);
+        std::array<std::uint64_t, kCacheLineSize / 8> line{};
+        for (std::uint64_t i = 0; i < records; ++i) {
+            line.fill(i);
+            tx.txBegin(0);
+            tx.txStoreT(0, data + (i * 977 % 4096) * kCacheLineSize,
+                        line);
+            tx.txCommit(0);
+        }
+    }
+    for (auto _ : state) {
+        state.PauseTiming();
+        dev.simulateCrash(pmem::CrashPolicy::nothing());
+        pool.reopenAfterCrash();
+        auto tx = std::make_unique<core::SpecTx>(pool, 1, config);
+        state.ResumeTiming();
+        tx->recover();
+        state.PauseTiming();
+        tx.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_SpecTxRecover)->Arg(10000)->Arg(100000)->UseRealTime();
 
 } // namespace
 

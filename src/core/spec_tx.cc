@@ -998,7 +998,11 @@ SpecTx::recover()
     }
 
     // Replay every fresh record in global chronological order: redo
-    // for committed transactions, undo for interrupted ones.
+    // for committed transactions, undo for interrupted ones. All
+    // stores first, then one flush pass (a line the pass already
+    // flushed is clean, so each replayed line is written back once),
+    // then one fence. The log is not written before that fence, so a
+    // crash in here leaves it intact and recovery simply reruns.
     std::sort(txs.begin(), txs.end(),
               [](const CommittedTx &a, const CommittedTx &b) {
                   return a.ts < b.ts;
@@ -1009,9 +1013,12 @@ SpecTx::recover()
             value.resize(entry.size);
             dev_.load(entry.valuePos, value.data(), entry.size);
             dev_.store(entry.dataOff, value.data(), entry.size);
+        }
+    }
+    for (const auto &tx : txs) {
+        for (const auto &entry : tx.entries)
             dev_.clwbRange(entry.dataOff, entry.size,
                            pmem::TrafficClass::Data);
-        }
     }
     dev_.sfence();
 

@@ -1,6 +1,7 @@
 #include "core/splog_format.hh"
 
 #include <cstring>
+#include <unordered_set>
 
 #include "common/crc32.hh"
 #include "common/logging.hh"
@@ -230,6 +231,7 @@ walkChain(const pmem::PmemDevice &dev, PmOff head_block,
               &on_quarantine)
 {
     WalkResult result;
+    std::unordered_set<PmOff> visited;
     PmOff block = head_block;
     while (block != kPmNull) {
         // Validate the block header before adopting the block: a block
@@ -250,11 +252,9 @@ walkChain(const pmem::PmemDevice &dev, PmOff head_block,
         // A corrupted chain pointer aimed at an already-visited block
         // would loop forever; offline inspection of damaged images
         // must terminate on arbitrary garbage.
-        for (PmOff seen : result.blocks) {
-            if (seen == block) {
-                result.end = WalkEnd::TornRecord;
-                return result;
-            }
+        if (!visited.insert(block).second) {
+            result.end = WalkEnd::TornRecord;
+            return result;
         }
         result.blocks.push_back(block);
         result.tailBlock = block;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <map>
 #include <thread>
 
@@ -72,6 +73,36 @@ struct KvMetrics
     }
 };
 
+/**
+ * Run @p fn(s) for every shard s, one thread per shard with shard 0 on
+ * the calling thread. Every thread is joined, also when a shard
+ * throws; then the first failure in shard order is rethrown.
+ */
+template <typename Fn>
+void
+forEachShardInParallel(unsigned shards, Fn fn)
+{
+    std::vector<std::exception_ptr> failures(shards);
+    auto run = [&](unsigned s) {
+        try {
+            fn(s);
+        } catch (...) {
+            failures[s] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> workers;
+    workers.reserve(shards);
+    for (unsigned s = 1; s < shards; ++s)
+        workers.emplace_back(run, s);
+    run(0);
+    for (auto &worker : workers)
+        worker.join();
+    for (const auto &failure : failures) {
+        if (failure)
+            std::rethrow_exception(failure);
+    }
+}
+
 } // namespace
 
 KvValue
@@ -106,42 +137,41 @@ KvService::KvService(const KvServiceConfig &config) : config_(config)
     SPECPMT_ASSERT(txn::isRuntimeName(config_.runtime));
 
     shards_.reserve(config_.shards);
-    for (unsigned s = 0; s < config_.shards; ++s) {
-        auto shard = std::make_unique<Shard>();
+    for (unsigned s = 0; s < config_.shards; ++s)
+        shards_.push_back(std::make_unique<Shard>());
+    forEachShardInParallel(config_.shards, [this](unsigned s) {
+        Shard &shard = *shards_[s];
         if (config_.pmDir.empty()) {
-            shard->device = std::make_unique<pmem::PmemDevice>(
+            shard.device = std::make_unique<pmem::PmemDevice>(
                 config_.shardPoolBytes);
         } else {
-            shard->device = std::make_unique<pmem::PmemDevice>(
+            shard.device = std::make_unique<pmem::PmemDevice>(
                 config_.shardPoolBytes,
-                config_.pmDir + "/shard-" + std::to_string(s) +
-                    ".pm");
+                config_.pmDir + "/shard-" + std::to_string(s) + ".pm");
         }
-        shard->pool = std::make_unique<pmem::PmemPool>(*shard->device);
-        if (shard->device->hadExistingData()) {
+        shard.pool = std::make_unique<pmem::PmemPool>(*shard.device);
+        if (shard.device->hadExistingData()) {
             // Reattach: the backing file holds a pre-kill image, which
             // recovers exactly as the post-crash path does.
-            recoverShard(*shard);
-        } else {
-            if (config_.flightRecorder)
-                forensic::FlightRecorder::create(*shard->pool);
-            shard->runtime =
-                txn::makeRuntime(config_.runtime, *shard->pool,
-                                 config_.threads,
-                                 config_.runtimeOptions);
-            shard->map.emplace(
-                Map::create(*shard->runtime,
-                            config_.bucketsPerShard));
-            shard->pool->setRoot(txn::kAppRootSlotBase,
-                                 shard->map->base());
-            shard->flight =
-                forensic::FlightRecorder::attach(*shard->pool);
+            recoverShard(shard);
+            return;
         }
-        shard->sealLagGauge = &obs::Registry::global().gauge(
+        if (config_.flightRecorder)
+            forensic::FlightRecorder::create(*shard.pool);
+        shard.runtime = txn::makeRuntime(config_.runtime, *shard.pool,
+                                         config_.threads,
+                                         config_.runtimeOptions);
+        shard.map.emplace(
+            Map::create(*shard.runtime, config_.bucketsPerShard));
+        shard.pool->setRoot(txn::kAppRootSlotBase, shard.map->base());
+        shard.flight = forensic::FlightRecorder::attach(*shard.pool);
+    });
+    // After the join, so the registry sees the shards in order.
+    for (unsigned s = 0; s < config_.shards; ++s) {
+        shards_[s]->sealLagGauge = &obs::Registry::global().gauge(
             "specpmt_epoch_seal_lag",
             "relaxed epoch tickets issued but not yet sealed",
             {{"shard", std::to_string(s)}});
-        shards_.push_back(std::move(shard));
     }
 }
 
@@ -556,12 +586,9 @@ KvService::recover()
 {
     SPECPMT_TRACE_SPAN("kv_recover", "recovery");
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (auto &shard : shards_)
-        workers.emplace_back([this, &shard] { recoverShard(*shard); });
-    for (auto &worker : workers)
-        worker.join();
+    forEachShardInParallel(config_.shards, [this](unsigned s) {
+        recoverShard(*shards_[s]);
+    });
     KvMetrics::get().recoveries.add();
     KvMetrics::get().lastRecoveryNs.set(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -29,9 +29,11 @@
  * level, so a racing get() observes each bucket entirely before or
  * entirely after a concurrent mutation.
  *
- * After a simulated power failure, recover() rebuilds every shard in
- * parallel (one recovery thread per shard — the shards' logs are
- * fully independent).
+ * The constructor builds (or reattaches) the shards, and recover()
+ * rebuilds them after a simulated power failure, in parallel: one
+ * thread per shard, the shards' logs being fully independent. A shard
+ * that fails there does not take the process down; its exception
+ * reaches the caller once every shard's thread has finished.
  */
 
 #ifndef SPECPMT_KV_KV_SERVICE_HH
@@ -358,7 +360,9 @@ class KvService
 
     /**
      * Post-crash recovery: rebuild every shard's runtime and replay
-     * its logs, one recovery thread per shard.
+     * its logs, one recovery thread per shard. Rethrows the first
+     * failure in shard order (e.g. pmem::MediaError from a poisoned
+     * map header) after every shard's thread has been joined.
      */
     void recover();
 

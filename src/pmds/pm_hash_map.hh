@@ -119,7 +119,9 @@ class PmHashMap
         const auto slot = findSlot(tid, key, true);
         if (!slot)
             return false;
-        Bucket bucket;
+        // Zeroed, pad included: the whole bucket reaches PM, and a
+        // crash image must not depend on stale stack bytes.
+        Bucket bucket{};
         bucket.state = 1;
         bucket.key = key;
         bucket.value = value;

@@ -312,6 +312,7 @@ PmemDevice::applyFaultPlan(const FaultPlan &plan)
             persistentImage_[line * kCacheLineSize + byte] ^=
                 static_cast<std::uint8_t>(1u << bit);
             mirrorLine(line);
+            staleLines_.push_back(line);
             ++corrupted;
         }
     }
@@ -447,13 +448,15 @@ template <typename Fn>
 void
 PmemDevice::forEachDirtyLine(Fn fn) const
 {
-    // Stops after the last dirty line rather than at the device end.
-    std::size_t left = dirtyCount_;
-    for (std::uint64_t line = 0; left > 0; ++line) {
-        if (dirty_[line]) {
-            --left;
-            fn(line);
-        }
+    // memchr skips clean runs a vector at a time, and the walk stops
+    // after the last dirty line rather than at the device end.
+    const std::uint8_t *base = dirty_.data();
+    const std::uint8_t *end = base + dirty_.size();
+    const std::uint8_t *at = base;
+    for (std::size_t left = dirtyCount_; left > 0; --left, ++at) {
+        at = static_cast<const std::uint8_t *>(
+            std::memchr(at, 1, static_cast<std::size_t>(end - at)));
+        fn(static_cast<std::uint64_t>(at - base));
     }
 }
 
@@ -499,11 +502,12 @@ PmemDevice::promotePending()
 void
 PmemDevice::clearLineState()
 {
-    std::fill(dirty_.begin(), dirty_.end(), 0);
+    forEachDirtyLine([&](std::uint64_t line) { dirty_[line] = 0; });
     dirtyCount_ = 0;
     for (const PendingLine &pending : pending_)
         pendingSlot_[pending.line] = 0;
     pending_.clear();
+    staleLines_.clear();
 }
 
 void
@@ -644,13 +648,11 @@ PmemDevice::adrPersist(PmOff off, std::size_t size, TrafficClass cls)
     }
 }
 
-std::vector<std::uint8_t>
-PmemDevice::crashImage(const CrashPolicy &policy) const
+template <typename Fn>
+void
+PmemDevice::forEachCrashWrite(const CrashPolicy &policy, Fn write) const
 {
-    std::lock_guard<SpinLock> guard(lock_);
-    std::vector<std::uint8_t> image = persistentImage_;
     Rng rng(policy.seed);
-
     auto persists = [&](void) -> bool {
         switch (policy.mode) {
           case CrashMode::NothingExtra:
@@ -671,32 +673,55 @@ PmemDevice::crashImage(const CrashPolicy &policy) const
         pending_lines.push_back(pending.line);
     std::sort(pending_lines.begin(), pending_lines.end());
     for (std::uint64_t line : pending_lines) {
-        if (persists()) {
-            std::memcpy(image.data() + line * kCacheLineSize,
-                        pending_[pendingSlot_[line] - 1].bytes.data(),
-                        kCacheLineSize);
-        }
+        if (persists())
+            write(line, pending_[pendingSlot_[line] - 1].bytes.data());
     }
 
     // Dirty lines may have been evicted with their current contents.
     forEachDirtyLine([&](std::uint64_t line) {
-        if (persists()) {
-            std::memcpy(image.data() + line * kCacheLineSize,
-                        volatileImage_.data() + line * kCacheLineSize,
-                        kCacheLineSize);
-        }
+        if (persists())
+            write(line, volatileImage_.data() + line * kCacheLineSize);
     });
+}
+
+std::vector<std::uint8_t>
+PmemDevice::crashImage(const CrashPolicy &policy) const
+{
+    std::lock_guard<SpinLock> guard(lock_);
+    std::vector<std::uint8_t> image = persistentImage_;
+    forEachCrashWrite(policy,
+                      [&](std::uint64_t line, const std::uint8_t *bytes) {
+                          std::memcpy(image.data() + line * kCacheLineSize,
+                                      bytes, kCacheLineSize);
+                      });
     return image;
 }
 
 void
 PmemDevice::simulateCrash(const CrashPolicy &policy)
 {
-    auto image = crashImage(policy);
     std::lock_guard<SpinLock> guard(lock_);
-    persistentImage_ = image;
-    volatileImage_ = std::move(image);
-    mirrorAll();
+    // In place: the persistent image takes the lines the policy lets
+    // drain, then every line whose volatile bytes may differ from it
+    // (dirty, pending or stale) collapses onto it. All other lines
+    // already agree (DESIGN section 18).
+    forEachCrashWrite(policy,
+                      [&](std::uint64_t line, const std::uint8_t *bytes) {
+                          std::memcpy(persistentImage_.data() +
+                                          line * kCacheLineSize,
+                                      bytes, kCacheLineSize);
+                          mirrorLine(line);
+                      });
+    auto collapse = [&](std::uint64_t line) {
+        std::memcpy(volatileImage_.data() + line * kCacheLineSize,
+                    persistentImage_.data() + line * kCacheLineSize,
+                    kCacheLineSize);
+    };
+    for (const PendingLine &pending : pending_)
+        collapse(pending.line);
+    forEachDirtyLine(collapse);
+    for (std::uint64_t line : staleLines_)
+        collapse(line);
     clearLineState();
     ++stats_.crashes;
 }

@@ -344,7 +344,9 @@ class PmemDevice
 
     /**
      * Simulate a power failure: the volatile state collapses to the
-     * crash image, all cache/WPQ state is lost.
+     * crash image, all cache/WPQ state is lost. Leaves both images
+     * equal to crashImage(@p policy), but works in place: it costs the
+     * dirty, pending and stale lines, not the device size.
      */
     void simulateCrash(const CrashPolicy &policy);
 
@@ -477,7 +479,16 @@ class PmemDevice
     void dropPending(std::uint64_t line);
     /** Move every pending snapshot into the persistent image. */
     void promotePending();
-    /** Forget every dirty flag and pending snapshot (power loss). */
+    /**
+     * Run the crash draws of @p policy: pending lines in ascending
+     * order, then dirty lines in ascending order, one Rng draw per
+     * line under RandomSubset. Calls @p write(line, bytes) for each
+     * line that persists, with the bytes it persists with. crashImage()
+     * and simulateCrash() share it, so their images cannot drift apart.
+     */
+    template <typename Fn>
+    void forEachCrashWrite(const CrashPolicy &policy, Fn write) const;
+    /** Forget every dirty flag, pending snapshot and stale line. */
     void clearLineState();
     /** Throw MediaError if [off,off+size) overlaps @p lines. */
     void checkMediaLines(
@@ -529,6 +540,13 @@ class PmemDevice
     /** Virtual-clock thread filter (see timeOnlyCallingThread). */
     bool timedThreadOnly_ = false;
     std::thread::id timedThread_;
+    /**
+     * Lines whose persistent bytes applyFaultPlan() flipped since the
+     * last crash. Outside these, dirty_ and pending_, the volatile and
+     * persistent images agree, which lets simulateCrash() work in
+     * place. May repeat a line.
+     */
+    std::vector<std::uint64_t> staleLines_;
 };
 
 } // namespace specpmt::pmem

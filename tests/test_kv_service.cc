@@ -225,6 +225,61 @@ TEST(KvService, ParallelRecoveryAfterConcurrentRun)
     service.shutdown();
 }
 
+TEST(KvService, ParallelRecoveryRethrowsShardFailure)
+{
+    KvServiceConfig config = crashTestConfig("spec");
+    config.shards = 2;
+    KvService service(config);
+    for (KvKey key = 1; key <= 32; ++key)
+        ASSERT_TRUE(service.put(0, key, KvValue::tagged(key, key)));
+    const PmOff header =
+        service.shardRuntime(1).pool().getRoot(txn::kAppRootSlotBase);
+    ASSERT_NE(header, kPmNull);
+
+    // Poison shard 1's map-header line after the crash: its log replay
+    // still succeeds, but re-attaching the map reads the header and
+    // fails on a recovery thread. recover() must hand that failure to
+    // the caller after joining both shards, not terminate.
+    service.crash(pmem::CrashPolicy::nothing());
+    pmem::FaultPlan plan;
+    plan.poisonLines = 1;
+    plan.regionStart = lineIndex(header) * kCacheLineSize;
+    plan.regionEnd = plan.regionStart + kCacheLineSize;
+    service.shardDevice(1).applyFaultPlan(plan);
+    EXPECT_THROW(service.recover(), pmem::MediaError);
+}
+
+/** Fill the stack area that a following call reuses with @p value. */
+[[gnu::noinline]] void
+scribbleStack(std::uint8_t value)
+{
+    volatile std::uint8_t junk[16384];
+    for (auto &byte : junk)
+        byte = value;
+}
+
+TEST(KvService, CrashImageHoldsNoStackBytes)
+{
+    // The same puts on two fresh services, with different bytes left
+    // on the stack before each put, must give byte-identical crash
+    // images. crashmatrix prunes crash points by image, and a bucket's
+    // pad bytes reach PM with the rest of it.
+    std::vector<std::vector<std::uint8_t>> images;
+    for (const std::uint8_t pattern : {0x00, 0xA5}) {
+        KvServiceConfig config = crashTestConfig("spec");
+        config.shards = 1;
+        KvService service(config);
+        for (KvKey key = 1; key <= 16; ++key) {
+            scribbleStack(static_cast<std::uint8_t>(pattern + key));
+            ASSERT_TRUE(service.put(0, key, KvValue::tagged(key, key)));
+        }
+        images.push_back(service.shardDevice(0).crashImage(
+            pmem::CrashPolicy::everything()));
+        service.shutdown();
+    }
+    EXPECT_TRUE(images[0] == images[1]);
+}
+
 TEST(ZipfianGenerator, SkewsTowardLowRanks)
 {
     ZipfianGenerator zipf(1000, 0.99);

@@ -2,19 +2,23 @@
  * @file
  * Tests of the emulated persistence domain: store/flush/fence
  * semantics, crash policies, crash injection, traffic accounting, a
- * reference model of the persistence semantics, and a concurrency
- * stress test of the device lock.
+ * reference model of the persistence semantics, the in-place crash
+ * against crashImage(), and a concurrency stress test of the device
+ * lock.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <set>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/rand.hh"
 #include "pmem/pmem_device.hh"
@@ -534,6 +538,112 @@ TEST(PmemDevice, MatchesReferenceModelOnRandomStreams)
         EXPECT_GT(model.stats.fences, 0u);
         EXPECT_GT(model.stats.totalClwbs(), 0u);
     }
+}
+
+/**
+ * Drive @p dev with a seeded stream of every persistence operation:
+ * multi-line stores, clwb and clwbRange, ntstore, adrPersist, sfence,
+ * drainAll, DropFences toggles and latent-corruption fault plans.
+ * @p crash(op) runs between operations.
+ */
+template <typename Crash>
+void
+runCrashStream(PmemDevice &dev, std::uint64_t seed, unsigned ops,
+               Crash crash)
+{
+    Rng rng(seed);
+    const std::size_t size = dev.size();
+    std::vector<std::uint8_t> buffer(4 * kCacheLineSize);
+    bool drop_fences = false;
+    for (unsigned op = 0; op < ops; ++op) {
+        const std::size_t len = rng.range(1, buffer.size());
+        const PmOff off = rng.below(size - len + 1);
+        const std::uint64_t kind = rng.below(100);
+        if (kind < 40) {
+            for (std::size_t i = 0; i < len; ++i)
+                buffer[i] = static_cast<std::uint8_t>(rng.next());
+            dev.store(off, buffer.data(), len);
+        } else if (kind < 52) {
+            dev.clwb(off);
+        } else if (kind < 62) {
+            dev.clwbRange(off, len);
+        } else if (kind < 68) {
+            for (std::size_t i = 0; i < len; ++i)
+                buffer[i] = static_cast<std::uint8_t>(rng.next());
+            dev.ntstore(off, buffer.data(), len);
+        } else if (kind < 72) {
+            dev.adrPersist(off, len);
+        } else if (kind < 86) {
+            dev.sfence();
+        } else if (kind < 88) {
+            dev.drainAll();
+        } else if (kind < 91) {
+            drop_fences = !drop_fences;
+            dev.injectFault(drop_fences ? DeviceFault::DropFences
+                                        : DeviceFault::None);
+        } else if (kind < 93) {
+            FaultPlan plan;
+            plan.seed = rng.next();
+            plan.corruptLines = 1 + rng.below(3);
+            dev.applyFaultPlan(plan);
+        } else {
+            crash(op);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(PmemDevice, InPlaceCrashEqualsCrashImage)
+{
+    constexpr std::size_t kSize = 256 * kCacheLineSize;
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(seed);
+        PmemDevice dev(kSize);
+        unsigned crashes = 0;
+        runCrashStream(dev, seed, 6000, [&](unsigned op) {
+            const CrashPolicy policies[] = {CrashPolicy::nothing(),
+                                            CrashPolicy::everything(),
+                                            CrashPolicy::random(op)};
+            const CrashPolicy &policy = policies[crashes++ % 3];
+            const auto want = dev.crashImage(policy);
+            dev.simulateCrash(policy);
+            ASSERT_EQ(std::memcmp(dev.raw(), want.data(), kSize), 0)
+                << crashModeName(policy.mode) << " at op " << op;
+            ASSERT_EQ(std::memcmp(dev.persistentRaw(), want.data(), kSize),
+                      0)
+                << crashModeName(policy.mode) << " at op " << op;
+            ASSERT_EQ(dev.dirtyLineCount(), 0u);
+            ASSERT_EQ(dev.crashImage(CrashPolicy::nothing()), want);
+        });
+        EXPECT_GT(crashes, 100u);
+        EXPECT_EQ(dev.stats().crashes, crashes);
+    }
+}
+
+TEST(PmemDevice, CrashKeepsBackingFileEqualToPersistentImage)
+{
+    constexpr std::size_t kSize = 256 * kCacheLineSize;
+    char path[] = "/tmp/specpmt_crash_mirror.XXXXXX";
+    const int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    ::close(fd);
+    {
+        PmemDevice dev(kSize, path);
+        unsigned crashes = 0;
+        runCrashStream(dev, 7, 3000, [&](unsigned op) {
+            dev.simulateCrash(CrashPolicy::random(op));
+            ++crashes;
+            PmemDevice reopened(kSize, path);
+            ASSERT_TRUE(reopened.hadExistingData());
+            ASSERT_EQ(std::memcmp(reopened.persistentRaw(),
+                                  dev.persistentRaw(), kSize),
+                      0)
+                << "after the crash at op " << op;
+        });
+        EXPECT_GT(crashes, 50u);
+    }
+    ::unlink(path);
 }
 
 TEST(PmemDeviceConcurrency, ParallelFenceRoundsKeepCountsAndImages)

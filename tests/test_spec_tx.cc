@@ -564,6 +564,61 @@ TEST_F(SpecTxTest, CrashDuringRecoveryThenRecoverAgain)
         EXPECT_EQ(dev_.loadT<std::uint64_t>(off + i * 8), 900 + i);
 }
 
+TEST_F(SpecTxTest, RecoveryFlushesEachReplayedLineOnce)
+{
+    // Fifty committed records rewrite one 8-byte slot: the replay
+    // stores all of them, then writes the slot's line back once.
+    const PmOff off = initSlots(1);
+    for (std::uint64_t round = 1; round <= 50; ++round) {
+        tx_.txBegin(0);
+        tx_.txStoreT<std::uint64_t>(0, off, round);
+        tx_.txCommit(0);
+    }
+    dev_.simulateCrash(pmem::CrashPolicy::nothing());
+    pool_.reopenAfterCrash();
+    SpecTx fresh(pool_, 1, testConfig());
+    const auto data_clwbs =
+        dev_.stats().clwbs[static_cast<unsigned>(pmem::TrafficClass::Data)];
+    fresh.recover();
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off), 50u);
+    EXPECT_EQ(dev_.stats()
+                      .clwbs[static_cast<unsigned>(pmem::TrafficClass::Data)] -
+                  data_clwbs,
+              1u);
+}
+
+TEST_F(SpecTxTest, RecoveryLeavesEveryReplayedLineDurable)
+{
+    for (const pmem::CrashPolicy &policy :
+         {pmem::CrashPolicy::nothing(), pmem::CrashPolicy::everything(),
+          pmem::CrashPolicy::random(5)}) {
+        SCOPED_TRACE(pmem::crashModeName(policy.mode));
+        pmem::PmemDevice dev(4u << 20);
+        pmem::PmemPool pool(dev);
+        PmOff off = kPmNull;
+        {
+            SpecTx tx(pool, 1, testConfig());
+            off = pool.alloc(64 * 8);
+            for (std::uint64_t round = 0; round < 40; ++round) {
+                tx.txBegin(0);
+                for (unsigned i = 0; i < 64; i += 1 + round % 5)
+                    tx.txStoreT<std::uint64_t>(0, off + i * 8, round + i);
+                tx.txCommit(0);
+            }
+            // One interrupted transaction for the replay to undo.
+            tx.txBegin(0);
+            tx.txStoreT<std::uint64_t>(0, off, 999);
+            dev.simulateCrash(policy);
+        }
+        pool.reopenAfterCrash();
+        SpecTx fresh(pool, 1, testConfig());
+        fresh.recover();
+        EXPECT_EQ(dev.dirtyLineCount(), 0u);
+        const auto image = dev.crashImage(pmem::CrashPolicy::nothing());
+        EXPECT_EQ(std::memcmp(image.data(), dev.raw(), dev.size()), 0);
+    }
+}
+
 TEST_F(SpecTxTest, PeakLogBytesTracksGrowth)
 {
     const PmOff off = initSlots(8);

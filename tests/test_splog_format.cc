@@ -159,6 +159,37 @@ TEST_F(SplogFormatTest, TornBlockHeaderEndsWalkBeforeTheBlock)
     ASSERT_EQ(walk.blocks.size(), 1u);
 }
 
+TEST_F(SplogFormatTest, ChainThatRevisitsABlockEndsAsTornRecord)
+{
+    // A corrupted next pointer aimed back into the chain: a self-loop
+    // (one block) and a two-block loop. Either walk must stop at the
+    // revisit, having seen each block's segment exactly once.
+    const PmOff second = kBase + 4096;
+    for (const bool two_blocks : {false, true}) {
+        SCOPED_TRACE(two_blocks ? "two-block loop" : "self-loop");
+        writeBlock(kBase, 4096, two_blocks ? second : kBase);
+        writeSegment(kBase + sizeof(BlockHeader), 1, true, {1});
+        if (two_blocks) {
+            writeBlock(second, 4096, kBase);
+            writeSegment(second + sizeof(BlockHeader), 2, true, {2});
+        }
+
+        std::vector<TxTimestamp> stamps;
+        const auto walk =
+            walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
+                stamps.push_back(seg.timestamp);
+            });
+        EXPECT_EQ(walk.end, WalkEnd::TornRecord);
+        if (two_blocks) {
+            EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1, 2}));
+            EXPECT_EQ(walk.blocks, (std::vector<PmOff>{kBase, second}));
+        } else {
+            EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1}));
+            EXPECT_EQ(walk.blocks, (std::vector<PmOff>{kBase}));
+        }
+    }
+}
+
 TEST_F(SplogFormatTest, NonFinalSegmentsReportFlag)
 {
     writeBlock(kBase, 4096, kPmNull);

@@ -4,8 +4,8 @@
  * reasons about: the per-update persist barrier of undo logging vs
  * the fence-free speculative append, commit anatomy, checksum cost,
  * the sequential-vs-random PM write gap of the timing model, the
- * host cost of the emulated device's own calls, and the restart path
- * (a device crash, SpecTx recovery).
+ * host cost of the emulated device's own calls, the restart path
+ * (a device crash, SpecTx recovery), and a KV shard's map creation.
  *
  * Two time domains appear here: google-benchmark measures host CPU
  * time of the emulation (a proxy for implementation overhead), and
@@ -21,8 +21,11 @@
 
 #include "common/crc32.hh"
 #include "core/spec_tx.hh"
+#include "kv/kv_service.hh"
+#include "pmds/pm_hash_map.hh"
 #include "pmem/pmem_device.hh"
 #include "pmem/pmem_pool.hh"
+#include "txn/runtime_factory.hh"
 #include "txn/undo_tx.hh"
 
 using namespace specpmt;
@@ -264,6 +267,31 @@ BM_SpecTxRecover(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SpecTxRecover)->Arg(10000)->Arg(100000)->UseRealTime();
+
+void
+BM_HashMapCreate(benchmark::State &state)
+{
+    // PmHashMap::create of a kv-a shard's 131,072 buckets on a fresh
+    // 64 MiB pool under the "spec" runtime, reclaimer included, as a
+    // KvService shard builds it. Device and runtime set-up and
+    // teardown stay outside the timed region.
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto dev = std::make_unique<pmem::PmemDevice>(64u << 20);
+        auto pool = std::make_unique<pmem::PmemPool>(*dev);
+        auto rt = txn::makeRuntime("spec", *pool, 1);
+        state.ResumeTiming();
+        auto map = pmds::PmHashMap<std::uint64_t, kv::KvValue>::create(
+            *rt, 131072);
+        benchmark::DoNotOptimize(map.base());
+        state.PauseTiming();
+        rt.reset();
+        pool.reset();
+        dev.reset();
+        state.ResumeTiming();
+    }
+}
+BENCHMARK(BM_HashMapCreate)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 } // namespace
 

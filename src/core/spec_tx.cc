@@ -370,7 +370,8 @@ void
 SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
                     std::size_t size)
 {
-    const std::size_t bytes = entryBytes(size);
+    const bool zero = src == nullptr;
+    const std::size_t bytes = zero ? sizeof(EntryHead) : entryBytes(size);
     const PmOff base = log.tailBlock;
     const auto cap = static_cast<std::size_t>(
         dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
@@ -383,14 +384,17 @@ SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
     }
 
     const PmOff pos = log.tailBlock + log.tailPos;
-    EntryHead head{off, static_cast<std::uint32_t>(size), 0};
+    EntryHead head{off, static_cast<std::uint32_t>(size),
+                   zero ? kEntryZero : 0};
     dev_.storeT(pos, head);
-    dev_.store(pos + sizeof(EntryHead), src, size);
+    if (!zero) {
+        dev_.store(pos + sizeof(EntryHead), src, size);
+        log.entryIndex[entryKey(off, size)] = pos + sizeof(EntryHead);
+    }
 
     auto &seg = log.openSegs.back();
     seg.bytes += bytes;
     ++seg.numEntries;
-    log.entryIndex[entryKey(off, size)] = pos + sizeof(EntryHead);
     log.tailPos += bytes;
     SpecTxMetrics::get().logBytesWritten.add(bytes);
     obs::traceContext().cost.logBytes += bytes;
@@ -427,6 +431,22 @@ SpecTx::txBegin(ThreadId tid)
     }
 }
 
+bool
+SpecTx::capturePreImages(ThreadLog &log, PmOff off, std::size_t size)
+{
+    // Volatile pre-images for fast abort.
+    std::size_t fresh = 0;
+    for (const auto &[gap_off, gap_size] : log.captured.uncovered(off,
+                                                                  size)) {
+        std::vector<std::uint8_t> old_value(gap_size);
+        dev_.load(gap_off, old_value.data(), gap_size);
+        log.preImages.emplace_back(gap_off, std::move(old_value));
+        log.captured.add(gap_off, gap_size);
+        fresh += gap_size;
+    }
+    return fresh != size;
+}
+
 void
 SpecTx::txStore(ThreadId tid, PmOff off, const void *src, std::size_t size)
 {
@@ -434,14 +454,7 @@ SpecTx::txStore(ThreadId tid, PmOff off, const void *src, std::size_t size)
     SPECPMT_ASSERT(log.inTx);
     SPECPMT_ASSERT(size > 0);
 
-    // Capture pre-images (volatile) for fast abort.
-    for (const auto &[gap_off, gap_size] : log.captured.uncovered(off,
-                                                                  size)) {
-        std::vector<std::uint8_t> old_value(gap_size);
-        dev_.load(gap_off, old_value.data(), gap_size);
-        log.preImages.emplace_back(gap_off, std::move(old_value));
-        log.captured.add(gap_off, gap_size);
-    }
+    const bool overlaps = capturePreImages(log, off, size);
 
     // splog: record the *new* value; a repeated update of the same
     // datum overwrites its existing log entry in place so only the
@@ -455,11 +468,44 @@ SpecTx::txStore(ThreadId tid, PmOff off, const void *src, std::size_t size)
         SpecTxMetrics::get().dedupHits.add();
         ++obs::traceContext().cost.dedupHits;
     } else {
+        // Recovery replays entries in log order. Once an entry covers
+        // bytes an earlier entry of this transaction logged under
+        // another (off,size) key, rewriting that earlier entry in
+        // place would replay it first and lose the rewrite: forget
+        // every dedup position, so later stores append after it.
+        if (overlaps)
+            log.entryIndex.clear();
         appendEntry(log, off, src, size);
     }
 
     // In-place durable update — no flush, no fence.
     dev_.store(off, src, size);
+    if (config_.dataPersistOnCommit)
+        log.writeSet.add(off, size);
+}
+
+void
+SpecTx::txZero(ThreadId tid, PmOff off, std::size_t size)
+{
+    auto &log = threadLog(tid);
+    SPECPMT_ASSERT(log.inTx);
+    SPECPMT_ASSERT(size > 0);
+    // The bounds entryKey() enforces on a value entry at append.
+    SPECPMT_ASSERT(off < (1ull << 32) && size < (1ull << 32));
+
+    // The range entry replays after every earlier entry of this
+    // transaction, so none of them may absorb a later store (see
+    // txStore).
+    if (capturePreImages(log, off, size))
+        log.entryIndex.clear();
+    appendEntry(log, off, nullptr, size);
+
+    // Zero in place — no flush, no fence, as txStore. The zeros are
+    // not user bytes: specpmt_pm_user_bytes_total counts txStore
+    // payloads.
+    for (std::size_t done = 0; done < size; done += sizeof(kZeroChunk))
+        dev_.store(off + done, kZeroChunk,
+                   std::min(sizeof(kZeroChunk), size - done));
     if (config_.dataPersistOnCommit)
         log.writeSet.add(off, size);
 }
@@ -1011,7 +1057,7 @@ SpecTx::recover()
     for (const auto &tx : txs) {
         for (const auto &entry : tx.entries) {
             value.resize(entry.size);
-            dev_.load(entry.valuePos, value.data(), entry.size);
+            entryValue(dev_, entry, value.data());
             dev_.store(entry.dataOff, value.data(), entry.size);
         }
     }
@@ -1289,7 +1335,7 @@ SpecTx::reclaimCycle()
                     if (newest.at(entryKey(entry.dataOff,
                                            entry.size)) == group.ts) {
                         compacted.entries.push_back(entry);
-                        fresh_bytes += entryBytes(entry.size);
+                        fresh_bytes += entry.logBytes();
                     }
                 }
             }
@@ -1368,20 +1414,24 @@ SpecTx::reclaimCycle()
         for (const auto &seg : fresh_segments) {
             std::size_t seg_bytes = sizeof(SegHead);
             for (const auto &entry : seg.entries)
-                seg_bytes += entryBytes(entry.size);
+                seg_bytes += entry.logBytes();
             ensure(seg_bytes);
 
             const PmOff base = compact_blocks.back();
             const PmOff seg_pos = base + tail_pos;
             PmOff cursor = seg_pos + sizeof(SegHead);
             for (const auto &entry : seg.entries) {
-                EntryHead ehead{entry.dataOff, entry.size, 0};
+                // A zero range moves as its head alone.
+                EntryHead ehead{entry.dataOff, entry.size,
+                                entry.zero ? kEntryZero : 0};
                 dev_.storeT(cursor, ehead);
-                value.resize(entry.size);
-                dev_.load(entry.valuePos, value.data(), entry.size);
-                dev_.store(cursor + sizeof(EntryHead), value.data(),
-                           entry.size);
-                cursor += entryBytes(entry.size);
+                if (!entry.zero) {
+                    value.resize(entry.size);
+                    entryValue(dev_, entry, value.data());
+                    dev_.store(cursor + sizeof(EntryHead), value.data(),
+                               entry.size);
+                }
+                cursor += entry.logBytes();
             }
             SegHead head;
             head.sizeBytes = static_cast<std::uint32_t>(seg_bytes);

@@ -92,6 +92,8 @@ class SpecTx : public txn::TxRuntime
     void txBegin(ThreadId tid) override;
     void txStore(ThreadId tid, PmOff off, const void *src,
                  std::size_t size) override;
+    /** Zero in place and log one head-only zero range (DESIGN §19). */
+    void txZero(ThreadId tid, PmOff off, std::size_t size) override;
     void txCommit(ThreadId tid) override;
 
     /** @name Epoch group commit (Section: DESIGN §12) */
@@ -212,9 +214,17 @@ class SpecTx : public txn::TxRuntime
     /** Open a new segment at the tail (attaching a block if needed). */
     void openSegment(ThreadLog &log);
 
-    /** Append one entry (assumes a segment is open). */
+    /** Append one entry (assumes a segment is open); a null @p src
+     * appends a zero range, the head alone. */
     void appendEntry(ThreadLog &log, PmOff off, const void *src,
                      std::size_t size);
+
+    /**
+     * Capture the pre-images of [off, off+size) this transaction has
+     * not yet captured. @return true when it had already stored some
+     * of those bytes.
+     */
+    bool capturePreImages(ThreadLog &log, PmOff off, std::size_t size);
 
     /** Write zero poison at the tail so walkers stop there. */
     void poisonTail(ThreadLog &log);

@@ -51,6 +51,26 @@ epochFrontierValid(const EpochFrontier &frontier)
            frontier.crc == epochFrontierCrc(frontier);
 }
 
+void
+entryValue(const pmem::PmemDevice &dev, const DecodedEntry &entry,
+           void *out)
+{
+    if (entry.zero)
+        std::memset(out, 0, entry.size);
+    else
+        dev.load(entry.valuePos, out, entry.size);
+}
+
+void
+entryValue(const std::uint8_t *image, const DecodedEntry &entry,
+           void *out)
+{
+    if (entry.zero)
+        std::memset(out, 0, entry.size);
+    else
+        std::memcpy(out, image + entry.valuePos, entry.size);
+}
+
 namespace
 {
 
@@ -207,13 +227,22 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
                 return WalkEnd::TornRecord; // crc matched garbage?
             EntryHead ehead;
             std::memcpy(&ehead, body + cursor, sizeof(ehead));
-            if (ehead.size == 0 ||
-                cursor + entryBytes(ehead.size) > body_bytes)
+            if (ehead.size == 0 || (ehead.flags & ~kEntryZero) != 0)
                 return WalkEnd::TornRecord;
-            seg.entries.push_back({ehead.off, ehead.size,
-                                   pos + sizeof(SegHead) + cursor +
-                                       sizeof(EntryHead)});
-            cursor += entryBytes(ehead.size);
+            const bool zero = (ehead.flags & kEntryZero) != 0;
+            // A zero range's size is not bounded by its segment, as a
+            // value's is: bound it by the device instead.
+            if (zero && (ehead.off > dev.size() ||
+                         ehead.size > dev.size() - ehead.off))
+                return WalkEnd::TornRecord;
+            const DecodedEntry entry{
+                ehead.off, ehead.size, zero,
+                zero ? kPmNull
+                     : pos + sizeof(SegHead) + cursor + sizeof(EntryHead)};
+            if (cursor + entry.logBytes() > body_bytes)
+                return WalkEnd::TornRecord;
+            seg.entries.push_back(entry);
+            cursor += entry.logBytes();
         }
 
         visit(seg);

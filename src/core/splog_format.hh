@@ -13,7 +13,11 @@
  * A segment is:
  *
  *   [SegHead crc|sizeBytes|timestamp|flags|numEntries]
- *   [EntryHead off|size][value, 8-aligned] * numEntries
+ *   [EntryHead off|size|flags][value, 8-aligned] * numEntries
+ *
+ * An entry flagged kEntryZero is a head-only *zero range*: it says
+ * bytes [off, off+size) are zero as of the segment's timestamp and
+ * carries no value bytes (DESIGN §19).
  *
  * The crc covers everything after the crc field and is written only at
  * commit — it doubles as the commit flag (a torn or absent crc means
@@ -105,11 +109,14 @@ struct EntryHead
 {
     std::uint64_t off;
     std::uint32_t size;
-    std::uint32_t pad;
+    std::uint32_t flags; ///< kEntry* bits; 0 for a value entry
 };
 static_assert(sizeof(EntryHead) == 16);
 
-/** Bytes an entry occupies in the log. */
+/** Entry flag: a zero range, the head alone (see file comment). */
+constexpr std::uint32_t kEntryZero = 0x1;
+
+/** Bytes a value entry occupies in the log. */
 constexpr std::size_t
 entryBytes(std::size_t value_size)
 {
@@ -164,8 +171,30 @@ struct DecodedEntry
 {
     PmOff dataOff;   ///< address the entry describes
     std::uint32_t size;
+    bool zero;       ///< a kEntryZero range: no value bytes
     PmOff valuePos;  ///< where the logged value lives in the log area
+                     ///< (kPmNull for a zero range)
+
+    /** Bytes the entry occupies in the log. */
+    std::size_t
+    logBytes() const
+    {
+        return zero ? sizeof(EntryHead) : entryBytes(size);
+    }
 };
+
+/**
+ * The @c size bytes @p entry says [dataOff, dataOff+size) holds, copied
+ * into @p out: the logged value, read from the log image @p dev, or
+ * zeros for a zero range. Every reader of entries (recovery, the
+ * reclaimer, the hybrid runtime, the recovery audit) goes through it.
+ */
+void entryValue(const pmem::PmemDevice &dev, const DecodedEntry &entry,
+                void *out);
+
+/** As above, for a raw image (caller checks valuePos is in bounds). */
+void entryValue(const std::uint8_t *image, const DecodedEntry &entry,
+                void *out);
 
 /** A decoded, checksum-valid segment. */
 struct DecodedSegment

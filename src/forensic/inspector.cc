@@ -392,6 +392,11 @@ InspectReport::toText() const
                    " ts=" + std::to_string(tx.ts) +
                    " segs=" + std::to_string(tx.segs.size()) +
                    " entries=" + std::to_string(tx.entries.size());
+            const auto zero_ranges = std::count_if(
+                tx.entries.begin(), tx.entries.end(),
+                [](const core::DecodedEntry &e) { return e.zero; });
+            if (zero_ranges != 0)
+                out += " zero-ranges=" + std::to_string(zero_ranges);
             if (!tx.segs.empty()) {
                 const auto &first = tx.segs.front();
                 const auto &last = tx.segs.back();
@@ -508,8 +513,10 @@ InspectReport::toJson(const std::string &metrics_json) const
                     out += ", ";
                 first_entry = false;
                 out += "{\"off\": " + std::to_string(entry.dataOff) +
-                       ", \"size\": " + std::to_string(entry.size) +
-                       "}";
+                       ", \"size\": " + std::to_string(entry.size);
+                if (entry.zero)
+                    out += ", \"zero\": true";
+                out += "}";
             }
             out += "]}";
         }

@@ -97,7 +97,8 @@ struct TxReport
     std::string reason;
     std::vector<SegReport> segs;
     /** Decoded entries of the run (committed txs: what recovery will
-     * redo; value bytes still live in the image at valuePos). */
+     * redo; value bytes still live in the image at valuePos, and a
+     * zero range carries none). */
     std::vector<core::DecodedEntry> entries;
 };
 

@@ -1,7 +1,9 @@
 #include "forensic/recovery_audit.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <utility>
 
 #include "core/splog_walk.hh"
 #include "obs/metrics.hh"
@@ -58,8 +60,9 @@ auditRecovery(const std::vector<std::uint8_t> &image,
 
     // The inspector's independent prediction of recovery's data
     // writes: replay every committed entry in global timestamp order
-    // against a sparse byte map, values read from the *original*
-    // image (recovery may truncate the log area they live in).
+    // onto a copy of the image, values read from the *original* image
+    // (recovery may truncate the log area they live in), and note the
+    // byte intervals the entries touch.
     struct PendingTx
     {
         TxTimestamp ts;
@@ -76,22 +79,36 @@ auditRecovery(const std::vector<std::uint8_t> &image,
               [](const PendingTx &a, const PendingTx &b) {
                   return a.ts < b.ts;
               });
-    // Ordered so any byte-mismatch reporting is deterministic.
-    std::map<PmOff, std::uint8_t> expected;
+    const auto in_image = [&](PmOff off, std::size_t size) {
+        return off <= image.size() && size <= image.size() - off;
+    };
+    std::vector<std::uint8_t> expected = image;
+    std::vector<std::pair<PmOff, PmOff>> touched; ///< [start, end)
     for (const auto &pending : committed) {
         for (const auto &entry : pending.tx->entries) {
-            if (entry.valuePos + entry.size > image.size() ||
-                entry.dataOff + entry.size > image.size()) {
+            if ((!entry.zero && !in_image(entry.valuePos, entry.size)) ||
+                !in_image(entry.dataOff, entry.size)) {
                 result.disagreements.push_back(
                     "committed entry out of image bounds (off=" +
                     std::to_string(entry.dataOff) +
                     ", size=" + std::to_string(entry.size) + ")");
                 continue;
             }
-            for (std::uint32_t i = 0; i < entry.size; ++i)
-                expected[entry.dataOff + i] =
-                    image[entry.valuePos + i];
+            core::entryValue(image.data(), entry,
+                             expected.data() + entry.dataOff);
+            touched.emplace_back(entry.dataOff,
+                                 entry.dataOff + entry.size);
         }
+    }
+    // Disjoint and ascending, so mismatches report in address order.
+    std::sort(touched.begin(), touched.end());
+    std::vector<std::pair<PmOff, PmOff>> intervals;
+    for (const auto &[start, end] : touched) {
+        if (!intervals.empty() && start <= intervals.back().second)
+            intervals.back().second =
+                std::max(intervals.back().second, end);
+        else
+            intervals.emplace_back(start, end);
     }
 
     // Real recovery, on a throwaway copy.
@@ -151,15 +168,23 @@ auditRecovery(const std::vector<std::uint8_t> &image,
     // Check 3: every committed-entry byte matches the inspector's
     // chronological replay.
     std::size_t mismatches = 0;
-    for (const auto &[addr, value] : expected) {
-        std::uint8_t actual = 0;
-        dev->load(addr, &actual, 1);
-        if (actual != value && mismatches++ < 4) {
-            result.disagreements.push_back(
-                "byte at offset " + std::to_string(addr) +
-                " is " + std::to_string(actual) +
-                " after recovery; committed log records say " +
-                std::to_string(value));
+    std::vector<std::uint8_t> actual;
+    for (const auto &[start, end] : intervals) {
+        actual.resize(end - start);
+        dev->load(start, actual.data(), actual.size());
+        if (std::memcmp(actual.data(), expected.data() + start,
+                        actual.size()) == 0)
+            continue;
+        for (PmOff addr = start; addr < end; ++addr) {
+            const std::uint8_t got = actual[addr - start];
+            const std::uint8_t want = expected[addr];
+            if (got != want && mismatches++ < 4) {
+                result.disagreements.push_back(
+                    "byte at offset " + std::to_string(addr) +
+                    " is " + std::to_string(got) +
+                    " after recovery; committed log records say " +
+                    std::to_string(want));
+            }
         }
     }
     if (mismatches > 4) {

@@ -380,6 +380,13 @@ class OpenLoopRun
         if (it == outstanding_.end())
             return;
         Outstanding &op = it->second;
+        // Checked again at send time: a newer write of one of its
+        // keys may have been issued during the backoff, and this copy
+        // would land after it on the connection and roll it back.
+        if (!canRetry(op, id)) {
+            abandonUnknown(it);
+            return;
+        }
         Conn &conn = conns_[op.shard];
         if (conn.dead) {
             if (cfg_.reconnect) {

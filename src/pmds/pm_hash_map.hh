@@ -51,7 +51,11 @@ class PmHashMap
 
     /**
      * Allocate and initialize a map with @p buckets slots (a power of
-     * two) through committed transactions of @p rt.
+     * two) through committed transactions of @p rt. Every bucket
+     * starts empty (all zero bytes), zeroed by txZero in batches: one
+     * transaction must fit the per-thread log areas of the PMDK and
+     * SPHT runtimes, and under SpecTx each batch logs one head-only
+     * zero range that guards its buckets until they are written.
      */
     static PmHashMap
     create(txn::TxRuntime &rt, std::uint64_t buckets)
@@ -65,16 +69,12 @@ class PmHashMap
         rt.txCommit(0);
 
         PmHashMap map(rt, base, buckets);
-        Bucket empty{};
-        empty.state = 0;
         constexpr std::uint64_t kBatch = 128;
         for (std::uint64_t start = 0; start < buckets;
              start += kBatch) {
             rt.txBegin(0);
-            for (std::uint64_t i = start;
-                 i < std::min(start + kBatch, buckets); ++i) {
-                rt.txStoreT<Bucket>(0, map.bucketOff(i), empty);
-            }
+            rt.txZero(0, map.bucketOff(start),
+                      std::min(kBatch, buckets - start) * sizeof(Bucket));
             rt.txCommit(0);
         }
         return map;

@@ -410,16 +410,21 @@ HybridSpecTx::recover()
                 commit_segs.push_back(seg);
         });
 
+        // A sequence-cell entry's value: a sequence number.
+        const auto seq_value = [&](const core::DecodedEntry &entry) {
+            std::uint64_t seq = 0;
+            core::entryValue(dev_, entry, &seq);
+            return seq;
+        };
+
         // Committed sequence numbers are the values the commit
         // records wrote into this thread's sequence cell.
         std::unordered_set<std::uint64_t> committed_seqs;
         for (const auto &seg : commit_segs) {
             seedTimestamp(seg.timestamp);
             for (const auto &entry : seg.entries) {
-                if (entry.dataOff == seq_slot && entry.size == 8) {
-                    committed_seqs.insert(
-                        dev_.loadT<std::uint64_t>(entry.valuePos));
-                }
+                if (entry.dataOff == seq_slot && entry.size == 8)
+                    committed_seqs.insert(seq_value(entry));
             }
         }
 
@@ -428,7 +433,7 @@ HybridSpecTx::recover()
         const auto page_seg_seq = [&](const DecodedSegment &seg) {
             for (const auto &entry : seg.entries) {
                 if (entry.dataOff == seq_slot && entry.size == 8)
-                    return dev_.loadT<std::uint64_t>(entry.valuePos);
+                    return seq_value(entry);
             }
             return ~std::uint64_t{0};
         };
@@ -436,7 +441,7 @@ HybridSpecTx::recover()
         std::vector<std::uint8_t> value;
         const auto apply = [&](const core::DecodedEntry &entry) {
             value.resize(entry.size);
-            dev_.load(entry.valuePos, value.data(), entry.size);
+            core::entryValue(dev_, entry, value.data());
             dev_.store(entry.dataOff, value.data(), entry.size);
         };
 
@@ -475,7 +480,7 @@ HybridSpecTx::recover()
     for (const auto &commit : commits) {
         for (const auto &entry : commit.entries) {
             value.resize(entry.size);
-            dev_.load(entry.valuePos, value.data(), entry.size);
+            core::entryValue(dev_, entry, value.data());
             dev_.store(entry.dataOff, value.data(), entry.size);
         }
     }

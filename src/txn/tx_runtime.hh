@@ -16,8 +16,10 @@
 #ifndef SPECPMT_TXN_TX_RUNTIME_HH
 #define SPECPMT_TXN_TX_RUNTIME_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 
 #include "common/types.hh"
@@ -79,6 +81,23 @@ class TxRuntime
     /** Transactional in-place store of @p size bytes at @p off. */
     virtual void txStore(ThreadId tid, PmOff off, const void *src,
                          std::size_t size) = 0;
+
+    /**
+     * Transactional zeroing of @p size bytes at @p off: crash-atomic
+     * with the transaction's other stores, like txStore of that many
+     * zero bytes. Default: zeros stored through txStore in chunks.
+     * SpecTx overrides it to log one head-only zero range instead of
+     * the zeros themselves (DESIGN §19).
+     */
+    virtual void
+    txZero(ThreadId tid, PmOff off, std::size_t size)
+    {
+        for (std::size_t done = 0; done < size;
+             done += sizeof(kZeroChunk)) {
+            txStore(tid, off + done, kZeroChunk,
+                    std::min(sizeof(kZeroChunk), size - done));
+        }
+    }
 
     /** Transactional load (redirectable by out-of-place schemes). */
     virtual void
@@ -194,6 +213,9 @@ class TxRuntime
     unsigned numThreads() const { return numThreads_; }
 
   protected:
+    /** Zeros that txZero implementations store from, a chunk at a time. */
+    static constexpr std::uint8_t kZeroChunk[4096] = {};
+
     /** Monotonic commit timestamp source (the rdtscp analog). */
     TxTimestamp
     nextTimestamp()

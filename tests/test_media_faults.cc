@@ -64,13 +64,15 @@ writeEioAbortsAtomicallyAndRetriesRecover(const KvServiceConfig &config,
                                           Durability durability)
 {
     KvService service(config);
-    // EIO lines land in the log/heap area past the root directory;
-    // the seeded plan is deterministic, so this test always exercises
-    // the same fault set.
+    // EIO lines land just above the hash map, where the log grows
+    // next; the seeded plan is deterministic, so this test always
+    // exercises the same fault set.
     pmem::FaultPlan plan;
     plan.seed = 1;
     plan.eioLines = 64;
-    plan.regionStart = 65536;
+    plan.regionStart = service.shardRuntime(0).pool().allocAligned(
+        kCacheLineSize, kCacheLineSize);
+    plan.regionEnd = plan.regionStart + (64u << 10);
     service.shardDevice(0).applyFaultPlan(plan);
 
     std::uint64_t io = 0;

@@ -13,10 +13,14 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +29,7 @@
 #include "obs/metrics.hh"
 #include "forensic/recovery_audit.hh"
 #include "kv/kv_service.hh"
+#include "kv/workload_spec.hh"
 #include "net/client.hh"
 #include "net/loadgen.hh"
 #include "net/protocol.hh"
@@ -793,6 +798,245 @@ TEST(NetLoopback, AdmissionControlShedsBusyAndNeverLies)
         }
     }
     service.shutdown();
+}
+
+/**
+ * A one-shard loopback server for a one-key workload that stalls like
+ * a SIGSTOPped process: HELLO is answered at once, but every data
+ * request is held unanswered until a PUT id it has already held comes
+ * again after a newer PUT (a resend that lands behind a newer write),
+ * or until @p stallMs has passed since the first held request. Then
+ * the held requests execute in arrival order, later ones at once.
+ */
+class StallingServer
+{
+  public:
+    explicit StallingServer(int stallMs) : stallMs_(stallMs)
+    {
+        listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof(addr);
+        EXPECT_EQ(::bind(listener_, reinterpret_cast<sockaddr *>(&addr),
+                         sizeof(addr)),
+                  0);
+        EXPECT_EQ(::listen(listener_, 8), 0);
+        EXPECT_EQ(::getsockname(listener_,
+                                reinterpret_cast<sockaddr *>(&addr), &len),
+                  0);
+        port_ = ntohs(addr.sin_port);
+        thread_ = std::thread([this] { run(); });
+    }
+
+    ~StallingServer()
+    {
+        stop();
+        for (const Peer &peer : peers_)
+            ::close(peer.fd);
+        ::close(listener_);
+    }
+
+    std::uint16_t port() const { return port_; }
+
+    /** Stop serving; the accessors below read the stopped state. */
+    void
+    stop()
+    {
+        stop_ = true;
+        if (thread_.joinable())
+            thread_.join();
+    }
+
+    /** The key's value after every executed PUT. */
+    const std::optional<kv::KvValue> &value() const { return value_; }
+
+    /** Distinct PUT ids received. */
+    std::size_t distinctPuts() const { return putIds_.size(); }
+
+  private:
+    struct Peer
+    {
+        int fd = -1;
+        bool closed = false;
+        FrameDecoder decoder;
+    };
+
+    void
+    run()
+    {
+        using Clock = std::chrono::steady_clock;
+        while (!stop_) {
+            std::vector<pollfd> fds{{listener_, POLLIN, 0}};
+            std::vector<std::size_t> index;
+            for (std::size_t i = 0; i < peers_.size(); ++i) {
+                if (!peers_[i].closed) {
+                    fds.push_back({peers_[i].fd, POLLIN, 0});
+                    index.push_back(i);
+                }
+            }
+            ::poll(fds.data(), fds.size(), 10);
+            for (std::size_t i = 1; i < fds.size(); ++i) {
+                if (fds[i].revents == 0)
+                    continue;
+                Peer &peer = peers_[index[i - 1]];
+                std::uint8_t buf[4096];
+                const ssize_t n = ::read(peer.fd, buf, sizeof(buf));
+                if (n <= 0) {
+                    peer.closed = true;
+                    continue;
+                }
+                peer.decoder.feed(buf, static_cast<std::size_t>(n));
+                Frame frame;
+                std::string error;
+                while (peer.decoder.next(frame, error) ==
+                       FrameDecoder::Status::Frame)
+                    receive(peer.fd, frame);
+            }
+            if (fds[0].revents & POLLIN) {
+                const int fd = ::accept(listener_, nullptr, nullptr);
+                if (fd >= 0)
+                    peers_.push_back(Peer{fd, false, {}});
+            }
+            if (stalled_ && !held_.empty() &&
+                (resendBehindNewer_ ||
+                 Clock::now() - held_.front().at >=
+                     std::chrono::milliseconds(stallMs_))) {
+                stalled_ = false;
+                for (const Held &held : held_)
+                    execute(held.fd, held.frame);
+                held_.clear();
+            }
+        }
+    }
+
+    void
+    receive(int fd, const Frame &frame)
+    {
+        std::vector<std::uint8_t> out;
+        if (frame.op == Op::Hello) {
+            appendHelloOk(out, frame.id, /*shards=*/1, /*bound=*/0);
+            ::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
+            return;
+        }
+        if (frame.op == Op::Put) {
+            const auto it =
+                std::find(putIds_.begin(), putIds_.end(), frame.id);
+            if (it == putIds_.end())
+                putIds_.push_back(frame.id);
+            else if (stalled_ && *it != putIds_.back())
+                resendBehindNewer_ = true;
+        }
+        if (stalled_)
+            held_.push_back({fd, frame, std::chrono::steady_clock::now()});
+        else
+            execute(fd, frame);
+    }
+
+    void
+    execute(int fd, const Frame &frame)
+    {
+        std::vector<std::uint8_t> out;
+        kv::KvKey key = 0;
+        kv::KvValue value{};
+        if (frame.op == Op::Put && parsePut(frame, key, value)) {
+            value_ = value;
+            appendOk(out, frame.id);
+        } else if (frame.op == Op::Get && parseKey(frame, key)) {
+            if (value_)
+                appendValue(out, frame.id, *value_);
+            else
+                appendNotFound(out, frame.id);
+        } else {
+            appendErr(out, frame.id, ErrCode::BadFrame, "unexpected");
+        }
+        ::send(fd, out.data(), out.size(), MSG_NOSIGNAL);
+    }
+
+    struct Held
+    {
+        int fd;
+        Frame frame;
+        std::chrono::steady_clock::time_point at;
+    };
+
+    const int stallMs_;
+    int listener_ = -1;
+    std::uint16_t port_ = 0;
+    std::atomic<bool> stop_{false};
+    std::thread thread_;
+    std::vector<Peer> peers_;
+    bool stalled_ = true;
+    bool resendBehindNewer_ = false;
+    std::vector<Held> held_;
+    std::vector<std::uint64_t> putIds_;
+    std::optional<kv::KvValue> value_;
+};
+
+TEST(NetLoopback, TimedOutPutIsNotResentBehindANewerPut)
+{
+    // PUT, GET, PUT of one key at 0, 50 and 100 ms against a server
+    // that holds them unanswered. The GET wakes the client after the
+    // first PUT's 40 ms deadline, while that PUT is still the newest
+    // write of the key, so it is parked for a 100-200 ms backoff; the
+    // second PUT departs inside that backoff. Resending the first PUT
+    // then would put it behind the second on the connection and roll
+    // the key back to an older acked value. The server resumes at
+    // such a resend (or after 1 s) and executes in arrival order; the
+    // key must end at its newest acked value or at a write whose ack
+    // never came.
+    kv::WorkloadSpec workload;
+    workload.keys = 1;
+    workload.mix = kv::Mix::A;
+    workload.dist = kv::KeyDist::Uniform;
+    // The first seed whose three departures are PUT, GET, PUT; the
+    // load generator draws its timeline from worker 0's stream.
+    std::uint64_t seed = 1;
+    for (;; ++seed) {
+        kv::OpGenerator gen(workload, nullptr,
+                            kv::OpGenerator::workerSeed(seed, 0));
+        if (gen.next().kind == kv::WorkloadOp::Kind::Put &&
+            gen.next().kind == kv::WorkloadOp::Kind::Get &&
+            gen.next().kind == kv::WorkloadOp::Kind::Put)
+            break;
+    }
+
+    StallingServer server(/*stallMs=*/1000);
+    LoadgenConfig config;
+    config.port = server.port();
+    config.targetQps = 20;
+    config.seconds = 0.15;
+    config.arrival = Arrival::Fixed;
+    config.workload = workload;
+    config.seed = seed;
+    config.drainSeconds = 5.0;
+    config.requestTimeoutMs = 40;
+    config.maxRetries = 3;
+    config.backoffBaseMs = 100;
+    config.backoffMaxMs = 400;
+    const LoadgenResult result = runOpenLoop(config);
+    server.stop();
+
+    ASSERT_FALSE(result.aborted) << result.error;
+    ASSERT_EQ(server.distinctPuts(), 2u);
+    EXPECT_GE(result.timeouts, 1u);
+    ASSERT_TRUE(server.value().has_value());
+    constexpr kv::KvKey kKey = 1;
+    const kv::KvValue &value = *server.value();
+    bool accounted = true;
+    if (const auto acked = result.ackedPuts.find(kKey);
+        acked != result.ackedPuts.end() &&
+        !(value == kv::KvValue::tagged(kKey, acked->second))) {
+        accounted = false;
+        if (const auto unacked = result.unackedPuts.find(kKey);
+            unacked != result.unackedPuts.end()) {
+            for (const std::uint64_t payload : unacked->second)
+                accounted = accounted ||
+                            value == kv::KvValue::tagged(kKey, payload);
+        }
+    }
+    EXPECT_TRUE(accounted)
+        << "the key went back to an older acked value after a retry";
 }
 
 TEST(NetLoopback, HelloToASilentListenerFailsWithinItsTimeout)

@@ -14,12 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "forensic/inspector.hh"
 #include "forensic/recovery_audit.hh"
 #include "kv/kv_crash_workload.hh"
+#include "kv/kv_service.hh"
 #include "pmem/crash_policy.hh"
 #include "pmem/image_io.hh"
 #include "sim/crash_explorer.hh"
@@ -135,6 +139,57 @@ TEST(RecoveryAuditSweepTest, SpecDpRuntimeAgrees)
     cell.txCount = 10;
     cell.maxStoresPerTx = 4;
     sweepAndAudit(cell, sim::builtinCrashWorkloadFactory());
+}
+
+TEST(RecoveryAuditTest, PerfbenchShapedKvShardAgrees)
+{
+    // perfbench's kv shape: 2 shards of 131,072 buckets, 65,536 keys
+    // loaded in batches of 64, then updates; crash(nothing) leaves
+    // every bucket write to the log alone.
+    kv::KvServiceConfig config;
+    config.shards = 2;
+    config.threads = 2;
+    config.runtime = "spec";
+    config.bucketsPerShard = 131072;
+    kv::KvService service(config);
+    std::vector<std::pair<kv::KvKey, kv::KvValue>> batch;
+    for (kv::KvKey key = 1; key <= 65536; ++key) {
+        batch.emplace_back(key, kv::KvValue::tagged(key, 0));
+        if (batch.size() == 64) {
+            ASSERT_TRUE(service.multiPut(0, batch));
+            batch.clear();
+        }
+    }
+    for (kv::KvKey i = 0; i < 20000; ++i) {
+        const kv::KvKey key = 1 + (i * 7919) % 65536;
+        ASSERT_TRUE(service.put(0, key, kv::KvValue::tagged(key, i + 1)));
+    }
+    service.crash(pmem::CrashPolicy::nothing());
+    const auto &dev = service.shardDevice(0);
+    const std::vector<std::uint8_t> image(
+        dev.persistentRaw(), dev.persistentRaw() + dev.size());
+
+    const auto report =
+        inspectImage(*pmem::deviceFromImage(image), 2, "shard0");
+    // The map's creation logged one zero range per 128 buckets, and
+    // compaction keeps each one: it is the newest record of its key.
+    std::size_t zero_ranges = 0;
+    for (const auto &chain : report.chains) {
+        for (const auto &tx : chain.txs) {
+            zero_ranges += std::count_if(
+                tx.entries.begin(), tx.entries.end(),
+                [](const core::DecodedEntry &e) { return e.zero; });
+        }
+    }
+    EXPECT_EQ(zero_ranges, 131072u / 128);
+    EXPECT_NE(report.toJson().find("\"zero\": true"), std::string::npos);
+
+    const auto audit = auditRecovery(image, "spec", 2, report);
+    std::string detail;
+    for (const auto &d : audit.disagreements)
+        detail += "\n  " + d;
+    EXPECT_TRUE(audit.agrees) << detail;
+    EXPECT_EQ(audit.runtimeReplayedTxs, report.committed);
 }
 
 } // namespace

@@ -619,6 +619,195 @@ TEST_F(SpecTxTest, RecoveryLeavesEveryReplayedLineDurable)
     }
 }
 
+TEST_F(SpecTxTest, DedupNeverRewritesAnEntryAnOverlappingStoreFollows)
+{
+    // (A,8) is logged, then (A,16) overlaps it, then (A,8) again.
+    // Rewriting the first entry in place would put the last value
+    // before the (A,16) entry in replay order.
+    const PmOff off = initSlots(2);
+    const std::uint64_t pair[2] = {7, 8};
+    tx_.txBegin(0);
+    tx_.txStoreT<std::uint64_t>(0, off, 1);
+    tx_.txStore(0, off, pair, sizeof(pair));
+    tx_.txStoreT<std::uint64_t>(0, off, 2);
+    tx_.txCommit(0);
+
+    dev_.simulateCrash(pmem::CrashPolicy::nothing());
+    pool_.reopenAfterCrash();
+    SpecTx fresh(pool_, 1, testConfig());
+    fresh.recover();
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off), 2u);
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off + 8), 8u);
+}
+
+TEST_F(SpecTxTest, ZeroRangeLogsOneHeadOnlyEntry)
+{
+    const PmOff off = initSlots(1280); // 10 KiB of committed data
+    const PmOff head = pool_.getRoot(txn::logHeadSlot(0));
+    tx_.txBegin(0);
+    tx_.txZero(0, off, 1280 * 8);
+    tx_.txCommit(0);
+    for (unsigned i = 0; i < 1280; ++i)
+        ASSERT_EQ(dev_.loadT<std::uint64_t>(off + i * 8), 0u) << i;
+
+    DecodedSegment last;
+    walkChain(dev_, head,
+              [&](const DecodedSegment &seg) { last = seg; });
+    ASSERT_EQ(last.entries.size(), 1u);
+    EXPECT_TRUE(last.entries[0].zero);
+    EXPECT_EQ(last.entries[0].dataOff, off);
+    EXPECT_EQ(last.entries[0].size, 1280u * 8);
+    EXPECT_EQ(last.sizeBytes, sizeof(SegHead) + sizeof(EntryHead));
+}
+
+TEST_F(SpecTxTest, ZeroThenStoreIsAtomicAtEveryCrashPoint)
+{
+    // Sixteen slots hold committed values 1..16 (drained to PM). The
+    // transaction under test zeroes them all and stores two of them
+    // again; every crash point must recover all-old or all-new.
+    constexpr unsigned kSlots = 16;
+    const auto old_value = [](unsigned i) -> std::uint64_t {
+        return i + 1;
+    };
+    const auto new_value = [](unsigned i) -> std::uint64_t {
+        return i == 3 ? 333 : i == 10 ? 1010 : 0;
+    };
+    for (const pmem::CrashPolicy &policy :
+         {pmem::CrashPolicy::nothing(), pmem::CrashPolicy::everything(),
+          pmem::CrashPolicy::random(9)}) {
+        SCOPED_TRACE(pmem::crashModeName(policy.mode));
+        bool completed = false;
+        for (long point = 1; !completed; ++point) {
+            SCOPED_TRACE("crash point " + std::to_string(point));
+            ASSERT_LT(point, 1000) << "the transaction never completed";
+            pmem::PmemDevice dev(1u << 20);
+            pmem::PmemPool pool(dev);
+            PmOff off = kPmNull;
+            {
+                SpecTx tx(pool, 1, testConfig());
+                off = pool.alloc(kSlots * 8);
+                tx.txBegin(0);
+                for (unsigned i = 0; i < kSlots; ++i)
+                    tx.txStoreT<std::uint64_t>(0, off + i * 8,
+                                               old_value(i));
+                tx.txCommit(0);
+                dev.drainAll();
+
+                dev.armCrash(point);
+                try {
+                    tx.txBegin(0);
+                    tx.txZero(0, off, kSlots * 8);
+                    tx.txStoreT<std::uint64_t>(0, off + 3 * 8, 333);
+                    tx.txStoreT<std::uint64_t>(0, off + 10 * 8, 1010);
+                    tx.txCommit(0);
+                    completed = true;
+                } catch (const pmem::SimulatedCrash &) {
+                }
+                dev.armCrash(-1);
+                dev.simulateCrash(policy);
+            }
+            pool.reopenAfterCrash();
+            SpecTx fresh(pool, 1, testConfig());
+            fresh.recover();
+            bool all_old = true;
+            bool all_new = true;
+            for (unsigned i = 0; i < kSlots; ++i) {
+                const auto got = dev.loadT<std::uint64_t>(off + i * 8);
+                all_old = all_old && got == old_value(i);
+                all_new = all_new && got == new_value(i);
+            }
+            EXPECT_TRUE(all_old || all_new);
+            EXPECT_TRUE(!completed || all_new)
+                << "a committed zeroing was lost";
+        }
+    }
+}
+
+TEST_F(SpecTxTest, ReclaimKeepsZeroRangeAndDropsSupersededRecords)
+{
+    // 64 slots of nonzero committed data reach PM, then one
+    // transaction zeroes them and 50 rounds rewrite slots 0..7.
+    constexpr unsigned kSlots = 64;
+    const PmOff off = pool_.alloc(kSlots * 8);
+    tx_.txBegin(0);
+    for (unsigned i = 0; i < kSlots; ++i)
+        tx_.txStoreT<std::uint64_t>(0, off + i * 8, 0xAA00 + i);
+    tx_.txCommit(0);
+    dev_.drainAll();
+    tx_.txBegin(0);
+    tx_.txZero(0, off, kSlots * 8);
+    tx_.txCommit(0);
+    for (std::uint64_t round = 0; round < 50; ++round) {
+        tx_.txBegin(0);
+        for (unsigned i = 0; i < 8; ++i)
+            tx_.txStoreT<std::uint64_t>(0, off + i * 8, round * 100 + i);
+        tx_.txCommit(0);
+    }
+    tx_.reclaimNow();
+
+    // The zero range survives. Of the rewritten slots' 51 records
+    // each, only the newest of the compacted span and those in the
+    // open tail block remain; the pre-zeroing ones are gone.
+    unsigned zero_ranges = 0;
+    std::array<unsigned, 8> slot_records{};
+    bool pre_zero_record = false;
+    walkChain(dev_, pool_.getRoot(txn::logHeadSlot(0)),
+              [&](const DecodedSegment &seg) {
+                  for (const auto &entry : seg.entries) {
+                      if (entry.zero) {
+                          ++zero_ranges;
+                          continue;
+                      }
+                      if (entry.dataOff < off ||
+                          entry.dataOff >= off + 8 * 8)
+                          continue;
+                      ++slot_records[(entry.dataOff - off) / 8];
+                      pre_zero_record =
+                          pre_zero_record ||
+                          dev_.loadT<std::uint64_t>(entry.valuePos) >=
+                              0xAA00;
+                  }
+              });
+    EXPECT_EQ(zero_ranges, 1u);
+    EXPECT_FALSE(pre_zero_record);
+    for (unsigned i = 0; i < 8; ++i)
+        EXPECT_LE(slot_records[i], 2u) << "slot " << i;
+
+    dev_.simulateCrash(pmem::CrashPolicy::nothing());
+    pool_.reopenAfterCrash();
+    SpecTx fresh(pool_, 1, testConfig());
+    fresh.recover();
+    for (unsigned i = 0; i < kSlots; ++i) {
+        EXPECT_EQ(dev_.loadT<std::uint64_t>(off + i * 8),
+                  i < 8 ? 4900 + i : 0)
+            << "slot " << i;
+    }
+}
+
+TEST_F(SpecTxTest, AbortAfterZeroRestoresPreImages)
+{
+    const PmOff off = initSlots(16);
+    tx_.txBegin(0);
+    tx_.txStoreT<std::uint64_t>(0, off + 8, 99);
+    tx_.txZero(0, off, 16 * 8);
+    tx_.txStoreT<std::uint64_t>(0, off + 3 * 8, 77);
+    tx_.txAbort(0);
+    for (unsigned i = 0; i < 16; ++i)
+        EXPECT_EQ(dev_.loadT<std::uint64_t>(off + i * 8), i);
+
+    // The aborted range is never replayed.
+    tx_.txBegin(0);
+    tx_.txStoreT<std::uint64_t>(0, off, 5);
+    tx_.txCommit(0);
+    dev_.simulateCrash(pmem::CrashPolicy::nothing());
+    pool_.reopenAfterCrash();
+    SpecTx fresh(pool_, 1, testConfig());
+    fresh.recover();
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(off), 5u);
+    for (unsigned i = 1; i < 16; ++i)
+        EXPECT_EQ(dev_.loadT<std::uint64_t>(off + i * 8), i);
+}
+
 TEST_F(SpecTxTest, PeakLogBytesTracksGrowth)
 {
     const PmOff off = initSlots(8);

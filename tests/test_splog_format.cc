@@ -249,5 +249,77 @@ TEST_F(SplogFormatTest, CrcIsPositionDependent)
     EXPECT_NE(segmentCrc(dev_, elsewhere, head), head.crc);
 }
 
+/** Seal a final one-segment record of @p bytes at @p pos. */
+void
+sealAt(pmem::PmemDevice &dev, PmOff pos, std::size_t bytes,
+       std::uint32_t entries)
+{
+    SegHead head;
+    head.sizeBytes = static_cast<std::uint32_t>(bytes);
+    head.timestamp = 5;
+    head.flags = segFlagsWithCount(kSegFinal, 1);
+    head.numEntries = entries;
+    head.crc = segmentCrc(dev, pos, head);
+    dev.storeT(pos, head);
+    dev.storeT<std::uint64_t>(pos + bytes, 0);
+}
+
+TEST_F(SplogFormatTest, ZeroRangeEntryIsHeadOnly)
+{
+    writeBlock(kBase, 4096, kPmNull);
+    const PmOff pos = kBase + sizeof(BlockHeader);
+    PmOff cursor = pos + sizeof(SegHead);
+    dev_.storeT(cursor, EntryHead{0x20000, 4096, kEntryZero});
+    cursor += sizeof(EntryHead);
+    dev_.storeT(cursor, EntryHead{0x20008, 8, 0});
+    dev_.storeT<std::uint64_t>(cursor + sizeof(EntryHead), 42);
+    cursor += entryBytes(8);
+    sealAt(dev_, pos, cursor - pos, 2);
+
+    std::vector<DecodedSegment> segments;
+    const auto walk = walkChain(
+        dev_, kBase,
+        [&](const DecodedSegment &seg) { segments.push_back(seg); });
+    EXPECT_EQ(walk.end, WalkEnd::CleanTail);
+    ASSERT_EQ(segments.size(), 1u);
+    ASSERT_EQ(segments[0].entries.size(), 2u);
+    const auto &zero = segments[0].entries[0];
+    const auto &value = segments[0].entries[1];
+    EXPECT_TRUE(zero.zero);
+    EXPECT_EQ(zero.dataOff, 0x20000u);
+    EXPECT_EQ(zero.size, 4096u);
+    EXPECT_EQ(zero.logBytes(), sizeof(EntryHead));
+    EXPECT_FALSE(value.zero);
+    EXPECT_EQ(value.logBytes(), entryBytes(8));
+
+    std::vector<std::uint8_t> bytes(4096, 0xFF);
+    entryValue(dev_, zero, bytes.data());
+    EXPECT_EQ(bytes, std::vector<std::uint8_t>(4096, 0));
+    std::uint64_t logged = 0;
+    entryValue(dev_, value, &logged);
+    EXPECT_EQ(logged, 42u);
+    entryValue(dev_.raw(), value, &logged);
+    EXPECT_EQ(logged, 42u);
+}
+
+TEST_F(SplogFormatTest, MalformedEntryHeadEndsTheWalkAsTornRecord)
+{
+    // An unknown flag bit, and a zero range reaching past the device.
+    for (const EntryHead &bad :
+         {EntryHead{0x20000, 64, 0x2},
+          EntryHead{0x20000, (1u << 20) - 0x20000 + 8, kEntryZero}}) {
+        writeBlock(kBase, 4096, kPmNull);
+        const PmOff pos = kBase + sizeof(BlockHeader);
+        dev_.storeT(pos + sizeof(SegHead), bad);
+        sealAt(dev_, pos, sizeof(SegHead) + sizeof(EntryHead), 1);
+
+        std::size_t segments = 0;
+        const auto walk = walkChain(
+            dev_, kBase, [&](const DecodedSegment &) { ++segments; });
+        EXPECT_EQ(walk.end, WalkEnd::TornRecord) << bad.flags;
+        EXPECT_EQ(segments, 0u) << bad.flags;
+    }
+}
+
 } // namespace
 } // namespace specpmt::core

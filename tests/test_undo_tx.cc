@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "pmem/pmem_device.hh"
 #include "pmem/pmem_pool.hh"
 #include "txn/undo_tx.hh"
@@ -54,6 +56,41 @@ TEST_F(UndoTxTest, UncommittedTxIsRevertedEvenIfDataEvicted)
     PmdkUndoTx fresh(pool_, 1);
     fresh.recover();
     EXPECT_EQ(dev_.loadT<std::uint64_t>(off), 11u);
+}
+
+TEST_F(UndoTxTest, DefaultTxZeroIsUndoneOrDurableAsAUnit)
+{
+    // TxRuntime's default txZero stores zeros through txStore in
+    // chunks; a 10 KiB range spans three of them.
+    constexpr std::size_t kBytes = 10 << 10;
+    const PmOff off = pool_.alloc(kBytes);
+    const std::vector<std::uint8_t> old_bytes(kBytes, 0x5A);
+    tx_.txBegin(0);
+    tx_.txStore(0, off, old_bytes.data(), kBytes);
+    tx_.txCommit(0);
+
+    tx_.txBegin(0);
+    tx_.txZero(0, off, kBytes);
+    dev_.simulateCrash(pmem::CrashPolicy::everything());
+    pool_.reopenAfterCrash();
+    {
+        PmdkUndoTx fresh(pool_, 1);
+        fresh.recover();
+        std::vector<std::uint8_t> got(kBytes);
+        dev_.load(off, got.data(), kBytes);
+        EXPECT_EQ(got, old_bytes) << "an uncommitted txZero survived";
+
+        fresh.txBegin(0);
+        fresh.txZero(0, off, kBytes);
+        fresh.txCommit(0);
+    }
+    dev_.simulateCrash(pmem::CrashPolicy::nothing());
+    pool_.reopenAfterCrash();
+    PmdkUndoTx fresh(pool_, 1);
+    fresh.recover();
+    std::vector<std::uint8_t> got(kBytes);
+    dev_.load(off, got.data(), kBytes);
+    EXPECT_EQ(got, std::vector<std::uint8_t>(kBytes, 0));
 }
 
 TEST_F(UndoTxTest, FirstUpdateOnlyIsLogged)

@@ -134,19 +134,4 @@ geomean(const std::vector<double> &values)
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-std::string
-formatRow(const std::string &label, const std::vector<double> &values,
-          int precision, int width)
-{
-    std::string row = label;
-    if (row.size() < 16)
-        row.resize(16, ' ');
-    char cell[64];
-    for (double v : values) {
-        std::snprintf(cell, sizeof(cell), "%*.*f", width, precision, v);
-        row += cell;
-    }
-    return row;
-}
-
 } // namespace specpmt

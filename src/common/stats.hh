@@ -143,14 +143,6 @@ class LatencyHistogram
 /** Geometric mean of a series of positive values. */
 double geomean(const std::vector<double> &values);
 
-/**
- * Format a speedup/overhead table row: a label column followed by one
- * fixed-width numeric cell per value, e.g. for the figure benches.
- */
-std::string formatRow(const std::string &label,
-                      const std::vector<double> &values,
-                      int precision = 2, int width = 14);
-
 } // namespace specpmt
 
 #endif // SPECPMT_COMMON_STATS_HH

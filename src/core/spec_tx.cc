@@ -285,17 +285,24 @@ SpecTx::noteLogBytes(std::ptrdiff_t delta)
             : 0));
 }
 
+PmOff
+SpecTx::newBlock(PmOff prev, std::size_t payload)
+{
+    const PmOff block = pool_.allocAligned(
+        logBlockBytes(payload, config_.logBlockSize, kCacheLineSize),
+        kCacheLineSize);
+    const std::size_t size = pool_.allocationSize(block);
+    formatBlock(dev_, block, size, prev);
+    noteLogBytes(static_cast<std::ptrdiff_t>(size));
+    return block;
+}
+
 void
 SpecTx::initFreshLog(unsigned tid)
 {
     auto &log = *logs_[tid];
-    const PmOff block =
-        pool_.allocAligned(config_.logBlockSize, kCacheLineSize);
-    BlockHeader header{kPmNull, kPmNull, pool_.allocationSize(block), 0};
-    dev_.storeT(block, header);
-    // Poison the first record slot so a walker stops immediately.
-    dev_.storeT<std::uint64_t>(block + sizeof(BlockHeader), 0);
-    dev_.clwbRange(block, sizeof(BlockHeader) + 8,
+    const PmOff block = newBlock(kPmNull, 0);
+    dev_.clwbRange(block, sizeof(BlockHeader) + kPoisonBytes,
                    pmem::TrafficClass::Log);
     dev_.sfence();
     pool_.setRoot(txn::logHeadSlot(tid), block);
@@ -308,38 +315,22 @@ SpecTx::initFreshLog(unsigned tid)
     }
     endTx(log);
     log.pendingFlush.clear();
-    noteLogBytes(static_cast<std::ptrdiff_t>(pool_.allocationSize(block)));
 }
 
 void
 SpecTx::attachBlock(ThreadLog &log, std::size_t min_bytes)
 {
-    std::size_t size = config_.logBlockSize;
-    const std::size_t need = sizeof(BlockHeader) + min_bytes + 8;
-    if (need > size)
-        size = (need + kCacheLineSize - 1) & ~(kCacheLineSize - 1);
-
-    const PmOff block = pool_.allocAligned(size, kCacheLineSize);
     const PmOff old_tail = log.tailBlock;
-    size = pool_.allocationSize(block);
-
-    BlockHeader header{kPmNull, old_tail, size, 0};
-    dev_.storeT(block, header);
-    dev_.storeT<std::uint64_t>(block + sizeof(BlockHeader), 0);
-    // Chain it: the pointer persists with the next commit fence.
-    dev_.storeT<PmOff>(old_tail + offsetof(BlockHeader, next), block);
-
-    log.pendingFlush.emplace_back(block, sizeof(BlockHeader) + 8);
+    const PmOff block = newBlock(old_tail, min_bytes);
+    // The header and the chain link persist with the next commit fence.
+    log.pendingFlush.emplace_back(block, sizeof(BlockHeader) + kPoisonBytes);
     log.pendingFlush.emplace_back(old_tail + offsetof(BlockHeader, next),
                                   sizeof(PmOff));
 
-    {
-        std::lock_guard<std::mutex> guard(log.mutex);
-        log.blocks.push_back(block);
-        log.tailBlock = block;
-        log.tailPos = sizeof(BlockHeader);
-    }
-    noteLogBytes(static_cast<std::ptrdiff_t>(size));
+    std::lock_guard<std::mutex> guard(log.mutex);
+    log.blocks.push_back(block);
+    log.tailBlock = block;
+    log.tailPos = sizeof(BlockHeader);
 }
 
 void
@@ -356,10 +347,8 @@ SpecTx::openSegment(ThreadLog &log)
         attachBlock(log, sizeof(SegHead));
         log.retireTailOnBegin = false;
     }
-    const PmOff base = log.tailBlock;
-    const auto cap = static_cast<std::size_t>(
-        dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
-    if (log.tailPos + sizeof(SegHead) + sizeof(std::uint64_t) > cap)
+    if (!fitsBlock(blockCapacity(dev_, log.tailBlock), log.tailPos,
+                   sizeof(SegHead)))
         attachBlock(log, sizeof(SegHead));
     log.openSegs.push_back(
         {log.tailBlock + log.tailPos, sizeof(SegHead), 0});
@@ -370,13 +359,9 @@ void
 SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
                     std::size_t size)
 {
-    const bool zero = src == nullptr;
-    const std::size_t bytes = zero ? sizeof(EntryHead) : entryBytes(size);
-    const PmOff base = log.tailBlock;
-    const auto cap = static_cast<std::size_t>(
-        dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
-
-    if (log.tailPos + bytes + sizeof(std::uint64_t) > cap) {
+    const std::size_t bytes = entryBytes(size, src == nullptr);
+    if (!fitsBlock(blockCapacity(dev_, log.tailBlock), log.tailPos,
+                   bytes)) {
         // The entry does not fit: start a fresh segment in a fresh
         // block; the transaction now spans multiple segments.
         attachBlock(log, sizeof(SegHead) + bytes);
@@ -384,13 +369,9 @@ SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
     }
 
     const PmOff pos = log.tailBlock + log.tailPos;
-    EntryHead head{off, static_cast<std::uint32_t>(size),
-                   zero ? kEntryZero : 0};
-    dev_.storeT(pos, head);
-    if (!zero) {
-        dev_.store(pos + sizeof(EntryHead), src, size);
+    writeEntry(dev_, pos, off, src, size);
+    if (src != nullptr)
         log.entryIndex[entryKey(off, size)] = pos + sizeof(EntryHead);
-    }
 
     auto &seg = log.openSegs.back();
     seg.bytes += bytes;
@@ -403,13 +384,10 @@ SpecTx::appendEntry(ThreadLog &log, PmOff off, const void *src,
 void
 SpecTx::poisonTail(ThreadLog &log)
 {
-    const PmOff base = log.tailBlock;
-    const auto cap = static_cast<std::size_t>(
-        dev_.loadT<std::uint64_t>(base + offsetof(BlockHeader, capacity)));
-    if (log.tailPos + sizeof(std::uint64_t) <= cap) {
-        dev_.storeT<std::uint64_t>(base + log.tailPos, 0);
-        log.pendingFlush.emplace_back(base + log.tailPos,
-                                      sizeof(std::uint64_t));
+    const PmOff pos = log.tailBlock + log.tailPos;
+    if (fitsBlock(blockCapacity(dev_, log.tailBlock), log.tailPos, 0)) {
+        poisonSlot(dev_, pos);
+        log.pendingFlush.emplace_back(pos, kPoisonBytes);
     }
 }
 
@@ -516,19 +494,14 @@ SpecTx::sealSegments(ThreadLog &log, TxTimestamp ts)
     SpecTxMetrics::get().segmentsSealed.add(log.openSegs.size());
     for (std::size_t i = 0; i < log.openSegs.size(); ++i) {
         const auto &seg = log.openSegs[i];
-        SegHead head;
-        head.sizeBytes = static_cast<std::uint32_t>(seg.bytes);
-        head.timestamp = ts;
         // The final seal attests to the whole transaction's shape so
         // recovery can detect a missing intermediate segment.
-        head.flags = (i + 1 == log.openSegs.size())
-                         ? segFlagsWithCount(
-                               kSegFinal, static_cast<std::uint32_t>(
-                                              log.openSegs.size()))
-                         : 0;
-        head.numEntries = seg.numEntries;
-        head.crc = segmentCrc(dev_, seg.pos, head);
-        dev_.storeT(seg.pos, head);
+        const std::uint32_t flags =
+            i + 1 == log.openSegs.size()
+                ? segFlagsWithCount(kSegFinal, static_cast<std::uint32_t>(
+                                                   log.openSegs.size()))
+                : 0;
+        sealSegment(dev_, seg.pos, seg.bytes, ts, flags, seg.numEntries);
         log.pendingFlush.emplace_back(seg.pos, seg.bytes);
     }
     poisonTail(log);
@@ -805,8 +778,7 @@ SpecTx::txAbort(ThreadId tid)
             std::size_t keep = log.blocks.size();
             for (std::size_t i = 0; i < log.blocks.size(); ++i) {
                 const PmOff base = log.blocks[i];
-                const auto cap = dev_.loadT<std::uint64_t>(
-                    base + offsetof(BlockHeader, capacity));
+                const std::size_t cap = blockCapacity(dev_, base);
                 if (rewind_pos >= base && rewind_pos < base + cap) {
                     keep = i;
                     break;
@@ -822,10 +794,8 @@ SpecTx::txAbort(ThreadId tid)
 
         // Unlink and poison; drop pending flushes that point into
         // freed blocks.
-        dev_.storeT<PmOff>(log.tailBlock + offsetof(BlockHeader, next),
-                           kPmNull);
         log.pendingFlush.emplace_back(
-            log.tailBlock + offsetof(BlockHeader, next), sizeof(PmOff));
+            storeNext(dev_, log.tailBlock, kPmNull), sizeof(PmOff));
         auto in_freed = [&](PmOff off) {
             for (PmOff base : freed) {
                 const std::size_t cap = pool_.allocationSize(base);
@@ -1098,8 +1068,7 @@ SpecTx::recover()
             adopt_pos = walk.blocks.front() + sizeof(BlockHeader);
         std::size_t keep = 0;
         for (std::size_t i = 0; i < walk.blocks.size(); ++i) {
-            const auto cap = dev_.loadT<std::uint64_t>(
-                walk.blocks[i] + offsetof(BlockHeader, capacity));
+            const std::size_t cap = blockCapacity(dev_, walk.blocks[i]);
             if (adopt_pos >= walk.blocks[i] &&
                 adopt_pos <= walk.blocks[i] + cap) {
                 keep = i;
@@ -1121,21 +1090,15 @@ SpecTx::recover()
 
         // Cut the chain after the adopted tail and refresh the poison.
         const PmOff tail_block = log.tailBlock;
-        dev_.storeT<PmOff>(tail_block + offsetof(BlockHeader, next),
-                           kPmNull);
-        dev_.clwb(tail_block + offsetof(BlockHeader, next),
+        dev_.clwb(storeNext(dev_, tail_block, kPmNull),
                   pmem::TrafficClass::Log);
-        const auto cap = dev_.loadT<std::uint64_t>(
-            tail_block + offsetof(BlockHeader, capacity));
-        if (log.tailPos + sizeof(std::uint64_t) <= cap) {
-            dev_.storeT<std::uint64_t>(tail_block + log.tailPos, 0);
-            dev_.clwb(tail_block + log.tailPos,
-                      pmem::TrafficClass::Log);
+        if (fitsBlock(blockCapacity(dev_, tail_block), log.tailPos, 0)) {
+            poisonSlot(dev_, tail_block + log.tailPos);
+            dev_.clwb(tail_block + log.tailPos, pmem::TrafficClass::Log);
         }
         std::size_t bytes = 0;
         for (PmOff base : log.blocks) {
-            const auto cap = dev_.loadT<std::uint64_t>(
-                base + offsetof(BlockHeader, capacity));
+            const std::size_t cap = blockCapacity(dev_, base);
             // Make the surviving block known to the re-opened pool's
             // (volatile) allocator.
             pool_.adopt(base, cap);
@@ -1349,7 +1312,7 @@ SpecTx::reclaimCycle()
                 fresh_segments.push_back(std::move(compacted));
             }
         }
-        if (fresh_bytes + sizeof(BlockHeader) + 8 >
+        if (fresh_bytes + sizeof(BlockHeader) + kPoisonBytes >
             static_cast<std::size_t>(
                 (1.0 - kCompactionMinSavings) *
                 static_cast<double>(frozen_bytes))) {
@@ -1376,78 +1339,7 @@ SpecTx::reclaimCycle()
                 }
             }
         } unspliced{*this, compact_blocks};
-        PmOff tail_pos = 0;
-        auto ensure = [&](std::size_t bytes) {
-            const std::size_t need = bytes + sizeof(std::uint64_t);
-            if (!compact_blocks.empty()) {
-                const auto cap = dev_.loadT<std::uint64_t>(
-                    compact_blocks.back() +
-                    offsetof(BlockHeader, capacity));
-                if (tail_pos + need <= cap)
-                    return;
-            }
-            std::size_t size = config_.logBlockSize;
-            if (sizeof(BlockHeader) + need > size) {
-                size = (sizeof(BlockHeader) + need + kCacheLineSize - 1) &
-                       ~(kCacheLineSize - 1);
-            }
-            const PmOff block = pool_.allocAligned(size, kCacheLineSize);
-            size = pool_.allocationSize(block);
-            BlockHeader header{kPmNull,
-                               compact_blocks.empty()
-                                   ? kPmNull
-                                   : compact_blocks.back(),
-                               size, 0};
-            dev_.storeT(block, header);
-            dev_.storeT<std::uint64_t>(block + sizeof(BlockHeader), 0);
-            if (!compact_blocks.empty()) {
-                dev_.storeT<PmOff>(compact_blocks.back() +
-                                       offsetof(BlockHeader, next),
-                                   block);
-            }
-            compact_blocks.push_back(block);
-            tail_pos = sizeof(BlockHeader);
-            noteLogBytes(static_cast<std::ptrdiff_t>(size));
-        };
-
-        std::vector<std::uint8_t> value;
-        for (const auto &seg : fresh_segments) {
-            std::size_t seg_bytes = sizeof(SegHead);
-            for (const auto &entry : seg.entries)
-                seg_bytes += entry.logBytes();
-            ensure(seg_bytes);
-
-            const PmOff base = compact_blocks.back();
-            const PmOff seg_pos = base + tail_pos;
-            PmOff cursor = seg_pos + sizeof(SegHead);
-            for (const auto &entry : seg.entries) {
-                // A zero range moves as its head alone.
-                EntryHead ehead{entry.dataOff, entry.size,
-                                entry.zero ? kEntryZero : 0};
-                dev_.storeT(cursor, ehead);
-                if (!entry.zero) {
-                    value.resize(entry.size);
-                    entryValue(dev_, entry, value.data());
-                    dev_.store(cursor + sizeof(EntryHead), value.data(),
-                               entry.size);
-                }
-                cursor += entry.logBytes();
-            }
-            SegHead head;
-            head.sizeBytes = static_cast<std::uint32_t>(seg_bytes);
-            head.timestamp = seg.timestamp;
-            head.flags = segFlagsWithCount(kSegFinal, 1);
-            head.numEntries =
-                static_cast<std::uint32_t>(seg.entries.size());
-            head.crc = segmentCrc(dev_, seg_pos, head);
-            dev_.storeT(seg_pos, head);
-            tail_pos += seg_bytes;
-        }
-        if (!compact_blocks.empty()) {
-            // Trailing poison in the last compact block.
-            dev_.storeT<std::uint64_t>(compact_blocks.back() + tail_pos,
-                                       0);
-        }
+        writeCompactRecords(fresh_segments, compact_blocks);
 
         // The successor of the compacted span.
         PmOff successor = kPmNull;
@@ -1456,11 +1348,8 @@ SpecTx::reclaimCycle()
             std::lock_guard<std::mutex> guard(log.mutex);
             successor = log.blocks[cutoff[tid]];
         }
-        if (!compact_blocks.empty()) {
-            dev_.storeT<PmOff>(compact_blocks.back() +
-                                   offsetof(BlockHeader, next),
-                               successor);
-        }
+        if (!compact_blocks.empty())
+            storeNext(dev_, compact_blocks.back(), successor);
 
         // Fence 1: persist the compact blocks in full.
         for (PmOff block : compact_blocks) {
@@ -1474,11 +1363,9 @@ SpecTx::reclaimCycle()
         const PmOff new_head = compact_blocks.empty()
             ? successor
             : compact_blocks.front();
-        dev_.storeT<PmOff>(successor + offsetof(BlockHeader, prev),
-                           compact_blocks.empty()
-                               ? kPmNull
-                               : compact_blocks.back());
-        dev_.clwb(successor + offsetof(BlockHeader, prev),
+        dev_.clwb(storePrev(dev_, successor,
+                            compact_blocks.empty() ? kPmNull
+                                                   : compact_blocks.back()),
                   pmem::TrafficClass::Log);
         pool_.setRoot(txn::logHeadSlot(tid), new_head);
         unspliced.spliced = true;
@@ -1516,6 +1403,45 @@ SpecTx::reclaimCycle()
             std::chrono::steady_clock::now() - cycle_start)
             .count()));
     return freed_total;
+}
+
+void
+SpecTx::writeCompactRecords(const std::vector<DecodedSegment> &segments,
+                            std::vector<PmOff> &blocks)
+{
+    std::size_t tail_pos = 0;
+    std::vector<std::uint8_t> value;
+    for (const auto &seg : segments) {
+        std::size_t seg_bytes = sizeof(SegHead);
+        for (const auto &entry : seg.entries)
+            seg_bytes += entry.logBytes();
+        const PmOff last = blocks.empty() ? kPmNull : blocks.back();
+        if (last == kPmNull ||
+            !fitsBlock(blockCapacity(dev_, last), tail_pos, seg_bytes)) {
+            blocks.push_back(newBlock(last, seg_bytes));
+            tail_pos = sizeof(BlockHeader);
+        }
+
+        const PmOff seg_pos = blocks.back() + tail_pos;
+        PmOff cursor = seg_pos + sizeof(SegHead);
+        for (const auto &entry : seg.entries) {
+            // A zero range moves as its head alone.
+            const void *src = nullptr;
+            if (!entry.zero) {
+                value.resize(entry.size);
+                entryValue(dev_, entry, value.data());
+                src = value.data();
+            }
+            cursor += writeEntry(dev_, cursor, entry.dataOff, src,
+                                 entry.size);
+        }
+        sealSegment(dev_, seg_pos, seg_bytes, seg.timestamp,
+                    segFlagsWithCount(kSegFinal, 1),
+                    static_cast<std::uint32_t>(seg.entries.size()));
+        tail_pos += seg_bytes;
+    }
+    if (!blocks.empty())
+        poisonSlot(dev_, blocks.back() + tail_pos);
 }
 
 } // namespace specpmt::core

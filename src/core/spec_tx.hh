@@ -208,7 +208,13 @@ class SpecTx : public txn::TxRuntime
 
     ThreadLog &threadLog(ThreadId tid) { return *logs_.at(tid); }
 
-    /** Allocate, zero and link a fresh tail block (>= min_bytes room). */
+    /** Allocate and format a block with room for @p payload bytes of
+     * records, chained after @p prev unless it is kPmNull (stores
+     * only); the bytes count as live log. */
+    PmOff newBlock(PmOff prev, std::size_t payload);
+
+    /** Chain a fresh tail block (>= min_bytes room) for the next
+     * commit fence to persist. */
     void attachBlock(ThreadLog &log, std::size_t min_bytes);
 
     /** Open a new segment at the tail (attaching a block if needed). */
@@ -233,6 +239,16 @@ class SpecTx : public txn::TxRuntime
 
     /** One reclamation cycle; returns bytes freed. */
     std::size_t reclaimCycle();
+
+    /**
+     * Compaction's writer: each of @p segments becomes one final
+     * single-segment record in fresh blocks, chained in order and
+     * pushed onto the empty @p blocks as they are formatted (so a
+     * throw leaves every one there for the caller to free); the last
+     * record is followed by the tail poison. Stores only.
+     */
+    void writeCompactRecords(const std::vector<DecodedSegment> &segments,
+                             std::vector<PmOff> &blocks);
 
     /** The reclamation trigger shared by commits and the poll. */
     bool reclaimDue() const;

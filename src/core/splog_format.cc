@@ -1,5 +1,6 @@
 #include "core/splog_format.hh"
 
+#include <cstddef>
 #include <cstring>
 #include <unordered_set>
 
@@ -152,7 +153,7 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
     PmOff pos = block + sizeof(BlockHeader);
     // A block reached through a never-persisted chain pointer may hold
     // a torn header; treat anything implausible as a torn record.
-    if (bh.capacity < sizeof(BlockHeader) + 8 ||
+    if (bh.capacity < sizeof(BlockHeader) + kPoisonBytes ||
         block + bh.capacity > dev.size()) {
         if (next_out)
             *next_out = kPmNull;
@@ -272,7 +273,7 @@ walkChain(const pmem::PmemDevice &dev, PmOff head_block,
             return result;
         }
         const auto bh = dev.loadT<BlockHeader>(block);
-        if (bh.capacity < sizeof(BlockHeader) + 8 ||
+        if (bh.capacity < sizeof(BlockHeader) + kPoisonBytes ||
             bh.capacity > dev.size() ||
             block + bh.capacity > dev.size()) {
             result.end = WalkEnd::TornRecord;
@@ -308,6 +309,67 @@ walkBlock(const pmem::PmemDevice &dev, PmOff block,
           const std::function<void(const DecodedSegment &)> &visit)
 {
     parseBlock(dev, block, visit, nullptr);
+}
+
+std::size_t
+blockCapacity(const pmem::PmemDevice &dev, PmOff block)
+{
+    return static_cast<std::size_t>(dev.loadT<std::uint64_t>(
+        block + offsetof(BlockHeader, capacity)));
+}
+
+void
+formatBlock(pmem::PmemDevice &dev, PmOff block, std::size_t capacity,
+            PmOff prev)
+{
+    dev.storeT(block, BlockHeader{kPmNull, prev, capacity, 0});
+    poisonSlot(dev, block + sizeof(BlockHeader));
+    if (prev != kPmNull)
+        storeNext(dev, prev, block);
+}
+
+PmOff
+storeNext(pmem::PmemDevice &dev, PmOff block, PmOff next)
+{
+    const PmOff link = block + offsetof(BlockHeader, next);
+    dev.storeT(link, next);
+    return link;
+}
+
+PmOff
+storePrev(pmem::PmemDevice &dev, PmOff block, PmOff prev)
+{
+    const PmOff link = block + offsetof(BlockHeader, prev);
+    dev.storeT(link, prev);
+    return link;
+}
+
+std::size_t
+writeEntry(pmem::PmemDevice &dev, PmOff pos, PmOff off, const void *value,
+           std::size_t size)
+{
+    const bool zero = value == nullptr;
+    dev.storeT(pos, EntryHead{off, static_cast<std::uint32_t>(size),
+                              zero ? kEntryZero : 0});
+    if (!zero)
+        dev.store(pos + sizeof(EntryHead), value, size);
+    return entryBytes(size, zero);
+}
+
+void
+sealSegment(pmem::PmemDevice &dev, PmOff pos, std::size_t size_bytes,
+            TxTimestamp ts, std::uint32_t flags, std::uint32_t num_entries)
+{
+    SegHead head{0, static_cast<std::uint32_t>(size_bytes), ts, flags,
+                 num_entries};
+    head.crc = segmentCrc(dev, pos, head);
+    dev.storeT(pos, head);
+}
+
+void
+poisonSlot(pmem::PmemDevice &dev, PmOff pos)
+{
+    dev.storeT<std::uint64_t>(pos, 0);
 }
 
 } // namespace specpmt::core

@@ -1,8 +1,9 @@
 /**
  * @file
- * On-media format of the speculative log (paper Section 4.1) and the
- * shared walker used by commit-time bookkeeping, the background
- * reclaimer, and post-crash recovery.
+ * On-media format of the speculative log (paper Section 4.1): the one
+ * encoder every log writer uses (SpecTx's append path and compaction,
+ * the hybrid runtime) and the one walker every reader uses (recovery,
+ * the background reclaimer, the inspector).
  *
  * A per-thread log area is a forward-chained list of *log blocks*:
  *
@@ -116,11 +117,13 @@ static_assert(sizeof(EntryHead) == 16);
 /** Entry flag: a zero range, the head alone (see file comment). */
 constexpr std::uint32_t kEntryZero = 0x1;
 
-/** Bytes a value entry occupies in the log. */
+/** Bytes an entry occupies in the log: a value entry of
+ * @p value_size bytes, or a zero range (the head alone). */
 constexpr std::size_t
-entryBytes(std::size_t value_size)
+entryBytes(std::size_t value_size, bool zero = false)
 {
-    return sizeof(EntryHead) + ((value_size + 7) & ~std::size_t{7});
+    return sizeof(EntryHead) +
+           (zero ? 0 : (value_size + 7) & ~std::size_t{7});
 }
 
 /** Default log block size (paper: on-demand fixed-size blocks). */
@@ -179,7 +182,7 @@ struct DecodedEntry
     std::size_t
     logBytes() const
     {
-        return zero ? sizeof(EntryHead) : entryBytes(size);
+        return entryBytes(size, zero);
     }
 };
 
@@ -266,6 +269,77 @@ WalkResult walkChain(
  */
 void walkBlock(const pmem::PmemDevice &dev, PmOff block,
                const std::function<void(const DecodedSegment &)> &visit);
+
+// ---------------------------------------------------------------------
+// Encoder. Every log writer goes through these functions, and only
+// they store a BlockHeader, EntryHead or SegHead. They store and load
+// only: each caller persists what it writes, with its own flush and
+// fence discipline.
+// ---------------------------------------------------------------------
+
+/** The zero word that marks the chronological tail. */
+constexpr std::size_t kPoisonBytes = sizeof(std::uint64_t);
+
+/**
+ * Bytes to allocate for a log block that must hold @p payload bytes of
+ * records: @p default_size, or the header, the payload and a tail
+ * poison rounded up to @p align when they need more.
+ */
+constexpr std::size_t
+logBlockBytes(std::size_t payload, std::size_t default_size,
+              std::size_t align)
+{
+    const std::size_t need = sizeof(BlockHeader) + payload + kPoisonBytes;
+    return need > default_size ? (need + align - 1) & ~(align - 1)
+                               : default_size;
+}
+
+/** Whether @p bytes written at block offset @p pos still leave room
+ * for the tail poison in a block of @p capacity bytes. */
+constexpr bool
+fitsBlock(std::size_t capacity, std::size_t pos, std::size_t bytes)
+{
+    return pos + bytes + kPoisonBytes <= capacity;
+}
+
+/** The capacity @p block's header records (one load). */
+std::size_t blockCapacity(const pmem::PmemDevice &dev, PmOff block);
+
+/**
+ * Format @p block as an empty log block of @p capacity bytes: its
+ * header (no successor, predecessor @p prev), the poison in its first
+ * record slot, then, unless @p prev is kPmNull, @p prev's next link to
+ * it. A recycled block's old segments become unreachable, however
+ * valid their checksums: the walk stops at the poison.
+ */
+void formatBlock(pmem::PmemDevice &dev, PmOff block, std::size_t capacity,
+                 PmOff prev);
+
+/** Point @p block's next link at @p next; returns the link's address. */
+PmOff storeNext(pmem::PmemDevice &dev, PmOff block, PmOff next);
+
+/** Point @p block's prev link at @p prev; returns the link's address. */
+PmOff storePrev(pmem::PmemDevice &dev, PmOff block, PmOff prev);
+
+/**
+ * Write one entry at @p pos: a value entry holding the @p size bytes
+ * at @p value, or, when @p value is null, a zero range for
+ * [off, off+size). @return the bytes the entry occupies in the log.
+ */
+std::size_t writeEntry(pmem::PmemDevice &dev, PmOff pos, PmOff off,
+                       const void *value, std::size_t size);
+
+/**
+ * Seal the segment at @p pos, whose @p num_entries entries are already
+ * in place: checksum it from the device image, then store its header.
+ * The segment is committed once that header persists.
+ */
+void sealSegment(pmem::PmemDevice &dev, PmOff pos, std::size_t size_bytes,
+                 TxTimestamp ts, std::uint32_t flags,
+                 std::uint32_t num_entries);
+
+/** Store the tail poison at @p pos. */
+void poisonSlot(pmem::PmemDevice &dev, PmOff pos);
 
 } // namespace specpmt::core
 

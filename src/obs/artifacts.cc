@@ -49,13 +49,4 @@ OutputFlags::writeArtifacts() const
         Tracer::global().writeChromeJson(tracePath);
 }
 
-OutputFlags
-parseOutputFlags(int argc, char **argv)
-{
-    OutputFlags flags;
-    for (int i = 1; i < argc; ++i)
-        flags.accept(argv[i]);
-    return flags;
-}
-
 } // namespace specpmt::obs

@@ -34,13 +34,6 @@ struct OutputFlags
     void writeArtifacts() const;
 };
 
-/**
- * Scan argv for --metrics-out=/--trace-out=, ignoring everything
- * else. For parsers that reject unknown arguments, call accept()
- * from the option loop instead.
- */
-OutputFlags parseOutputFlags(int argc, char **argv);
-
 } // namespace specpmt::obs
 
 #endif // SPECPMT_OBS_ARTIFACTS_HH

@@ -40,15 +40,6 @@ saveImage(const std::string &path, const std::vector<std::uint8_t> &image,
 }
 
 bool
-savePersistentImage(const std::string &path, const PmemDevice &dev,
-                    std::string &error)
-{
-    std::vector<std::uint8_t> image(dev.persistentRaw(),
-                                    dev.persistentRaw() + dev.size());
-    return saveImage(path, image, error);
-}
-
-bool
 loadImage(const std::string &path, std::vector<std::uint8_t> &image,
           std::string &error)
 {

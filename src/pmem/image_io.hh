@@ -33,10 +33,6 @@ bool saveImage(const std::string &path,
                const std::vector<std::uint8_t> &image,
                std::string &error);
 
-/** Convenience: snapshot @p dev's persistent image to @p path. */
-bool savePersistentImage(const std::string &path, const PmemDevice &dev,
-                         std::string &error);
-
 /**
  * Read an image file written by saveImage().
  * @return true on success with the payload in @p image; false with

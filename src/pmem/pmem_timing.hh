@@ -20,8 +20,9 @@
  *  - sfence: waits until every flush issued by the measured thread
  *    has drained (strict persist), plus a fixed core-side cost;
  *    background cores' (async) writes share drain bandwidth but are
- *    never waited on,
- *  - PM read (cold): 150ns.
+ *    never waited on.
+ *
+ * Every load costs loadNs: the model has no cold PM read.
  *
  * Parameters come from Table 1 / Section 7.1.3 plus the Optane
  * characterization literature the paper cites [67, 70, 78, 11].
@@ -50,7 +51,7 @@ enum class SimNsEvent : unsigned
 {
     Store = 0,
     Load,
-    PmRead,
+    PmRead, ///< charged by no model; keeps its exported series
     Compute,
     WpqAccept,
     WpqStall,
@@ -64,7 +65,6 @@ struct TimingParams
 {
     SimNs storeNs = 1;            ///< cache-hit store
     SimNs loadNs = 1;             ///< cache-hit load
-    SimNs pmReadNs = 150;         ///< cold PM read
     SimNs pmWriteNs = 500;        ///< PM media write, new XPLine (RMW)
     SimNs pmWriteSameXpLineNs = 125; ///< write combined within an XPLine
     SimNs wpqAcceptNs = 10;       ///< WPQ enqueue handshake
@@ -116,14 +116,6 @@ class PmemTiming
     {
         now_ += params_.loadNs * lines;
         charge(SimNsEvent::Load, params_.loadNs * lines);
-    }
-
-    /** Charge a cold PM read of @p lines cache lines. */
-    void
-    onPmRead(std::uint64_t lines)
-    {
-        now_ += params_.pmReadNs * lines;
-        charge(SimNsEvent::PmRead, params_.pmReadNs * lines);
     }
 
     /**

@@ -14,7 +14,6 @@ timingParams(const SimConfig &config)
     pmem::TimingParams params;
     params.storeNs = 0; // cache latencies are charged explicitly
     params.loadNs = 0;
-    params.pmReadNs = config.pmReadNs;
     params.pmWriteNs = config.pmWriteNs;
     params.pmWriteSameXpLineNs = config.pmWriteSameXpLineNs;
     params.wpqAcceptNs = config.wpqAcceptNs;

@@ -37,14 +37,18 @@ struct HybridMetrics
 
 using core::BlockHeader;
 using core::DecodedSegment;
-using core::EntryHead;
 using core::entryBytes;
+using core::kPoisonBytes;
 using core::kSegFinal;
 using core::kSegPage;
 using core::kSegUndo;
 using core::SegHead;
-using core::segmentCrc;
 using core::walkChain;
+
+// Log blocks are whole pages: a page snapshot of hot *data* must never
+// cover log bytes (the hardware's log region is disjoint from
+// transactional data by construction).
+static_assert(core::kLogBlockSize % kPageSize == 0);
 
 HybridSpecTx::HybridSpecTx(pmem::PmemPool &pool, unsigned num_threads,
                            const HybridConfig &config)
@@ -63,58 +67,38 @@ HybridSpecTx::initThreadLog(unsigned tid)
 {
     auto &log = logs_[tid];
     log.blocks.clear();
-
-    // Log blocks are whole pages: a page snapshot of hot *data* must
-    // never cover log bytes (the hardware's log region is disjoint
-    // from transactional data by construction).
-    const std::size_t block_bytes =
-        (config_.logBlockSize + kPageSize - 1) & ~(kPageSize - 1);
-    const PmOff block = pool_.allocAligned(block_bytes, kPageSize);
-    BlockHeader header{kPmNull, kPmNull, pool_.allocationSize(block), 0};
-    dev_.storeT(block, header);
-    dev_.storeT<std::uint64_t>(block + sizeof(BlockHeader), 0);
-    // The hardware log engine writes structure through the ordered
-    // path; no fence needed.
-    dev_.adrPersist(block, sizeof(BlockHeader) + 8);
-    pool_.setRoot(txn::logHeadSlot(tid), block);
+    attachBlock(log, 0, /*persist_now=*/true);
+    pool_.setRoot(txn::logHeadSlot(tid), log.blocks.front());
 
     log.seqSlotOff = pool_.alloc(sizeof(std::uint64_t));
     dev_.storeT<std::uint64_t>(log.seqSlotOff, 0);
     dev_.adrPersist(log.seqSlotOff, 8, pmem::TrafficClass::Meta);
     pool_.setRoot(hybridSeqSlot(tid), log.seqSlotOff);
 
-    log.blocks.push_back(block);
-    log.tailPos = sizeof(BlockHeader);
     log.txSeq = 0;
     log.inTx = false;
     log.epochs.clear();
     log.epochs.push_back({log.nextEpochId++, 0, {}, 0});
-    logBytes_ += pool_.allocationSize(block);
 }
 
 void
 HybridSpecTx::attachBlock(ThreadLog &log, std::size_t min_bytes,
                           bool persist_now)
 {
-    std::size_t size = config_.logBlockSize;
-    const std::size_t need = sizeof(BlockHeader) + min_bytes + 8;
-    if (need > size)
-        size = need;
-    // Whole pages, page-aligned: see initThreadLog.
-    size = (size + kPageSize - 1) & ~(kPageSize - 1);
-
-    const PmOff block = pool_.allocAligned(size, kPageSize);
-    size = pool_.allocationSize(block);
-    const PmOff old_tail = log.blocks.back();
-
-    BlockHeader header{kPmNull, old_tail, size, 0};
-    dev_.storeT(block, header);
-    dev_.storeT<std::uint64_t>(block + sizeof(BlockHeader), 0);
-    dev_.storeT<PmOff>(old_tail + offsetof(BlockHeader, next), block);
+    // Whole pages, page-aligned (see kLogBlockSize's assertion above).
+    const PmOff block = pool_.allocAligned(
+        core::logBlockBytes(min_bytes, core::kLogBlockSize, kPageSize),
+        kPageSize);
+    const std::size_t size = pool_.allocationSize(block);
+    const PmOff old_tail = log.blocks.empty() ? kPmNull : log.blocks.back();
+    core::formatBlock(dev_, block, size, old_tail);
+    // The hardware log engine writes structure through the ordered
+    // path; no fence needed.
     if (persist_now) {
-        dev_.adrPersist(block, sizeof(BlockHeader) + 8);
-        dev_.adrPersist(old_tail + offsetof(BlockHeader, next),
-                        sizeof(PmOff));
+        dev_.adrPersist(block, sizeof(BlockHeader) + kPoisonBytes);
+        if (old_tail != kPmNull)
+            dev_.adrPersist(old_tail + offsetof(BlockHeader, next),
+                            sizeof(PmOff));
     }
 
     log.blocks.push_back(block);
@@ -126,10 +110,8 @@ PmOff
 HybridSpecTx::reserve(ThreadLog &log, std::size_t bytes,
                       bool persist_now)
 {
-    const PmOff base = log.blocks.back();
-    const auto cap = static_cast<std::size_t>(dev_.loadT<std::uint64_t>(
-        base + offsetof(BlockHeader, capacity)));
-    if (log.tailPos + bytes + 8 > cap)
+    if (!core::fitsBlock(core::blockCapacity(dev_, log.blocks.back()),
+                         log.tailPos, bytes))
         attachBlock(log, bytes, persist_now);
     return log.blocks.back() + log.tailPos;
 }
@@ -148,27 +130,18 @@ HybridSpecTx::emitSegment(
     PmOff cursor = pos + sizeof(SegHead);
     std::vector<std::uint8_t> value;
     for (const auto &[off, size] : ranges) {
-        EntryHead head{off, static_cast<std::uint32_t>(size), 0};
-        dev_.storeT(cursor, head);
         value.resize(size);
         dev_.load(off, value.data(), size);
-        dev_.store(cursor + sizeof(EntryHead), value.data(), size);
-        cursor += entryBytes(size);
+        cursor += core::writeEntry(dev_, cursor, off, value.data(), size);
     }
-
-    SegHead head;
-    head.sizeBytes = static_cast<std::uint32_t>(bytes);
-    head.timestamp = stamp;
-    head.flags = flags;
-    head.numEntries = static_cast<std::uint32_t>(ranges.size());
-    head.crc = segmentCrc(dev_, pos, head);
-    dev_.storeT(pos, head);
+    core::sealSegment(dev_, pos, bytes, stamp, flags,
+                      static_cast<std::uint32_t>(ranges.size()));
     log.tailPos = pos + bytes - log.blocks.back();
     // Poison the next slot so walkers stop at the tail.
-    dev_.storeT<std::uint64_t>(log.blocks.back() + log.tailPos, 0);
+    core::poisonSlot(dev_, pos + bytes);
 
     if (persist_now)
-        dev_.adrPersist(pos, bytes + 8);
+        dev_.adrPersist(pos, bytes + kPoisonBytes);
 
     log.epochs.back().bytes += bytes;
     return pos;
@@ -282,7 +255,7 @@ HybridSpecTx::txCommit(ThreadId tid)
 
     // One flush batch + one fence: the commit record (checksum = the
     // commit flag) plus the cold write set's data lines.
-    dev_.clwbRange(pos, seg_bytes + 8, pmem::TrafficClass::Log);
+    dev_.clwbRange(pos, seg_bytes + kPoisonBytes, pmem::TrafficClass::Log);
     log.coldWrites.forEachLine([&](std::uint64_t line) {
         dev_.clwb(line * kCacheLineSize, pmem::TrafficClass::Data);
     });
@@ -352,8 +325,7 @@ HybridSpecTx::reclaimOldestEpoch(ThreadId tid)
         return; // successor shares the tail block: nothing to free
     }
     const PmOff new_head = log.blocks[cut];
-    dev_.storeT<PmOff>(new_head + offsetof(BlockHeader, prev), kPmNull);
-    dev_.adrPersist(new_head + offsetof(BlockHeader, prev),
+    dev_.adrPersist(core::storePrev(dev_, new_head, kPmNull),
                     sizeof(PmOff));
     pool_.setRoot(txn::logHeadSlot(tid), new_head);
     for (std::size_t i = 0; i < cut; ++i) {

@@ -48,7 +48,6 @@ namespace specpmt::sim
 struct HybridConfig
 {
     unsigned hotCounterMax = 7;
-    std::size_t logBlockSize = core::kLogBlockSize;
     std::size_t epochMaxBytes = 64 * 1024;
     unsigned epochMaxPages = 16;
 };
@@ -123,6 +122,8 @@ class HybridSpecTx : public txn::TxRuntime
     };
 
     void initThreadLog(unsigned tid);
+    /** Format a block (>= min_bytes room) at the tail of the chain, or
+     * as its head when the chain is empty. */
     void attachBlock(ThreadLog &log, std::size_t min_bytes,
                      bool persist_now);
     /** Reserve @p bytes at the tail (chains a block if needed). */

@@ -2,7 +2,9 @@
  * @file
  * Unit tests of the speculative log's on-media format: segment
  * encode/walk round trips, torn-record detection, poison semantics,
- * chain following, and torn-header protection.
+ * chain following, and torn-header protection. The fixture writes the
+ * format by hand, independently of the encoder, which must produce the
+ * same bytes.
  */
 
 #include <gtest/gtest.h>
@@ -26,22 +28,25 @@ class SplogFormatTest : public ::testing::Test
 
     SplogFormatTest() : dev_(1 << 20) {}
 
-    /** Lay down a block header at @p off with capacity/next. */
+    /** Lay down a block header at @p off with capacity/next/prev. */
     void
-    writeBlock(PmOff off, std::uint64_t capacity, PmOff next)
+    writeBlock(PmOff off, std::uint64_t capacity, PmOff next,
+               PmOff prev = kPmNull)
     {
-        BlockHeader header{next, kPmNull, capacity, 0};
+        BlockHeader header{next, prev, capacity, 0};
         dev_.storeT(off, header);
         dev_.storeT<std::uint64_t>(off + sizeof(BlockHeader), 0);
     }
 
     /**
      * Append a segment with @p values (each an 8-byte entry at
-     * synthetic addresses) at @p pos; returns bytes used.
+     * synthetic addresses) at @p pos; returns bytes used. A final
+     * segment's flags carry @p count when it is nonzero.
      */
     std::size_t
     writeSegment(PmOff pos, TxTimestamp ts, bool final,
-                 const std::vector<std::uint64_t> &values)
+                 const std::vector<std::uint64_t> &values,
+                 std::uint32_t count = 0)
     {
         std::size_t bytes = sizeof(SegHead);
         PmOff cursor = pos + sizeof(SegHead);
@@ -55,7 +60,7 @@ class SplogFormatTest : public ::testing::Test
         SegHead head;
         head.sizeBytes = static_cast<std::uint32_t>(bytes);
         head.timestamp = ts;
-        head.flags = final ? kSegFinal : 0;
+        head.flags = final ? segFlagsWithCount(kSegFinal, count) : 0;
         head.numEntries = static_cast<std::uint32_t>(values.size());
         head.crc = segmentCrc(dev_, pos, head);
         dev_.storeT(pos, head);
@@ -319,6 +324,159 @@ TEST_F(SplogFormatTest, MalformedEntryHeadEndsTheWalkAsTornRecord)
         EXPECT_EQ(walk.end, WalkEnd::TornRecord) << bad.flags;
         EXPECT_EQ(segments, 0u) << bad.flags;
     }
+}
+
+/**
+ * One chain, written by the fixture or by the encoder: block A holds
+ * a one-segment transaction (ts 5) of a zero range and a value entry,
+ * then the first segment of a three-segment transaction (ts 7) whose
+ * second and final segments fill blocks B and C.
+ */
+class SplogEncoderTest : public SplogFormatTest
+{
+  protected:
+    static constexpr PmOff kA = kBase;
+    static constexpr PmOff kB = kBase + 256;
+    static constexpr PmOff kC = kBase + 512;
+    static constexpr PmOff kEnd = kBase + 768;
+
+    /** The chain through the fixture's hand-built writers. */
+    void
+    writeByHand()
+    {
+        writeBlock(kA, 256, kB);
+        writeBlock(kB, 256, kC, kA);
+        writeBlock(kC, 256, kPmNull, kB);
+        const PmOff pos = kA + sizeof(BlockHeader);
+        PmOff cursor = pos + sizeof(SegHead);
+        dev_.storeT(cursor, EntryHead{0x20000, 4096, kEntryZero});
+        cursor += sizeof(EntryHead);
+        dev_.storeT(cursor, EntryHead{0x20008, 8, 0});
+        dev_.storeT<std::uint64_t>(cursor + sizeof(EntryHead), 42);
+        cursor += entryBytes(8);
+        sealAt(dev_, pos, cursor - pos, 2);
+        writeSegment(cursor, 7, false, {11, 22});
+        writeSegment(kB + sizeof(BlockHeader), 7, false, {33});
+        writeSegment(kC + sizeof(BlockHeader), 7, true, {44}, 3);
+    }
+
+    /** Seal @p values as writeSegment() lays them out, through the
+     * encoder; returns bytes used. */
+    static std::size_t
+    encodeSegment(pmem::PmemDevice &dev, PmOff pos, TxTimestamp ts,
+                  std::uint32_t flags,
+                  const std::vector<std::uint64_t> &values)
+    {
+        std::size_t bytes = sizeof(SegHead);
+        for (std::size_t i = 0; i < values.size(); ++i)
+            bytes += writeEntry(dev, pos + bytes, 0x10000 + i * 8,
+                                &values[i], 8);
+        sealSegment(dev, pos, bytes, ts, flags,
+                    static_cast<std::uint32_t>(values.size()));
+        poisonSlot(dev, pos + bytes);
+        return bytes;
+    }
+
+    /** The same chain through the encoder. */
+    static void
+    encode(pmem::PmemDevice &dev)
+    {
+        formatBlock(dev, kA, 256, kPmNull);
+        formatBlock(dev, kB, 256, kA);
+        formatBlock(dev, kC, 256, kB);
+        const PmOff pos = kA + sizeof(BlockHeader);
+        std::size_t bytes = sizeof(SegHead);
+        bytes += writeEntry(dev, pos + bytes, 0x20000, nullptr, 4096);
+        const std::uint64_t value = 42;
+        bytes += writeEntry(dev, pos + bytes, 0x20008, &value, 8);
+        sealSegment(dev, pos, bytes, 5, segFlagsWithCount(kSegFinal, 1),
+                    2);
+        poisonSlot(dev, pos + bytes);
+        encodeSegment(dev, pos + bytes, 7, 0, {11, 22});
+        encodeSegment(dev, kB + sizeof(BlockHeader), 7, 0, {33});
+        encodeSegment(dev, kC + sizeof(BlockHeader), 7,
+                      segFlagsWithCount(kSegFinal, 3), {44});
+    }
+};
+
+TEST_F(SplogEncoderTest, WritesTheFixtureBytes)
+{
+    writeByHand();
+    pmem::PmemDevice encoded(dev_.size());
+    encode(encoded);
+    const std::vector<std::uint8_t> by_hand(dev_.raw() + kA,
+                                            dev_.raw() + kEnd);
+    const std::vector<std::uint8_t> by_encoder(encoded.raw() + kA,
+                                               encoded.raw() + kEnd);
+    EXPECT_EQ(by_hand, by_encoder);
+    EXPECT_EQ(blockCapacity(encoded, kB), 256u);
+}
+
+TEST_F(SplogEncoderTest, WalkDecodesWhatItWrote)
+{
+    encode(dev_);
+    std::vector<DecodedSegment> segments;
+    const auto walk = walkChain(
+        dev_, kA,
+        [&](const DecodedSegment &seg) { segments.push_back(seg); });
+    EXPECT_EQ(walk.end, WalkEnd::CleanTail);
+    EXPECT_EQ(walk.blocks, (std::vector<PmOff>{kA, kB, kC}));
+    ASSERT_EQ(segments.size(), 4u);
+
+    // The zero range and the value entry.
+    EXPECT_EQ(segments[0].timestamp, 5u);
+    EXPECT_TRUE(segments[0].final);
+    EXPECT_EQ(segments[0].txSegments, 1u);
+    ASSERT_EQ(segments[0].entries.size(), 2u);
+    EXPECT_TRUE(segments[0].entries[0].zero);
+    EXPECT_EQ(segments[0].entries[0].dataOff, 0x20000u);
+    EXPECT_EQ(segments[0].entries[0].size, 4096u);
+    std::uint64_t value = 0;
+    entryValue(dev_, segments[0].entries[1], &value);
+    EXPECT_EQ(value, 42u);
+
+    // The three segments of one transaction; only the last is final
+    // and attests to all three.
+    std::vector<std::uint64_t> values;
+    for (std::size_t i = 1; i < segments.size(); ++i) {
+        EXPECT_EQ(segments[i].timestamp, 7u);
+        EXPECT_EQ(segments[i].final, i == 3);
+        for (const auto &entry : segments[i].entries) {
+            entryValue(dev_, entry, &value);
+            values.push_back(value);
+        }
+    }
+    EXPECT_EQ(segments[3].txSegments, 3u);
+    EXPECT_EQ(values, (std::vector<std::uint64_t>{11, 22, 33, 44}));
+}
+
+TEST_F(SplogEncoderTest, FormattingARecycledBlockHidesItsStaleSegments)
+{
+    // A block that still holds two committed segments, as a block
+    // back from the allocator would.
+    writeBlock(kA, 256, kPmNull);
+    const PmOff first = kA + sizeof(BlockHeader);
+    const PmOff second = first + writeSegment(first, 1, true, {1}, 1);
+    writeSegment(second, 2, true, {2}, 1);
+    std::size_t segments = 0;
+    walkChain(dev_, kA, [&](const DecodedSegment &) { ++segments; });
+    ASSERT_EQ(segments, 2u);
+
+    // Chain it behind a fresh head block.
+    formatBlock(dev_, kB, 256, kPmNull);
+    formatBlock(dev_, kA, 256, kB);
+
+    // The second record still validates where it lies ...
+    const auto stale = dev_.loadT<SegHead>(second);
+    EXPECT_EQ(segmentCrc(dev_, second, stale), stale.crc);
+    // ... but the walk stops at the poison in the first slot.
+    segments = 0;
+    const auto walk = walkChain(
+        dev_, kB, [&](const DecodedSegment &) { ++segments; });
+    EXPECT_EQ(segments, 0u);
+    EXPECT_EQ(walk.end, WalkEnd::CleanTail);
+    EXPECT_EQ(walk.blocks, (std::vector<PmOff>{kB, kA}));
+    EXPECT_EQ(walk.tailPos, first);
 }
 
 } // namespace

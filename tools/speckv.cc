@@ -70,7 +70,8 @@
  * `<dir>/shard-<n>.pm`; a restart over the same directory re-attaches
  * the images and runs recovery, so a SIGKILLed server can be brought
  * back with its acked writes intact (the specchaos harness does
- * exactly this).
+ * exactly this). Like the walkthrough, it takes only a
+ * crash-recoverable runtime (txn::recoverableRuntimeNames()).
  *
  * --fault-* install a seeded deterministic media-fault plan
  * (pmem::FaultPlan) on the shard devices: poisoned read lines, write
@@ -153,6 +154,33 @@ splitCsv(const std::string &arg)
     return out;
 }
 
+/** @p names, each preceded by a space. */
+std::string
+nameList(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const auto &name : names)
+        out += " " + name;
+    return out;
+}
+
+/**
+ * Exit with a usage error unless @p runtime's recover() restores
+ * atomic durability: @p what recovers the service after a power
+ * failure and verifies it. The other runtimes are baselines or a
+ * rejected design; `speckv bench` (which never crashes) measures them.
+ */
+void
+requireRecoverable(const std::string &runtime, const char *what)
+{
+    if (!txn::isRecoverableRuntimeName(runtime)) {
+        SPECPMT_FATAL(
+            "runtime %s is not crash-recoverable; %s needs one of:%s",
+            runtime.c_str(), what,
+            nameList(txn::recoverableRuntimeNames()).c_str());
+    }
+}
+
 /** @p parsed, or the usage error for an unknown @p what name. */
 template <typename T>
 T
@@ -218,21 +246,11 @@ parseArgs(int argc, char **argv, bool bench)
     }
     for (const auto &runtime : args.runtimes) {
         if (!txn::isRuntimeName(runtime)) {
-            std::string names;
-            for (const auto &name : txn::runtimeNames())
-                names += " " + name;
-            SPECPMT_FATAL("unknown runtime %s; known:%s",
-                          runtime.c_str(), names.c_str());
+            SPECPMT_FATAL("unknown runtime %s; known:%s", runtime.c_str(),
+                          nameList(txn::runtimeNames()).c_str());
         }
-        // The walkthrough power-fails the service and recovers it, so
-        // the non-recoverable runtimes (the no-crash-consistency
-        // baseline and the §4 hash-table-log strawman) cannot drive
-        // it; `speckv bench` (which never crashes) measures those.
-        if (walkthrough && (runtime == "direct" || runtime == "hashlog")) {
-            SPECPMT_FATAL("runtime %s is not crash-recoverable; speckv "
-                          "needs one of: pmdk kamino spht spec spec-dp",
-                          runtime.c_str());
-        }
+        if (walkthrough)
+            requireRecoverable(runtime, "speckv");
     }
     return args;
 }
@@ -379,6 +397,9 @@ serveMain(int argc, char **argv)
     }
     if (!txn::isRuntimeName(runtime))
         SPECPMT_FATAL("unknown runtime %s", runtime.c_str());
+    // Reattaching a --pm-dir image runs recover().
+    if (!pm_dir.empty())
+        requireRecoverable(runtime, "speckv serve --pm-dir");
 
     // Loop i of the server transacts as client thread id i.
     kv::KvServiceConfig service_config =

@@ -1,9 +1,9 @@
 /**
  * @file
- * Lightweight statistics helpers: named counters, a fixed-bucket
- * latency histogram for the serving-shaped benchmarks, and the
- * geometric mean / speedup arithmetic used by the benchmark harnesses
- * when reproducing the paper's figures.
+ * Lightweight statistics helpers: a fixed-bucket latency histogram
+ * for the serving-shaped benchmarks, and the geometric mean / speedup
+ * arithmetic used by the benchmark harnesses when reproducing the
+ * paper's figures.
  */
 
 #ifndef SPECPMT_COMMON_STATS_HH
@@ -11,54 +11,11 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace specpmt
 {
-
-/**
- * A named bag of monotonically increasing counters.
- *
- * SINGLE-THREADED ONLY: this is a bare std::map mutated through
- * operator[], with no synchronization. It exists as a convenience for
- * single-threaded tests and tools that want exact, isolated event
- * counts without registering global metric names. Anything touched by
- * more than one thread must use obs::Registry (src/obs/metrics.hh),
- * whose counters are sharded atomics and safe to record from any
- * thread.
- */
-class CounterSet
-{
-  public:
-    /** Add @p delta to counter @p name (creating it at zero). */
-    void
-    add(const std::string &name, std::uint64_t delta = 1)
-    {
-        counters_[name] += delta;
-    }
-
-    /** Read counter @p name; missing counters read as zero. */
-    std::uint64_t
-    get(const std::string &name) const
-    {
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
-    }
-
-    /** Reset every counter to zero. */
-    void clear() { counters_.clear(); }
-
-    /** Access to all counters, sorted by name. */
-    const std::map<std::string, std::uint64_t> &all() const
-    {
-        return counters_;
-    }
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
-};
 
 /**
  * A fixed-bucket log-linear histogram for latency samples.

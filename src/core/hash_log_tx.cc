@@ -42,7 +42,6 @@ struct HashLogMetrics
 HashLogTx::HashLogTx(pmem::PmemPool &pool, unsigned num_threads,
                      std::size_t num_buckets)
     : TxRuntime(pool, num_threads), numBuckets_(num_buckets),
-      flight_(forensic::FlightRecorder::attach(pool)),
       keys_(num_buckets, 0), txs_(num_threads)
 {
     SPECPMT_ASSERT((num_buckets & (num_buckets - 1)) == 0);
@@ -72,7 +71,6 @@ HashLogTx::txBegin(ThreadId tid)
     tx.inTx = true;
     tx.touched.clear();
     HashLogMetrics::get().begins.add();
-    flight_.record(forensic::EventType::TxBegin, tid);
 }
 
 void
@@ -122,9 +120,6 @@ HashLogTx::txCommit(ThreadId tid)
             dev_.storeT(bucket_off + offsetof(Bucket, timestamp), ts);
             dev_.clwb(bucket_off, pmem::TrafficClass::Log);
         }
-        // Rides the commit fence below.
-        flight_.record(forensic::EventType::TxCommit, tid, ts,
-                       tx.touched.size());
         dev_.sfence();
         if (flushStartNs != 0 && obs::Tracer::global().enabled()) {
             const auto &tctx = obs::traceContext();

@@ -20,7 +20,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "forensic/flight_recorder.hh"
 #include "txn/tx_runtime.hh"
 
 namespace specpmt::core
@@ -60,8 +59,6 @@ class HashLogTx : public txn::TxRuntime
 
     PmOff tableOff_;
     std::size_t numBuckets_;
-    /** Disabled unless the pool carries a flight-recorder ring. */
-    forensic::FlightRecorder flight_;
     /** Volatile occupancy mirror to keep probing cheap and honest. */
     std::vector<std::uint64_t> keys_;
     struct TxState

@@ -233,8 +233,7 @@ struct PmMetrics
 
 SpecTx::SpecTx(pmem::PmemPool &pool, unsigned num_threads,
                const SpecTxConfig &config)
-    : TxRuntime(pool, num_threads), config_(config),
-      flight_(forensic::FlightRecorder::attach(pool))
+    : TxRuntime(pool, num_threads), config_(config)
 {
     logs_.reserve(num_threads);
     for (unsigned tid = 0; tid < num_threads; ++tid)
@@ -399,7 +398,6 @@ SpecTx::txBegin(ThreadId tid)
     SPECPMT_ASSERT(!log.inTx);
     log.inTx = true;
     SpecTxMetrics::get().begins.add();
-    flight_.record(forensic::EventType::TxBegin, tid);
     log.costAtBegin = obs::traceContext().cost;
     log.traceStartNs = SPECPMT_TRACE_BEGIN();
     openSegment(log);
@@ -537,7 +535,6 @@ SpecTx::commitStaged(ThreadId tid)
     }
 
     std::uint64_t ticket = 0;
-    const std::size_t segs = log.openSegs.size();
     if (!config_.groupCommit) {
         const TxTimestamp ts = nextTimestamp();
         sealSegments(log, ts);
@@ -552,8 +549,6 @@ SpecTx::commitStaged(ThreadId tid)
         }
         for (const auto &[off, size] : log.pendingFlush)
             dev_.clwbRange(off, size, pmem::TrafficClass::Log);
-        // Rides the commit fence below, durable iff the seals are.
-        flight_.record(forensic::EventType::TxCommit, tid, ts, segs);
         dev_.sfence();
         if (flushStartNs != 0 && obs::Tracer::global().enabled()) {
             const auto &tctx = obs::traceContext();
@@ -574,8 +569,6 @@ SpecTx::commitStaged(ThreadId tid)
         std::lock_guard<std::mutex> guard(epochMutex_);
         const TxTimestamp ts = currentTimestamp() + 1;
         sealSegments(log, ts);
-        // Rides the epoch fence, durable iff the seals are.
-        flight_.record(forensic::EventType::TxCommit, tid, ts, segs);
         const TxTimestamp taken = nextTimestamp();
         SPECPMT_ASSERT(taken == ts);
         if (config_.dataPersistOnCommit) {
@@ -603,9 +596,9 @@ SpecTx::commitStaged(ThreadId tid)
 
     // Commit point. Only past the fence (strict) or the epoch
     // registration is the transaction irrevocable; a media fault
-    // thrown from the seal stores or the flight append above leaves
-    // inTx set, so the caller can still txAbort() — pre-images
-    // restored, tail rewound and re-poisoned.
+    // thrown from the seal stores above leaves inTx set, so the
+    // caller can still txAbort() — pre-images restored, tail rewound
+    // and re-poisoned.
     log.pendingFlush.clear();
     endTx(log);
 
@@ -827,7 +820,6 @@ SpecTx::txAbort(ThreadId tid)
 
     endTx(log);
     SpecTxMetrics::get().aborts.add();
-    flight_.record(forensic::EventType::TxAbort, tid);
     SPECPMT_TRACE_END("tx_abort", "tx", log.traceStartNs);
 }
 
@@ -854,7 +846,6 @@ SpecTx::switchMechanism()
         SPECPMT_ASSERT(!log->inTx);
     // Persist every durable datum; after this the speculative logs are
     // unnecessary and another mechanism may take over (Section 4.3.1).
-    flight_.record(forensic::EventType::ModeSwitch, 0);
     dev_.drainAll();
     logBytes_.store(0);
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
@@ -911,7 +902,6 @@ SpecTx::recover()
     // inside an old record must not wedge the walk — the CRC seals
     // decide what is trustworthy, and quarantining handles the rest.
     pmem::MediaFaultSuppress suppress_media_faults;
-    flight_.record(forensic::EventType::RecoveryBegin, 0);
     struct CommittedTx
     {
         TxTimestamp ts;
@@ -964,10 +954,8 @@ SpecTx::recover()
                 seedTimestamp(seg.timestamp);
                 grouper.feed(seg);
             },
-            [&](const QuarantinedSegment &q) {
+            [&](const QuarantinedSegment &) {
                 grouper.noteQuarantine();
-                flight_.record(forensic::EventType::Quarantine, tid, 0,
-                               q.pos, q.sizeBytes);
             });
         grouper.finish();
         if (!chains[tid].walk.quarantined.empty()) {
@@ -1124,7 +1112,6 @@ SpecTx::recover()
         pool_.free(frontier_root);
     }
 
-    flight_.record(forensic::EventType::RecoveryEnd, 0, 0, txs.size());
     dev_.sfence();
     needsRecovery_ = false;
     SpecTxMetrics::get().recoveries.add();
@@ -1197,8 +1184,6 @@ SpecTx::reclaimCycle()
         return 0;
     SPECPMT_TRACE_SPAN("reclaim_cycle", "reclaim");
     const auto cycle_start = std::chrono::steady_clock::now();
-    flight_.record(forensic::EventType::ReclaimBegin, 0, 0,
-                   logBytes_.load());
 
     // Phase 1: freeze the immutable prefix of every chain and build
     // the volatile freshness index: (addr,size) -> newest committed
@@ -1392,7 +1377,6 @@ SpecTx::reclaimCycle()
             pool_.free(block);
         }
     }
-    flight_.record(forensic::EventType::ReclaimEnd, 0, 0, freed_total);
     liveAfterReclaim_.store(logBytes_.load());
     reclaimCycles_.fetch_add(1);
     auto &m = SpecTxMetrics::get();

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/splog_format.hh"
-#include "forensic/flight_recorder.hh"
 #include "obs/trace_context.hh"
 #include "txn/tx_runtime.hh"
 #include "txn/write_set.hh"
@@ -292,8 +291,6 @@ class SpecTx : public txn::TxRuntime
     void storeEpochFrontier(TxTimestamp first, TxTimestamp last);
 
     SpecTxConfig config_;
-    /** Disabled unless the pool carries a flight-recorder ring. */
-    forensic::FlightRecorder flight_;
     std::vector<std::unique_ptr<ThreadLog>> logs_;
     /** Set when the constructor found a pre-existing (crashed) pool. */
     bool needsRecovery_ = false;

@@ -29,32 +29,22 @@ ringBytes(std::uint32_t capacity)
            static_cast<std::size_t>(capacity) * sizeof(FlightRecord);
 }
 
+// A whole page moves every later allocation by a multiple of the
+// 1 KiB channel interleave, so the ring changes no modelled cost.
+static_assert(ringBytes(kFlightRingSlots) == kPageSize);
+
 } // namespace
 
 const char *
 eventTypeName(EventType type)
 {
     switch (type) {
-      case EventType::TxBegin:
-        return "tx_begin";
-      case EventType::TxCommit:
-        return "tx_commit";
-      case EventType::TxAbort:
-        return "tx_abort";
-      case EventType::ReclaimBegin:
-        return "reclaim_begin";
-      case EventType::ReclaimEnd:
-        return "reclaim_end";
       case EventType::RecoveryBegin:
         return "recovery_begin";
       case EventType::RecoveryEnd:
         return "recovery_end";
-      case EventType::ModeSwitch:
-        return "mode_switch";
       case EventType::MediaFault:
         return "media_fault";
-      case EventType::Quarantine:
-        return "quarantine";
       case EventType::DegradedEnter:
         return "degraded_enter";
       case EventType::None:
@@ -107,6 +97,7 @@ FlightRecorder::attach(pmem::PmemPool &pool)
     auto &dev = pool.device();
     if (base + sizeof(FlightHeader) > dev.size())
         return fr;
+    pmem::MediaFaultSuppress suppress_media_faults;
     const auto header = dev.loadT<FlightHeader>(base);
     if (header.magic != kFlightMagic || header.capacity == 0 ||
         header.capacity > kMaxCapacity ||
@@ -139,6 +130,7 @@ FlightRecorder::record(EventType type, ThreadId tid,
 {
     if (!enabled())
         return;
+    pmem::MediaFaultSuppress suppress_media_faults;
     const std::uint64_t seq =
         seq_->fetch_add(1, std::memory_order_relaxed) + 1;
     const PmOff pos =
@@ -152,7 +144,7 @@ FlightRecorder::record(EventType type, ThreadId tid,
     rec.arg1 = arg1;
     rec.crc = recordCrc(pos, rec);
     dev_->storeT(pos, rec);
-    // Flush only: the line rides the caller's next commit fence.
+    // Flush only: the line rides the pool's next fence.
     dev_->clwb(pos, pmem::TrafficClass::Meta);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Persistent flight recorder: a small, bounded, crash-consistent ring
- * journal of coarse runtime lifecycle events, allocated inside the
+ * journal of the rare events a post-mortem needs, allocated inside the
  * pmem pool so it survives the crash it is meant to explain.
  *
  * Every record is one sealed cache line, borrowing the speculative
@@ -9,23 +9,21 @@
  * location doubles as the validity flag, so a torn ring-slot
  * overwrite is self-identifying and an offline reader never needs a
  * separate index. Appends store the line and clwb it with *no* fence
- * — the record becomes durable with the caller's next commit fence
- * (SpecTx's single commit sfence, the undo runtimes' commit barrier),
- * so steady-state recording costs one cache-line store + flush and
- * zero extra ordering. A record appended after the final pre-crash
- * fence may be lost or torn; both read back as an invalid seal and
- * are reported as such, never as a wrong event.
+ * — the record becomes durable with the pool's next fence (the next
+ * commit or recovery fence). A record appended after the final
+ * pre-crash fence may be lost or torn; both read back as an invalid
+ * seal and are reported as such, never as a wrong event.
  *
- * The recorder is strictly opt-in and off by default: create() is
- * called once, at pool-creation time, before any runtime is
- * constructed; every runtime's constructor then attach()es through
- * the pool root and gets a cheap disabled handle when the root is
- * null. Because appends add persistence events (stores + flushes),
- * leaving it off keeps crash-schedule replay tokens stable.
+ * kv::KvService is the only writer. It creates one page-sized ring in
+ * every fresh shard pool before it builds the runtime, so the pool's
+ * later allocations keep their XPLine and channel phase, and appends
+ * recovery phases, media faults and entries into read-only mode. No
+ * transaction runtime appends: commits, tears and quarantined
+ * segments are in the logs themselves. A pool that was not created
+ * with a ring has none; attach() then returns a disabled handle.
  *
  * Event semantics (what arg0/arg1 carry) are documented per EventType
- * member; the timestamp field holds the runtime's commit timestamp
- * where one exists, else 0.
+ * member; KvService leaves the timestamp field 0.
  */
 
 #ifndef SPECPMT_FORENSIC_FLIGHT_RECORDER_HH
@@ -53,40 +51,28 @@ constexpr unsigned kFlightRecorderRootSlot =
 /** Ring header magic ("SPMTFLT1", little-endian). */
 constexpr std::uint64_t kFlightMagic = 0x31544C46544D5053ull;
 
-/** Coarse lifecycle events the runtimes append. */
+/** Record slots of a KvService ring: with the header, one page. */
+constexpr std::uint32_t kFlightRingSlots = 63;
+
+/** Journaled events; the values are the on-media type codes. */
 enum class EventType : std::uint16_t
 {
     None = 0,
-    /** arg0 = 0. */
-    TxBegin = 1,
-    /** timestamp = commit timestamp (0 if the scheme has none),
-     * arg0 = log segments / records sealed by this commit. */
-    TxCommit = 2,
-    /** arg0 = 0. */
-    TxAbort = 3,
-    /** arg0 = live log bytes when the cycle started. */
-    ReclaimBegin = 4,
-    /** arg0 = bytes freed by the cycle. */
-    ReclaimEnd = 5,
-    /** arg0 = 0. */
+    /** A shard's recovery is about to run: arg0 = 0. */
     RecoveryBegin = 6,
-    /** arg0 = committed transactions replayed. */
+    /** The shard's recovery finished: arg0 = log segments it
+     * quarantined as media-corrupt. */
     RecoveryEnd = 7,
-    /** arg0 = 0 (Section 4.3.1 mechanism switch). */
-    ModeSwitch = 8,
-    /** A device MediaError surfaced to the runtime: arg0 = the
+    /** A device MediaError aborted a transaction: arg0 = the
      * faulting media offset, arg1 = MediaErrorKind. */
     MediaFault = 9,
-    /** Recovery/walk quarantined a CRC-failing segment: arg0 = the
-     * segment's position, arg1 = its claimed sizeBytes. */
-    Quarantine = 10,
     /** The pool entered read-only degraded mode (log-space
-     * exhaustion or unrecoverable media failure): arg0 = bytes the
-     * failing allocation needed (0 when unknown). */
+     * exhaustion, or forced): arg0 = bytes the failing allocation
+     * needed (0 when unknown or forced). */
     DegradedEnter = 11,
 };
 
-/** Printable name of @p type ("tx_commit", ...). */
+/** Printable name of @p type ("recovery_end", ...). */
 const char *eventTypeName(EventType type);
 
 /** On-media ring header (one cache line). */
@@ -141,8 +127,8 @@ struct DecodedFlightRing
 };
 
 /**
- * The runtime-side handle; see file comment. Default-constructed
- * handles are disabled and every record() is a no-op branch.
+ * The writer's handle; see file comment. Default-constructed handles
+ * are disabled and every record() is a no-op branch.
  */
 class FlightRecorder
 {
@@ -152,10 +138,12 @@ class FlightRecorder
     /**
      * Allocate and persist an empty ring of @p capacity records in
      * @p pool and publish it in the root directory. Call once per
-     * pool, before constructing any runtime. Idempotent re-creation
-     * is not supported: the slot must be unset.
+     * fresh pool, before constructing any runtime: a re-opened pool's
+     * bump pointer does not know where its live data ends. Idempotent
+     * re-creation is not supported: the slot must be unset.
      */
-    static void create(pmem::PmemPool &pool, std::uint32_t capacity = 64);
+    static void create(pmem::PmemPool &pool,
+                       std::uint32_t capacity = kFlightRingSlots);
 
     /**
      * Attach to the ring published in @p pool's root directory.
@@ -163,7 +151,8 @@ class FlightRecorder
      * does not validate. Re-adopts the ring's allocation (idempotent)
      * and re-establishes the append sequence by scanning the ring for
      * the newest valid seal, so recording continues monotonically
-     * across crashes.
+     * across crashes. A poisoned ring line reads as its bytes (an
+     * invalid seal at worst), never as a MediaError.
      */
     static FlightRecorder attach(pmem::PmemPool &pool);
 
@@ -172,7 +161,8 @@ class FlightRecorder
     /**
      * Append one record (no-op when disabled). The stored line is
      * flushed (TrafficClass::Meta) but not fenced — it rides the
-     * caller's next commit fence.
+     * pool's next fence. Thread-safe, and never raises a MediaError:
+     * a faulty ring line must not fail the operation being journaled.
      */
     void record(EventType type, ThreadId tid, std::uint64_t timestamp = 0,
                 std::uint64_t arg0 = 0, std::uint64_t arg1 = 0);

@@ -156,15 +156,14 @@ KvService::KvService(const KvServiceConfig &config) : config_(config)
             recoverShard(shard);
             return;
         }
-        if (config_.flightRecorder)
-            forensic::FlightRecorder::create(*shard.pool);
+        forensic::FlightRecorder::create(*shard.pool);
+        shard.flight = forensic::FlightRecorder::attach(*shard.pool);
         shard.runtime = txn::makeRuntime(config_.runtime, *shard.pool,
                                          config_.threads,
                                          config_.runtimeOptions);
         shard.map.emplace(
             Map::create(*shard.runtime, config_.bucketsPerShard));
         shard.pool->setRoot(txn::kAppRootSlotBase, shard.map->base());
-        shard.flight = forensic::FlightRecorder::attach(*shard.pool);
     });
     // After the join, so the registry sees the shards in order.
     for (unsigned s = 0; s < config_.shards; ++s) {
@@ -186,10 +185,28 @@ KvService::groupCommitEnabled() const
 std::uint64_t
 KvService::sealShardEpoch(unsigned shard_index)
 {
-    const std::uint64_t sealed =
-        shards_.at(shard_index)->runtime->sealEpoch();
+    Shard &shard = *shards_.at(shard_index);
+    // Zeroed before the seal: a mutation counted in between is in
+    // this epoch or the next, and at worst brings the next seal early.
+    shard.relaxedSinceSeal.store(0, std::memory_order_relaxed);
+    const std::uint64_t sealed = shard.runtime->sealEpoch();
     publishSealLag(shard_index);
     return sealed;
+}
+
+bool
+KvService::sealShardEpochIfDue(unsigned shard_index,
+                               std::uint64_t max_ops)
+{
+    auto &count = shards_.at(shard_index)->relaxedSinceSeal;
+    std::uint64_t n = count.load(std::memory_order_relaxed);
+    do {
+        if (n < max_ops)
+            return false;
+    } while (!count.compare_exchange_weak(n, 0,
+                                          std::memory_order_relaxed));
+    sealShardEpoch(shard_index);
+    return true;
 }
 
 std::uint64_t
@@ -202,10 +219,8 @@ void
 KvService::sealAllEpochs()
 {
     for (unsigned s = 0; s < shards_.size(); ++s) {
-        if (shards_[s]->runtime) {
-            shards_[s]->runtime->sealEpoch();
-            publishSealLag(s);
-        }
+        if (shards_[s]->runtime)
+            sealShardEpoch(s);
     }
 }
 
@@ -245,18 +260,6 @@ KvService::publishSealLag(unsigned shard_index) const
     if (shard.sealLagGauge != nullptr)
         shard.sealLagGauge->set(
             static_cast<std::int64_t>(shardEpochLag(shard_index)));
-}
-
-void
-KvService::noteRelaxedMutation(unsigned shard_index, Shard &shard)
-{
-    const std::uint64_t n =
-        shard.relaxedSinceSeal.fetch_add(1, std::memory_order_relaxed)
-        + 1;
-    if (config_.epochMaxOps != 0 && n >= config_.epochMaxOps) {
-        shard.relaxedSinceSeal.store(0, std::memory_order_relaxed);
-        sealShardEpoch(shard_index);
-    }
 }
 
 unsigned
@@ -300,8 +303,8 @@ KvService::put(ThreadId tid, KvKey key, const KvValue &value,
         results[0].ok;
     if (epoch_ticket)
         *epoch_ticket = ticket;
-    if (ticket != 0)
-        noteRelaxedMutation(shard_index, *shards_[shard_index]);
+    if (ticket != 0 && config_.epochMaxOps != 0)
+        sealShardEpochIfDue(shard_index, config_.epochMaxOps);
     return ok;
 }
 
@@ -346,9 +349,8 @@ KvService::noteMediaAbort(unsigned shard_index, Shard &shard,
                           ThreadId tid, std::uint64_t fault_off,
                           std::uint64_t fault_kind, bool in_tx)
 {
-    // Everything here runs with media faults suppressed: the rollback
-    // recovering from a MediaError must not itself be interrupted by
-    // one, and the flight append stores to the same device.
+    // The rollback recovering from a MediaError must not itself be
+    // interrupted by one.
     pmem::MediaFaultSuppress suppress_media_faults;
     if (in_tx)
         shard.runtime->txAbort(tid);
@@ -372,11 +374,8 @@ KvService::enterReadOnly(unsigned shard_index, Shard &shard,
             was, true, std::memory_order_acq_rel))
         return; // already degraded
     KvMetrics::get().degradedEnters.add();
-    {
-        pmem::MediaFaultSuppress suppress_media_faults;
-        shard.flight.record(forensic::EventType::DegradedEnter, tid,
-                            0, bytes_needed);
-    }
+    shard.flight.record(forensic::EventType::DegradedEnter, tid, 0,
+                        bytes_needed);
     SPECPMT_INFORM("kv: shard %u entered read-only degraded mode "
                 "(allocation of %llu bytes failed)",
                 shard_index,
@@ -439,11 +438,14 @@ KvService::executeShardBatch(ThreadId tid, unsigned shard_index,
     bool any_put = false;
     bool any_erase = false;
     std::vector<PmOff> addrs;
+    std::uint64_t mutations = 0;
     for (const auto &op : ops) {
         if (shardOf(op.key) != shard_index)
             return BatchStatus::BadRoute;
-        if (op.kind != BatchOp::Kind::Get)
+        if (op.kind != BatchOp::Kind::Get) {
             addrs.push_back(lockAddr(op.key));
+            ++mutations;
+        }
         any_put |= op.kind == BatchOp::Kind::Put;
         any_erase |= op.kind == BatchOp::Kind::Erase;
     }
@@ -537,6 +539,9 @@ KvService::executeShardBatch(ThreadId tid, unsigned shard_index,
     }
     if (epoch_ticket)
         *epoch_ticket = ticket;
+    if (ticket != 0)
+        shard.relaxedSinceSeal.fetch_add(mutations,
+                                         std::memory_order_relaxed);
     noteTicket(shard_index, shard, ticket);
     if (applied)
         shard.committedTxs.fetch_add(1, std::memory_order_relaxed);
@@ -564,14 +569,20 @@ KvService::recoverShard(Shard &shard)
 {
     SPECPMT_TRACE_SPAN("kv_recover_shard", "recovery");
     const auto start = std::chrono::steady_clock::now();
+    // Attached first, so the ring's page is adopted before recovery
+    // allocates. Never created here: a re-opened pool's bump pointer
+    // does not know where its live data ends.
+    shard.flight = forensic::FlightRecorder::attach(*shard.pool);
     shard.runtime = txn::makeRuntime(config_.runtime, *shard.pool,
                                      config_.threads,
                                      config_.runtimeOptions);
+    shard.flight.record(forensic::EventType::RecoveryBegin, 0);
     shard.runtime->recover();
+    shard.flight.record(forensic::EventType::RecoveryEnd, 0, 0,
+                        shard.runtime->quarantinedSegments());
     const PmOff base = shard.pool->getRoot(txn::kAppRootSlotBase);
     SPECPMT_ASSERT(base != kPmNull);
     shard.map.emplace(Map::attach(*shard.runtime, base));
-    shard.flight = forensic::FlightRecorder::attach(*shard.pool);
     // Recovery re-initializes the log areas, so a shard that
     // degraded on log exhaustion serves mutations again.
     shard.readOnly.store(false, std::memory_order_release);

@@ -34,6 +34,12 @@
  * thread per shard, the shards' logs being fully independent. A shard
  * that fails there does not take the process down; its exception
  * reaches the caller once every shard's thread has finished.
+ *
+ * The service is the flight recorder's only writer (DESIGN §10): every
+ * fresh shard pool gets a one-page ring before its runtime exists,
+ * and the shard journals its recoveries, its media-fault aborts and
+ * its entry into read-only mode there. A reattached pool keeps the
+ * ring it was created with; a pool created without one stays without.
  */
 
 #ifndef SPECPMT_KV_KV_SERVICE_HH
@@ -108,16 +114,10 @@ struct KvServiceConfig
     /** Emulated device capacity per shard. */
     std::size_t shardPoolBytes = 64u << 20;
     /**
-     * Create a persistent flight-recorder ring in every shard pool so
-     * the runtimes journal lifecycle events for post-mortem analysis
-     * (pminspect). Off by default: appends add persistence events,
-     * which perturbs crash-schedule replay tokens.
-     */
-    bool flightRecorder = false;
-    /**
-     * Group-commit auto-seal threshold: a shard's epoch is sealed once
-     * this many relaxed mutations have accumulated since the previous
-     * seal. Only meaningful when runtimeOptions.groupCommit is on.
+     * put()'s group-commit auto-seal threshold: a relaxed put seals
+     * its shard's epoch once this many relaxed mutations have
+     * committed on the shard since the service last sealed it (0 =
+     * never). Only meaningful when runtimeOptions.groupCommit is on.
      */
     unsigned epochMaxOps = 64;
     /** Options forwarded to the runtime factory. */
@@ -237,8 +237,8 @@ class KvService
      * just went, read-only.
      *
      * With Durability::Relaxed on a group-commit runtime the commit
-     * fence is deferred into the shard's epoch; the service auto-seals
-     * after every config().epochMaxOps relaxed puts. When
+     * fence is deferred into the shard's epoch; the put seals it once
+     * sealShardEpochIfDue(shard, config().epochMaxOps) says so. When
      * @p epoch_ticket is non-null it receives the epoch ticket the
      * transaction joined (0 = already durable).
      */
@@ -287,8 +287,9 @@ class KvService
      * transaction joins the shard's open epoch instead of fencing;
      * @p epoch_ticket (when non-null) receives the ticket to wait on
      * before acking the results (0 = already durable / read-only).
-     * Relaxed batches do NOT auto-seal — the caller owns the seal
-     * policy via sealShardEpoch().
+     * A relaxed run that got a ticket adds its mutations to the
+     * shard's relaxed count but does not seal: the caller owns the
+     * seal policy, via sealShardEpochIfDue() and sealShardEpoch().
      *
      * Faults never escape: a pmem::MediaError aborts the transaction
      * and returns Io; pmem::PoolExhausted aborts it, flips the shard
@@ -332,8 +333,18 @@ class KvService
     /** True if the shard runtimes defer durability into epochs. */
     bool groupCommitEnabled() const;
 
-    /** Seal @p shard 's open epoch; returns the sealed ticket. */
+    /** Seal @p shard 's open epoch and zero its relaxed count;
+     * returns the sealed ticket. */
     std::uint64_t sealShardEpoch(unsigned shard);
+
+    /**
+     * The size trigger: seal @p shard 's epoch when at least
+     * @p max_ops relaxed mutations have committed on it, from any
+     * client thread, since the service last sealed it. Of concurrent
+     * callers that see the count reach @p max_ops, one seals. True if
+     * this call sealed.
+     */
+    bool sealShardEpochIfDue(unsigned shard, std::uint64_t max_ops);
 
     /** Highest sealed (durable) epoch ticket of @p shard. */
     std::uint64_t shardSealedEpoch(unsigned shard) const;
@@ -405,7 +416,8 @@ class KvService
         /** Serializes bucket-claiming mutations (see file comment). */
         std::mutex structureLock;
         std::atomic<std::uint64_t> committedTxs{0};
-        /** Relaxed mutations since the last auto-seal (epoch mode). */
+        /** Relaxed mutations committed since the service last sealed
+         * this shard (see sealShardEpochIfDue). */
         std::atomic<std::uint64_t> relaxedSinceSeal{0};
         /** Highest relaxed epoch ticket issued (shardEpochLag). */
         std::atomic<std::uint64_t> lastRelaxedTicket{0};
@@ -416,16 +428,17 @@ class KvService
         std::atomic<bool> readOnly{false};
         /** Transactions aborted cleanly on pmem::MediaError. */
         std::atomic<std::uint64_t> mediaAborts{0};
-        /** Journal handle for media-fault / degraded-mode events
-         * (disabled unless the pool carries a flight ring). */
+        /** The shard's journal (see file comment); disabled when the
+         * pool was created without a ring. */
         forensic::FlightRecorder flight;
     };
 
     /** Pseudo-address used to stripe-lock @p key. */
     static PmOff lockAddr(KvKey key);
 
-    /** Rebuild @p shard from its pool: a fresh runtime, recovery,
-     * and the map re-attached (post-crash and pm-dir reattach). */
+    /** Rebuild @p shard from its pool: the journal re-attached, a
+     * fresh runtime, recovery between two journal records, and the
+     * map re-attached (post-crash and pm-dir reattach). */
     void recoverShard(Shard &shard);
 
     /** Media-fault catch path: abort the open tx with faults
@@ -437,9 +450,6 @@ class KvService
     /** Flip @p shard into read-only degraded mode (idempotent). */
     void enterReadOnly(unsigned shard_index, Shard &shard,
                        ThreadId tid, std::uint64_t bytes_needed);
-
-    /** Count one relaxed mutation; seal on the epochMaxOps boundary. */
-    void noteRelaxedMutation(unsigned shard_index, Shard &shard);
 
     /** Track the highest relaxed ticket + publish the seal-lag gauge. */
     void noteTicket(unsigned shard_index, Shard &shard,

@@ -211,7 +211,6 @@ NetServer::start()
         loop->index = i;
         loop->lastBeatNs.store(obs::Tracer::now(),
                                std::memory_order_relaxed);
-        loop->epochOps.assign(service_.numShards(), 0);
         loop->epollFd = ::epoll_create1(EPOLL_CLOEXEC);
         if (loop->epollFd < 0)
             throwErrno("epoll_create1");
@@ -588,6 +587,8 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
     std::vector<kv::BatchOp> ops;
     std::vector<kv::BatchOpResult> results;
     std::vector<kv::BatchOpResult> all_results(pending.size());
+    /** Shards a relaxed run of this drain added mutations to. */
+    std::vector<unsigned> relaxed_shards;
     std::size_t start = 0;
     while (start < pending.size()) {
         // Drop ops whose connection died mid-cycle: nothing was
@@ -600,7 +601,6 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
         const unsigned shard = pending[start].shard;
         const bool strict = !epochMode_ || pending[start].strict;
         std::size_t end = start;
-        std::size_t mutations = 0;
         // The run's trace identity: the first sampled member wins
         // (so a sampled request's waterfall is complete), else the
         // first traced member (exemplars only).
@@ -613,8 +613,6 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
                pending[end].shard == shard &&
                (!epochMode_ || pending[end].strict ==
                                    pending[start].strict)) {
-            if (pending[end].op.kind != kv::BatchOp::Kind::Get)
-                ++mutations;
             if (pending[end].traceId != 0 &&
                 (runTraceId == 0 ||
                  (!runSampled && pending[end].traceSampled))) {
@@ -691,8 +689,10 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
                                              execStartNs,
                                              done.traceId);
         }
-        if (ticket != 0)
-            loop.epochOps[shard] += mutations;
+        if (ticket != 0 &&
+            std::find(relaxed_shards.begin(), relaxed_shards.end(),
+                      shard) == relaxed_shards.end())
+            relaxed_shards.push_back(shard);
         start = end;
     }
 
@@ -851,13 +851,11 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
         noteResponse(op, out);
     }
 
-    // Size trigger: seal any shard with enough deferred mutations.
-    for (unsigned s = 0; s < loop.epochOps.size(); ++s) {
-        if (loop.epochOps[s] >= config_.epochMaxOps) {
-            service_.sealShardEpoch(s);
-            loop.epochOps[s] = 0;
+    // Size trigger, on the service's one count per shard: every
+    // loop's relaxed runs on a shard add up to one epochMaxOps.
+    for (const unsigned s : relaxed_shards) {
+        if (service_.sealShardEpochIfDue(s, config_.epochMaxOps))
             metrics.epochSeals.add();
-        }
     }
 }
 
@@ -921,8 +919,6 @@ NetServer::sealOverdueEpochs(Loop &loop)
             service_.sealShardEpoch(chunk.shard);
             sealed[chunk.shard] = true;
             sealed_any = true;
-            if (chunk.shard < loop.epochOps.size())
-                loop.epochOps[chunk.shard] = 0;
         }
     }
     if (sealed_any)

@@ -29,9 +29,10 @@
  * Epoch group commit (ServerConfig::groupCommit, DESIGN §12) goes one
  * step further: relaxed runs commit with Durability::Relaxed — no
  * per-run fence at all — and their responses are parked in
- * per-connection deferred chunks keyed by (shard, epoch ticket). The
+ * per-connection deferred chunks keyed by (shard, epoch ticket). A
  * loop seals a shard's epoch once epochMaxOps deferred mutations
- * accumulate, or after epochMaxDelayUs via a finite epoll timeout,
+ * accumulate on it, counted once per shard by KvService whichever
+ * loops ran them, or after epochMaxDelayUs via a finite epoll timeout,
  * and a chunk is released to the socket only when its shard's sealed
  * epoch reaches its ticket — acks still never precede durability,
  * they just share one fence per epoch. Chunks drain in FIFO order
@@ -91,7 +92,8 @@ struct ServerConfig
      * (otherwise runs keep committing strictly).
      */
     bool groupCommit = false;
-    /** Seal a shard's epoch once this many deferred mutations wait. */
+    /** Seal a shard's epoch once this many deferred mutations wait
+     * (KvService::sealShardEpochIfDue). */
     std::size_t epochMaxOps = 64;
     /** Upper bound on how long an ack may wait for an epoch seal. */
     std::uint64_t epochMaxDelayUs = 500;
@@ -256,9 +258,6 @@ class NetServer
         std::mutex mailboxMutex;
         std::vector<std::unique_ptr<Conn>> mailbox;
         std::unordered_map<int, std::unique_ptr<Conn>> conns;
-        /** Per-shard relaxed mutations deferred since the last seal
-         * this loop initiated (the epochMaxOps trigger). */
-        std::vector<std::uint64_t> epochOps;
         /** Steady-clock ns of the last event-loop iteration. */
         std::atomic<std::uint64_t> lastBeatNs{0};
         /** One-shot stall injection in ms (debugWedgeLoop). */

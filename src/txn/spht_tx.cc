@@ -73,8 +73,7 @@ seedCrc(std::uint64_t generation, unsigned tid, std::uint64_t pos)
 
 SphtTx::SphtTx(pmem::PmemPool &pool, unsigned num_threads,
                bool start_replayer)
-    : TxRuntime(pool, num_threads),
-      flight_(forensic::FlightRecorder::attach(pool))
+    : TxRuntime(pool, num_threads)
 {
     logs_.reserve(num_threads);
     for (unsigned tid = 0; tid < num_threads; ++tid) {
@@ -129,7 +128,6 @@ SphtTx::txBegin(ThreadId tid)
     log.inTx = true;
     log.staged.clear();
     SphtMetrics::get().begins.add();
-    flight_.record(forensic::EventType::TxBegin, tid);
 }
 
 void
@@ -248,9 +246,6 @@ SphtTx::txCommit(ThreadId tid)
         SPECPMT_TRACE_SPAN("flush_batch", "flush");
         dev_.clwbRange(pos, record_bytes + sizeof(std::uint32_t),
                        pmem::TrafficClass::Log);
-        // Rides the commit fence below.
-        flight_.record(forensic::EventType::TxCommit, tid, ts,
-                       log.staged.size());
         dev_.sfence();
     }
     SphtMetrics::get().commits.add();
@@ -355,7 +350,6 @@ SphtTx::recover()
 {
     SPECPMT_TRACE_SPAN("spht_recover", "recovery");
     SphtMetrics::get().recoveries.add();
-    flight_.record(forensic::EventType::RecoveryBegin, 0);
     struct PendingRecord
     {
         TxTimestamp ts;
@@ -444,8 +438,6 @@ SphtTx::recover()
         dev_.storeT<std::uint64_t>(log.headerOff, log.generation);
         dev_.clwb(log.headerOff, pmem::TrafficClass::Log);
     }
-    flight_.record(forensic::EventType::RecoveryEnd, 0, 0,
-                   records.size());
     dev_.sfence();
 
     mirror_.assign(dev_.raw(), dev_.raw() + dev_.size());

@@ -28,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "forensic/flight_recorder.hh"
 #include "txn/tx_runtime.hh"
 
 namespace specpmt::txn
@@ -99,8 +98,6 @@ class SphtTx : public TxRuntime
     /** Recycle the log area when fully applied; may wait for space. */
     void ensureSpace(ThreadLog &log, std::size_t bytes);
 
-    /** Disabled unless the pool carries a flight-recorder ring. */
-    forensic::FlightRecorder flight_;
     std::vector<std::unique_ptr<ThreadLog>> logs_;
 
     std::mutex queueMutex_;

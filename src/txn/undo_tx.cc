@@ -81,8 +81,7 @@ recordCrc(std::uint64_t tx_seq, std::uint64_t off, std::uint64_t size,
 } // namespace
 
 PmdkUndoTx::PmdkUndoTx(pmem::PmemPool &pool, unsigned num_threads)
-    : TxRuntime(pool, num_threads),
-      flight_(forensic::FlightRecorder::attach(pool)), logs_(num_threads)
+    : TxRuntime(pool, num_threads), logs_(num_threads)
 {
     for (unsigned tid = 0; tid < num_threads; ++tid) {
         auto &log = logs_[tid];
@@ -120,7 +119,6 @@ PmdkUndoTx::txBegin(ThreadId tid)
 
     Header header{log.txSeq, 1, 0, 0};
     dev_.storeT(log.headerOff, header);
-    flight_.record(forensic::EventType::TxBegin, tid, log.txSeq);
     dev_.clwb(log.headerOff, pmem::TrafficClass::Log);
     dev_.sfence();
     undoMetrics().begins.add();
@@ -209,8 +207,6 @@ PmdkUndoTx::txCommit(ThreadId tid)
 
     Header header{log.txSeq, 0, 0, 0};
     dev_.storeT(log.headerOff, header);
-    // Rides the log-retire fence below.
-    flight_.record(forensic::EventType::TxCommit, tid, log.txSeq);
     dev_.clwb(log.headerOff, pmem::TrafficClass::Log);
     dev_.sfence();
 
@@ -232,7 +228,6 @@ PmdkUndoTx::txAbort(ThreadId tid)
     log.writeSet.clear();
     log.loggedSet.clear();
     undoMetrics().aborts.add();
-    flight_.record(forensic::EventType::TxAbort, tid, log.txSeq);
 }
 
 void
@@ -292,7 +287,6 @@ PmdkUndoTx::recover()
 {
     SPECPMT_TRACE_SPAN("undo_recover", "recovery");
     undoMetrics().recoveries.add();
-    flight_.record(forensic::EventType::RecoveryBegin, 0);
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
         auto &log = logs_[tid];
         log.headerOff = pool_.getRoot(logHeadSlot(tid));
@@ -303,7 +297,6 @@ PmdkUndoTx::recover()
         log.inTx = false;
         rollbackThread(tid);
     }
-    flight_.record(forensic::EventType::RecoveryEnd, 0);
     dev_.sfence();
 }
 

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "forensic/flight_recorder.hh"
 #include "txn/tx_runtime.hh"
 #include "txn/write_set.hh"
 
@@ -79,8 +78,6 @@ class PmdkUndoTx : public TxRuntime
     /** Parse + apply a thread's undo records in reverse; clear log. */
     void rollbackThread(unsigned tid);
 
-    /** Disabled unless the pool carries a flight-recorder ring. */
-    forensic::FlightRecorder flight_;
     std::vector<ThreadLog> logs_;
 };
 

@@ -145,17 +145,6 @@ TEST(Stats, Geomean)
     EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
 }
 
-TEST(Stats, CounterSet)
-{
-    CounterSet counters;
-    EXPECT_EQ(counters.get("missing"), 0u);
-    counters.add("fences");
-    counters.add("fences", 4);
-    EXPECT_EQ(counters.get("fences"), 5u);
-    counters.clear();
-    EXPECT_EQ(counters.get("fences"), 0u);
-}
-
 TEST(Types, LineGeometry)
 {
     EXPECT_EQ(lineBase(0), 0u);

@@ -374,6 +374,40 @@ TEST(EpochKv, AutoSealAfterEpochMaxOpsRelaxedMutations)
     service.shutdown();
 }
 
+TEST(EpochKv, RelaxedBatchesOfTwoThreadsAddUpToOneSeal)
+{
+    // The size trigger counts per shard, not per client thread: the
+    // relaxed runs of two threads (two server loops) on one shard
+    // reach one threshold together.
+    kv::KvServiceConfig config = kvEpochConfig(0);
+    config.threads = 2;
+    kv::KvService service(config);
+    auto relaxed_run = [&service](ThreadId tid, kv::KvKey first) {
+        std::vector<kv::BatchOp> ops;
+        for (kv::KvKey key = first; key < first + 3; ++key)
+            ops.push_back({kv::BatchOp::Kind::Put, key,
+                           kv::KvValue::tagged(key, tid)});
+        ops.push_back({kv::BatchOp::Kind::Get, first, {}}); // not counted
+        std::vector<kv::BatchOpResult> results;
+        std::uint64_t ticket = 0;
+        EXPECT_EQ(service.executeShardBatch(tid, 0, ops, results,
+                                            kv::Durability::Relaxed,
+                                            &ticket),
+                  kv::BatchStatus::Ok);
+        EXPECT_GT(ticket, 0u);
+        return ticket;
+    };
+    relaxed_run(0, 1);
+    EXPECT_FALSE(service.sealShardEpochIfDue(0, 6));
+    const std::uint64_t ticket = relaxed_run(1, 11);
+    EXPECT_LT(service.shardSealedEpoch(0), ticket);
+    EXPECT_TRUE(service.sealShardEpochIfDue(0, 6));
+    EXPECT_GE(service.shardSealedEpoch(0), ticket);
+    EXPECT_FALSE(service.sealShardEpochIfDue(0, 6))
+        << "a seal must zero the shard's count";
+    service.shutdown();
+}
+
 TEST(EpochKv, StrictPutSealsTheShardEpoch)
 {
     kv::KvService service(kvEpochConfig(0));

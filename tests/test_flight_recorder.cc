@@ -2,13 +2,18 @@
  * @file
  * Tests of the persistent flight recorder (src/forensic): ring
  * creation, attach, sealed-record append, ring wrap, sequence
- * resumption across re-attach, crash survival of fenced records, and
- * the offline decoder's tolerance of torn slots and garbage roots.
+ * resumption across re-attach, crash survival of fenced records, the
+ * offline decoder's tolerance of torn slots and garbage roots, and
+ * appends racing from several threads into one page-sized ring.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "forensic/flight_recorder.hh"
 #include "pmem/crash_policy.hh"
@@ -40,7 +45,7 @@ TEST_F(FlightRecorderTest, DefaultHandleIsDisabledNoop)
 {
     FlightRecorder recorder;
     EXPECT_FALSE(recorder.enabled());
-    recorder.record(EventType::TxBegin, 0);
+    recorder.record(EventType::RecoveryBegin, 0);
     EXPECT_EQ(recorder.sequence(), 0u);
 }
 
@@ -48,7 +53,7 @@ TEST_F(FlightRecorderTest, AttachWithoutCreateIsDisabled)
 {
     auto recorder = FlightRecorder::attach(pool_);
     EXPECT_FALSE(recorder.enabled());
-    recorder.record(EventType::TxBegin, 0); // must be a harmless no-op
+    recorder.record(EventType::RecoveryBegin, 0); // a harmless no-op
 }
 
 TEST_F(FlightRecorderTest, CreatePublishesRingAndAttachEnables)
@@ -65,8 +70,8 @@ TEST_F(FlightRecorderTest, RecordDecodeRoundTrip)
 {
     FlightRecorder::create(pool_, 8);
     auto recorder = FlightRecorder::attach(pool_);
-    recorder.record(EventType::TxBegin, 2, 0, 0, 0);
-    recorder.record(EventType::TxCommit, 2, 41, 3, 0);
+    recorder.record(EventType::RecoveryBegin, 2, 0, 0, 0);
+    recorder.record(EventType::MediaFault, 2, 41, 3, 0);
     recorder.record(EventType::RecoveryEnd, 0, 0, 17, 0);
     dev_.sfence();
 
@@ -76,9 +81,9 @@ TEST_F(FlightRecorderTest, RecordDecodeRoundTrip)
     EXPECT_EQ(ring.capacity, 8u);
     ASSERT_EQ(ring.records.size(), 3u);
     EXPECT_EQ(ring.records[0].seq, 1u);
-    EXPECT_EQ(ring.records[0].type, EventType::TxBegin);
+    EXPECT_EQ(ring.records[0].type, EventType::RecoveryBegin);
     EXPECT_EQ(ring.records[0].tid, 2u);
-    EXPECT_EQ(ring.records[1].type, EventType::TxCommit);
+    EXPECT_EQ(ring.records[1].type, EventType::MediaFault);
     EXPECT_EQ(ring.records[1].timestamp, 41u);
     EXPECT_EQ(ring.records[1].arg0, 3u);
     EXPECT_EQ(ring.records[2].type, EventType::RecoveryEnd);
@@ -92,7 +97,7 @@ TEST_F(FlightRecorderTest, RingWrapKeepsTheNewestRecords)
     FlightRecorder::create(pool_, 4);
     auto recorder = FlightRecorder::attach(pool_);
     for (std::uint64_t i = 0; i < 10; ++i)
-        recorder.record(EventType::TxCommit, 0, i + 1);
+        recorder.record(EventType::DegradedEnter, 0, i + 1);
     dev_.sfence();
 
     const auto ring = FlightRecorder::decode(dev_, ringRoot());
@@ -109,8 +114,8 @@ TEST_F(FlightRecorderTest, SequenceResumesAcrossReattach)
     FlightRecorder::create(pool_, 8);
     {
         auto recorder = FlightRecorder::attach(pool_);
-        recorder.record(EventType::TxBegin, 0);
-        recorder.record(EventType::TxCommit, 0, 1);
+        recorder.record(EventType::RecoveryBegin, 0);
+        recorder.record(EventType::RecoveryEnd, 0, 1);
         dev_.sfence();
     }
     // A fresh attach (new process, post-crash reopen) must continue
@@ -130,10 +135,10 @@ TEST_F(FlightRecorderTest, FencedRecordsSurviveACrash)
 {
     FlightRecorder::create(pool_, 8);
     auto recorder = FlightRecorder::attach(pool_);
-    recorder.record(EventType::TxBegin, 0);
-    recorder.record(EventType::TxCommit, 0, 1);
-    dev_.sfence(); // the commit fence the records piggyback on
-    recorder.record(EventType::TxBegin, 0); // after the last fence
+    recorder.record(EventType::RecoveryBegin, 0);
+    recorder.record(EventType::RecoveryEnd, 0, 1);
+    dev_.sfence(); // the next fence, which the records ride
+    recorder.record(EventType::MediaFault, 0); // after the last fence
 
     // Power failure dropping every undrained line: the fenced records
     // must read back; the unfenced one may vanish but never misreads.
@@ -145,16 +150,16 @@ TEST_F(FlightRecorderTest, FencedRecordsSurviveACrash)
                                         sizeof(PmOff)));
     EXPECT_TRUE(ring.present);
     ASSERT_EQ(ring.records.size(), 2u);
-    EXPECT_EQ(ring.records[0].type, EventType::TxBegin);
-    EXPECT_EQ(ring.records[1].type, EventType::TxCommit);
+    EXPECT_EQ(ring.records[0].type, EventType::RecoveryBegin);
+    EXPECT_EQ(ring.records[1].type, EventType::RecoveryEnd);
 }
 
 TEST_F(FlightRecorderTest, TornSlotIsReportedInvalidNeverMisread)
 {
     FlightRecorder::create(pool_, 8);
     auto recorder = FlightRecorder::attach(pool_);
-    recorder.record(EventType::TxBegin, 0);
-    recorder.record(EventType::TxCommit, 0, 1);
+    recorder.record(EventType::RecoveryBegin, 0);
+    recorder.record(EventType::RecoveryEnd, 0, 1);
     dev_.sfence();
 
     // Flip one payload byte of the second record: its position-seeded
@@ -168,7 +173,7 @@ TEST_F(FlightRecorderTest, TornSlotIsReportedInvalidNeverMisread)
 
     const auto ring = FlightRecorder::decode(dev_, ringRoot());
     ASSERT_EQ(ring.records.size(), 1u);
-    EXPECT_EQ(ring.records[0].type, EventType::TxBegin);
+    EXPECT_EQ(ring.records[0].type, EventType::RecoveryBegin);
     EXPECT_EQ(ring.invalidSlots, 1u);
 }
 
@@ -189,6 +194,48 @@ TEST_F(FlightRecorderTest, DecodeToleratesGarbageRoot)
     const auto oob = FlightRecorder::decode(dev_, dev_.size() + 4096);
     EXPECT_TRUE(oob.present);
     EXPECT_FALSE(oob.error.empty());
+}
+
+TEST(FlightRecorderConcurrency, RacingAppendsKeepEverySequenceNumber)
+{
+    // Any client thread of a KvService shard may hit a media fault and
+    // journal it; appends from several threads must neither share a
+    // slot nor skip a sequence number.
+    constexpr unsigned kThreads = 4;
+    constexpr std::uint64_t kAppends = 15;
+    pmem::PmemDevice dev(1 << 20);
+    pmem::PmemPool pool(dev);
+    FlightRecorder::create(pool);
+    auto recorder = FlightRecorder::attach(pool);
+    ASSERT_TRUE(recorder.enabled());
+
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&recorder, t] {
+            for (std::uint64_t i = 0; i < kAppends; ++i)
+                recorder.record(EventType::MediaFault, t, 0, i);
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    dev.sfence();
+
+    const auto ring = FlightRecorder::decode(
+        dev, pool.getRoot(kFlightRecorderRootSlot));
+    EXPECT_TRUE(ring.error.empty());
+    EXPECT_EQ(ring.capacity, kFlightRingSlots);
+    EXPECT_EQ(ring.invalidSlots, 0u);
+    ASSERT_EQ(ring.records.size(), kThreads * kAppends);
+    std::set<std::pair<unsigned, std::uint64_t>> appended;
+    for (std::size_t i = 0; i < ring.records.size(); ++i) {
+        const auto &rec = ring.records[i];
+        EXPECT_EQ(rec.seq, i + 1); // 1..60, none missing or repeated
+        EXPECT_EQ(rec.type, EventType::MediaFault);
+        EXPECT_LT(rec.tid, kThreads);
+        EXPECT_LT(rec.arg0, kAppends);
+        appended.emplace(rec.tid, rec.arg0);
+    }
+    EXPECT_EQ(appended.size(), kThreads * kAppends);
 }
 
 } // namespace

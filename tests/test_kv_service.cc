@@ -6,7 +6,8 @@
  * eviction-policy cell (after recovery every shard must equal a
  * prefix of its committed transactions — no acknowledged put may be
  * lost and no partial transaction may be visible), plus
- * multi-threaded smoke and recovery tests.
+ * multi-threaded smoke and recovery tests, and the shard journal
+ * (flight recorder) the service writes.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/rand.hh"
+#include "forensic/flight_recorder.hh"
 #include "kv/driver.hh"
 #include "kv/kv_crash_workload.hh"
 #include "kv/kv_service.hh"
@@ -278,6 +280,91 @@ TEST(KvService, CrashImageHoldsNoStackBytes)
         service.shutdown();
     }
     EXPECT_TRUE(images[0] == images[1]);
+}
+
+/** The ring in shard @p s 's pool, as pminspect would decode it. */
+forensic::DecodedFlightRing
+journalOf(const KvService &service, unsigned s)
+{
+    const auto &dev = service.shardDevice(s);
+    return forensic::FlightRecorder::decode(
+        dev, dev.loadT<PmOff>(forensic::kFlightRecorderRootSlot *
+                              sizeof(PmOff)));
+}
+
+TEST(KvService, JournalsRecoveriesReadOnlyEntryAndMediaFaults)
+{
+    KvServiceConfig config = crashTestConfig("spec");
+    config.shards = 2;
+    KvService service(config);
+    for (unsigned s = 0; s < 2; ++s) {
+        const auto ring = journalOf(service, s);
+        ASSERT_TRUE(ring.present) << "shard " << s;
+        EXPECT_TRUE(ring.error.empty()) << ring.error;
+        EXPECT_EQ(ring.capacity, forensic::kFlightRingSlots);
+        EXPECT_TRUE(ring.records.empty());
+    }
+    for (KvKey key = 1; key <= 32; ++key)
+        ASSERT_TRUE(service.put(0, key, KvValue::tagged(key, key)));
+
+    service.crash(pmem::CrashPolicy::nothing());
+    service.recover();
+    for (unsigned s = 0; s < 2; ++s) {
+        const auto ring = journalOf(service, s);
+        ASSERT_EQ(ring.records.size(), 2u) << "shard " << s;
+        EXPECT_EQ(ring.records[0].type,
+                  forensic::EventType::RecoveryBegin);
+        EXPECT_EQ(ring.records[1].type, forensic::EventType::RecoveryEnd);
+        EXPECT_EQ(ring.records[1].arg0, 0u) << "nothing quarantined";
+    }
+
+    service.setShardReadOnly(1, true);
+    ASSERT_EQ(journalOf(service, 1).records.size(), 3u);
+    EXPECT_EQ(journalOf(service, 1).records.back().type,
+              forensic::EventType::DegradedEnter);
+    service.setShardReadOnly(1, false);
+
+    // Every line of shard 0 fails writes: the put aborts on EIO.
+    KvKey key = 1;
+    while (service.shardOf(key) != 0)
+        ++key;
+    pmem::FaultPlan every_line;
+    every_line.eioLines = config.shardPoolBytes / kCacheLineSize;
+    service.shardDevice(0).applyFaultPlan(every_line);
+    EXPECT_FALSE(service.put(0, key, KvValue::tagged(key, 99)));
+    service.shardDevice(0).clearFaultPlan();
+    EXPECT_EQ(service.shardMediaAborts(0), 1u);
+    const auto ring = journalOf(service, 0);
+    ASSERT_EQ(ring.records.size(), 3u);
+    EXPECT_EQ(ring.records.back().type, forensic::EventType::MediaFault);
+    EXPECT_EQ(ring.records.back().arg1,
+              static_cast<std::uint64_t>(pmem::MediaErrorKind::WriteEio));
+    service.shutdown();
+}
+
+TEST(KvService, RecoveryNeverCreatesARing)
+{
+    // A pool written before the journal existed has no ring, and
+    // recovery must not make one: a reattached pool's bump pointer
+    // starts at page 1, where live data may sit.
+    KvServiceConfig config = crashTestConfig("spec");
+    config.shards = 1;
+    KvService service(config);
+    for (KvKey key = 1; key <= 16; ++key)
+        ASSERT_TRUE(service.put(0, key, KvValue::tagged(key, key)));
+    service.crash(pmem::CrashPolicy::nothing());
+    auto &dev = service.shardDevice(0);
+    const PmOff slot = forensic::kFlightRecorderRootSlot * sizeof(PmOff);
+    dev.storeT<PmOff>(slot, kPmNull);
+    dev.clwb(slot);
+    dev.sfence();
+    service.recover();
+    service.setShardReadOnly(0, true);
+    EXPECT_FALSE(journalOf(service, 0).present);
+    service.setShardReadOnly(0, false);
+    for (KvKey key = 1; key <= 16; ++key)
+        EXPECT_EQ(service.get(0, key), KvValue::tagged(key, key));
+    service.shutdown();
 }
 
 TEST(ZipfianGenerator, SkewsTowardLowRanks)

@@ -244,6 +244,13 @@ parseArgs(int argc, char **argv, bool bench)
         else if (!args.obs.accept(arg))
             SPECPMT_FATAL("unknown argument: %s", arg.c_str());
     }
+    if (args.shards == 0)
+        SPECPMT_FATAL("--shards must be at least 1");
+    if (args.threads == 0)
+        SPECPMT_FATAL("--threads must be at least 1");
+    // The driver builds its zipfian generator for either distribution.
+    if (args.keys < 2)
+        SPECPMT_FATAL("--keys must be at least 2");
     for (const auto &runtime : args.runtimes) {
         if (!txn::isRuntimeName(runtime)) {
             SPECPMT_FATAL("unknown runtime %s; known:%s", runtime.c_str(),
@@ -395,6 +402,8 @@ serveMain(int argc, char **argv)
         else if (!obs_flags.accept(arg))
             SPECPMT_FATAL("unknown argument: %s", arg.c_str());
     }
+    if (shards == 0)
+        SPECPMT_FATAL("--shards must be at least 1");
     if (!txn::isRuntimeName(runtime))
         SPECPMT_FATAL("unknown runtime %s", runtime.c_str());
     // Reattaching a --pm-dir image runs recover().

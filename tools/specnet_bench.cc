@@ -174,6 +174,11 @@ main(int argc, char **argv)
         SPECPMT_FATAL("--port or --port-file is required");
     if (config.targetQps <= 0 || config.seconds <= 0)
         SPECPMT_FATAL("--qps and --seconds must be positive");
+    if (config.workload.dist == kv::KeyDist::Zipfian &&
+        config.workload.keys < 2)
+        SPECPMT_FATAL("--keys must be at least 2 with --dist=zipfian");
+    if (config.workload.keys == 0)
+        SPECPMT_FATAL("--keys must be at least 1");
 
     std::printf("specnet_bench: %s:%u qps=%.0f seconds=%.1f "
                 "arrival=%s mix=%s dist=%s keys=%llu%s\n",

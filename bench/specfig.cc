@@ -32,13 +32,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/spec_tx.hh"
@@ -600,25 +600,30 @@ main(int argc, char **argv)
 {
     obs::OutputFlags obs_flags;
     double scale = 0; // 0 = each artifact's default
+    std::vector<std::string> names;
+    Flags flags;
+    flags.positionals(names).option("--scale", [&scale](std::string_view v) {
+        return parseFinite(v, scale) && scale > 0
+                   ? std::string()
+                   : "bad scale: --scale=" + std::string(v);
+    });
+    obs_flags.declare(flags);
+    if (const std::string error = flags.parse(argc, argv); !error.empty())
+        usage(error);
+
     std::vector<const Artifact *> todo;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--scale=", 0) == 0) {
-            char *end = nullptr;
-            scale = std::strtod(arg.c_str() + 8, &end);
-            if (*end != '\0' || !(scale > 0))
-                usage("bad scale: " + arg);
-        } else if (arg == "all") {
+    for (const std::string &name : names) {
+        if (name == "all") {
             for (const auto &artifact : kArtifacts)
                 todo.push_back(&artifact);
-        } else if (!obs_flags.accept(arg)) {
-            const auto it = std::find_if(
-                std::begin(kArtifacts), std::end(kArtifacts),
-                [&](const Artifact &a) { return arg == a.name; });
-            if (it == std::end(kArtifacts))
-                usage("unknown argument: " + arg);
-            todo.push_back(it);
+            continue;
         }
+        const auto it = std::find_if(
+            std::begin(kArtifacts), std::end(kArtifacts),
+            [&](const Artifact &a) { return name == a.name; });
+        if (it == std::end(kArtifacts))
+            usage("unknown argument: " + name);
+        todo.push_back(it);
     }
     if (todo.empty())
         usage("no artifact given");
@@ -628,6 +633,8 @@ main(int argc, char **argv)
         inv.scale = scale > 0 ? scale : artifact->defaultScale;
         artifact->run(inv);
     }
-    obs_flags.writeArtifacts();
+    if (const std::string error = obs_flags.writeArtifacts();
+        !error.empty())
+        SPECPMT_FATAL("%s", error.c_str());
     return 0;
 }

@@ -47,6 +47,12 @@ committedTimestamps(const InspectReport &report)
 
 } // namespace
 
+bool
+isAuditableRuntime(std::string_view runtime_name)
+{
+    return runtime_name == "spec" || runtime_name == "spec-dp";
+}
+
 AuditResult
 auditRecovery(const std::vector<std::uint8_t> &image,
               const std::string &runtime_name, unsigned threads,
@@ -54,8 +60,8 @@ auditRecovery(const std::vector<std::uint8_t> &image,
 {
     AuditResult result;
     result.inspectorCommitted = report.committed;
-    if (runtime_name != "spec" && runtime_name != "spec-dp")
-        return result; // inspector only models splog recovery
+    if (!isAuditableRuntime(runtime_name))
+        return result;
     result.supported = true;
 
     // The inspector's independent prediction of recovery's data

@@ -29,8 +29,8 @@
  * walkers still have to read.
  *
  * Supported for the speculative-logging runtimes ("spec", "spec-dp"),
- * whose recovery the inspector models. Other runtimes report
- * supported=false rather than a fake verdict.
+ * whose recovery the inspector models (isAuditableRuntime()). Other
+ * runtimes report supported=false rather than a fake verdict.
  */
 
 #ifndef SPECPMT_FORENSIC_RECOVERY_AUDIT_HH
@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "forensic/inspector.hh"
@@ -63,6 +64,12 @@ struct AuditResult
     /** JSON object mirroring the fields above. */
     std::string toJson() const;
 };
+
+/**
+ * True if the audit models @p runtime_name's recovery: the inspector
+ * only models the speculative log's, so "spec" and "spec-dp".
+ */
+bool isAuditableRuntime(std::string_view runtime_name);
 
 /**
  * Audit @p runtime_name's recovery of @p image against @p report

@@ -24,28 +24,16 @@ nowNs()
 
 } // namespace
 
-WorkloadSpec
-workloadSpec(const DriverConfig &config)
-{
-    WorkloadSpec spec;
-    spec.keys = config.keys;
-    spec.mix = config.mix;
-    spec.dist = config.dist;
-    spec.zipfTheta = config.zipfTheta;
-    spec.multiPutFraction = config.multiPutFraction;
-    spec.multiPutBatch = config.multiPutBatch;
-    return spec;
-}
-
 void
 loadKeyspace(KvService &service, const DriverConfig &config)
 {
     constexpr unsigned kLoadBatch = 64;
     std::vector<std::pair<KvKey, KvValue>> batch;
     batch.reserve(kLoadBatch);
-    for (std::uint64_t key = 1; key <= config.keys; ++key) {
+    const std::uint64_t keys = config.workload.keys;
+    for (std::uint64_t key = 1; key <= keys; ++key) {
         batch.emplace_back(key, KvValue::tagged(key, 0));
-        if (batch.size() == kLoadBatch || key == config.keys) {
+        if (batch.size() == kLoadBatch || key == keys) {
             const bool ok = service.multiPut(0, batch);
             SPECPMT_ASSERT(ok);
             batch.clear();
@@ -65,9 +53,9 @@ runClosedLoop(KvService &service, const DriverConfig &config)
             service.shardSnapshot(s).pmLineWrites);
     }
 
-    const WorkloadSpec spec = workloadSpec(config);
+    const WorkloadSpec &spec = config.workload;
     // Zipf construction is O(keys); build once, share read-only.
-    const ZipfianGenerator zipf(config.keys, config.zipfTheta);
+    const ZipfianGenerator zipf(spec.keys, spec.zipfTheta);
     const ZipfianGenerator *zipf_ptr =
         spec.dist == KeyDist::Zipfian ? &zipf : nullptr;
 

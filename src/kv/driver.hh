@@ -31,17 +31,10 @@ namespace specpmt::kv
 struct DriverConfig
 {
     unsigned threads = 4;
-    /** Keyspace: keys 1..keys are loaded before the run. */
-    std::uint64_t keys = 1u << 14;
     std::uint64_t opsPerThread = 10000;
-    Mix mix = Mix::A;
-    KeyDist dist = KeyDist::Zipfian;
-    double zipfTheta = 0.99;
+    /** Mix / key distribution (shared with the open-loop loadgen). */
+    WorkloadSpec workload;
     std::uint64_t seed = 1;
-    /** Issue this fraction of updates as multiPut batches (0 = off). */
-    double multiPutFraction = 0.0;
-    /** Keys per multiPut batch. */
-    unsigned multiPutBatch = 4;
     /**
      * Arm a simulated power failure after this many persistence ops
      * from worker 0 on every shard device (<0 = none). On failure the
@@ -86,10 +79,7 @@ struct DriverResult
     }
 };
 
-/** The workload shape of @p config (the part OpGenerator consumes). */
-WorkloadSpec workloadSpec(const DriverConfig &config);
-
-/** Insert keys 1..config.keys via multiPut batches (load phase). */
+/** Insert keys 1..config.workload.keys via multiPut batches (load phase). */
 void loadKeyspace(KvService &service, const DriverConfig &config);
 
 /**

@@ -68,7 +68,6 @@ class KvCrashWorkload final : public sim::CrashWorkload
     run(long crash_after) override
     {
         Rng rng(cell_.seed);
-        armed_ = crash_after;
         countdown_ = service_.armCrashAll(crash_after);
         unsigned mutations = 0;
         try {
@@ -142,14 +141,7 @@ class KvCrashWorkload final : public sim::CrashWorkload
     std::uint64_t
     eventsConsumed() const override
     {
-        if (!countdown_)
-            return 0;
-        if (countdown_->fired.load(std::memory_order_relaxed))
-            return static_cast<std::uint64_t>(armed_);
-        const long remaining =
-            countdown_->remaining.load(std::memory_order_relaxed);
-        return static_cast<std::uint64_t>(
-            armed_ - (remaining < 0 ? 0 : remaining));
+        return countdown_ ? countdown_->consumed() : 0;
     }
 
     std::uint64_t
@@ -398,7 +390,6 @@ class KvCrashWorkload final : public sim::CrashWorkload
      * commit order (the crash may keep any prefix of each list). */
     std::vector<std::vector<std::pair<KvKey, KvValue>>> pending_;
     std::shared_ptr<pmem::CrashCountdown> countdown_;
-    long armed_ = 0;
 };
 
 } // namespace

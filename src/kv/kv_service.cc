@@ -622,13 +622,8 @@ KvService::shutdown()
 std::shared_ptr<pmem::CrashCountdown>
 KvService::armCrashAll(long ops)
 {
-    if (ops < 0) {
-        for (auto &shard : shards_)
-            shard->device->armCrash(-1);
-        return nullptr;
-    }
-    auto countdown = std::make_shared<pmem::CrashCountdown>();
-    countdown->remaining.store(ops, std::memory_order_relaxed);
+    auto countdown =
+        ops < 0 ? nullptr : std::make_shared<pmem::CrashCountdown>(ops);
     for (auto &shard : shards_)
         shard->device->armCrash(countdown);
     return countdown;

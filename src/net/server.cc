@@ -584,6 +584,11 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
     // transaction. Strict runs pay their own commit fence; relaxed
     // runs (epoch mode) defer it into the shard's epoch and remember
     // the ticket their responses must wait for.
+    //
+    // A run is capped at kMaxOpsPerCommit operations so one greedy
+    // pipeline cannot grow a transaction without bound; a longer run
+    // simply commits in ceil(N/cap) fences.
+    constexpr std::size_t kMaxOpsPerCommit = 256;
     std::vector<kv::BatchOp> ops;
     std::vector<kv::BatchOpResult> results;
     std::vector<kv::BatchOpResult> all_results(pending.size());
@@ -608,7 +613,7 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
         bool runSampled = false;
         ops.clear();
         while (end < pending.size() &&
-               ops.size() < config_.maxOpsPerCommit &&
+               ops.size() < kMaxOpsPerCommit &&
                !pending[end].conn->closing &&
                pending[end].shard == shard &&
                (!epochMode_ || pending[end].strict ==

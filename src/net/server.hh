@@ -80,12 +80,6 @@ struct ServerConfig
     /** Bind address. */
     std::string bindAddress = "127.0.0.1";
     /**
-     * Mutations executed per shard transaction are capped so one
-     * greedy pipeline cannot grow a transaction without bound; a
-     * longer run simply commits in ceil(N/cap) fences.
-     */
-    std::size_t maxOpsPerCommit = 256;
-    /**
      * Serve with epoch group commit: mutation runs without
      * kFlagStrict commit relaxed and are acked after their epoch's
      * shared fence. Requires a group-commit-capable service runtime

@@ -6,47 +6,33 @@
 namespace specpmt::obs
 {
 
-namespace
-{
-
-bool
-endsWith(std::string_view s, std::string_view suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.substr(s.size() - suffix.size()) == suffix;
-}
-
-} // namespace
-
-bool
-OutputFlags::accept(std::string_view arg)
-{
-    constexpr std::string_view kMetrics = "--metrics-out=";
-    constexpr std::string_view kTrace = "--trace-out=";
-    if (arg.rfind(kMetrics, 0) == 0) {
-        metricsPath = std::string(arg.substr(kMetrics.size()));
-        return true;
-    }
-    if (arg.rfind(kTrace, 0) == 0) {
-        tracePath = std::string(arg.substr(kTrace.size()));
-        if (!tracePath.empty())
-            Tracer::global().enable();
-        return true;
-    }
-    return false;
-}
-
 void
+OutputFlags::declare(Flags &flags)
+{
+    flags.text("--metrics-out", metricsPath)
+        .option("--trace-out", [this](std::string_view path) {
+            tracePath = path;
+            if (!tracePath.empty())
+                Tracer::global().enable();
+            return std::string();
+        });
+}
+
+std::string
 OutputFlags::writeArtifacts() const
 {
     if (!metricsPath.empty()) {
-        if (endsWith(metricsPath, ".json"))
-            Registry::global().writeJson(metricsPath);
-        else
-            Registry::global().writePrometheus(metricsPath);
+        const bool ok = metricsPath.ends_with(".json")
+                            ? Registry::global().writeJson(metricsPath)
+                            : Registry::global().writePrometheus(
+                                  metricsPath);
+        if (!ok)
+            return "cannot write --metrics-out=" + metricsPath;
     }
-    if (!tracePath.empty())
-        Tracer::global().writeChromeJson(tracePath);
+    if (!tracePath.empty() &&
+        !Tracer::global().writeChromeJson(tracePath))
+        return "cannot write --trace-out=" + tracePath;
+    return {};
 }
 
 } // namespace specpmt::obs

@@ -10,7 +10,8 @@
 #define SPECPMT_OBS_ARTIFACTS_HH
 
 #include <string>
-#include <string_view>
+
+#include "common/flags.hh"
 
 namespace specpmt::obs
 {
@@ -24,14 +25,17 @@ struct OutputFlags
     std::string tracePath;
 
     /**
-     * Consume @p arg if it is one of ours; enables the tracer as a
-     * side effect of seeing --trace-out=. Returns false for
-     * arguments the caller should handle itself.
+     * Declare --metrics-out= and --trace-out= to @p flags; parsing a
+     * non-empty trace path enables the tracer.
      */
-    bool accept(std::string_view arg);
+    void declare(Flags &flags);
 
-    /** Write whichever sinks were requested (no-op when neither). */
-    void writeArtifacts() const;
+    /**
+     * Write whichever sinks were requested (no-op when neither).
+     * @return "" on success, else the error naming the flag whose
+     * path could not be written.
+     */
+    [[nodiscard]] std::string writeArtifacts() const;
 };
 
 } // namespace specpmt::obs

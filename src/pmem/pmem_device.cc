@@ -363,14 +363,7 @@ PmemDevice::checkRange(PmOff off, std::size_t size) const
 void
 PmemDevice::armCrash(long ops)
 {
-    std::lock_guard<SpinLock> guard(lock_);
-    if (ops < 0) {
-        countdown_.reset();
-        return;
-    }
-    countdown_ = std::make_shared<CrashCountdown>();
-    countdown_->remaining.store(ops, std::memory_order_relaxed);
-    crashThread_ = std::this_thread::get_id();
+    armCrash(ops < 0 ? nullptr : std::make_shared<CrashCountdown>(ops));
 }
 
 void
@@ -379,13 +372,6 @@ PmemDevice::armCrash(std::shared_ptr<CrashCountdown> countdown)
     std::lock_guard<SpinLock> guard(lock_);
     countdown_ = std::move(countdown);
     crashThread_ = std::this_thread::get_id();
-}
-
-std::shared_ptr<CrashCountdown>
-PmemDevice::crashCountdown() const
-{
-    std::lock_guard<SpinLock> guard(lock_);
-    return countdown_;
 }
 
 void

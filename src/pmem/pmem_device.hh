@@ -88,8 +88,24 @@ class SimulatedCrash : public std::exception
  */
 struct CrashCountdown
 {
-    /** Events still allowed before the crash fires; < 0 = disarmed. */
-    std::atomic<long> remaining{-1};
+    explicit CrashCountdown(long events)
+        : armed(events), remaining(events)
+    {
+    }
+
+    /** Persistence events consumed so far (all of them once fired). */
+    std::uint64_t
+    consumed() const
+    {
+        const long left = remaining.load(std::memory_order_relaxed);
+        return static_cast<std::uint64_t>(armed - (left < 0 ? 0 : left));
+    }
+
+    /** Events allowed when armed; < 0 = disarmed. */
+    const long armed;
+    /** Events still allowed before the crash fires; < 0 = disarmed or
+     * fired. */
+    std::atomic<long> remaining;
     /** Set once the countdown expired and the crash was thrown. */
     std::atomic<bool> fired{false};
     /** Device-local persistence-event id at the firing operation. */
@@ -376,9 +392,6 @@ class PmemDevice
      * decrement it. Pass nullptr to disarm.
      */
     void armCrash(std::shared_ptr<CrashCountdown> countdown);
-
-    /** The countdown currently armed on this device (may be null). */
-    std::shared_ptr<CrashCountdown> crashCountdown() const;
 
     /**
      * Inject a persistence fault (see DeviceFault). Used by the crash

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
 
+#include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rand.hh"
@@ -108,85 +108,45 @@ bool
 CrashCell::parseToken(std::string_view token, CrashCell &cell,
                       std::uint64_t &event, std::string &error)
 {
-    CrashCell parsed;
-    bool have_event = false;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= token.size()) {
-        std::size_t next = token.find(';', pos);
-        if (next == std::string_view::npos)
-            next = token.size();
-        const std::string_view part = token.substr(pos, next - pos);
-        pos = next + 1;
-        if (first) {
-            first = false;
-            if (part != "cmx1") {
-                error = "not a cmx1 replay token";
-                return false;
-            }
-            continue;
-        }
-        const std::size_t eq = part.find('=');
-        if (eq == std::string_view::npos) {
-            error = "malformed token field: " + std::string(part);
-            return false;
-        }
-        const std::string_view key = part.substr(0, eq);
-        const std::string value(part.substr(eq + 1));
-        if (key == "rt") {
-            parsed.runtime = value;
-        } else if (key == "wl") {
-            parsed.workload = value;
-        } else if (key == "pol") {
-            parsed.policy = value;
-        } else if (key == "p") {
-            parsed.persistProbability = std::strtod(value.c_str(),
-                                                    nullptr);
-        } else if (key == "seed") {
-            parsed.seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "fault") {
-            parsed.fault = value;
-        } else if (key == "slots") {
-            parsed.slots =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "tx") {
-            parsed.txCount =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "st") {
-            parsed.maxStoresPerTx =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "rec") {
-            parsed.reclaimEvery =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "shards") {
-            parsed.kvShards =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "keys") {
-            parsed.kvKeys = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (key == "ops") {
-            parsed.kvOps =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "epoch") {
-            parsed.kvEpochOps =
-                static_cast<unsigned>(std::strtoul(value.c_str(),
-                                                   nullptr, 10));
-        } else if (key == "scale") {
-            parsed.scale = std::strtod(value.c_str(), nullptr);
-        } else if (key == "ev") {
-            event = std::strtoull(value.c_str(), nullptr, 10);
-            have_event = true;
-        } else {
-            error = "unknown token field: " + std::string(key);
-            return false;
-        }
+    // After the "cmx1" tag, each `key=value` field is a flag without
+    // its dashes.
+    std::vector<std::string> fields;
+    for (std::size_t pos = 0; pos <= token.size();) {
+        const std::size_t end = std::min(token.find(';', pos), token.size());
+        fields.push_back("--" + std::string(token.substr(pos, end - pos)));
+        pos = end + 1;
     }
-    if (!have_event) {
+    if (fields.front() != "--cmx1") {
+        error = "not a cmx1 replay token";
+        return false;
+    }
+    std::vector<const char *> argv;
+    for (const std::string &field : fields)
+        argv.push_back(field.c_str());
+    CrashCell parsed;
+    Flags flags;
+    flags.text("--rt", parsed.runtime)
+        .text("--wl", parsed.workload)
+        .text("--pol", parsed.policy)
+        .real("--p", parsed.persistProbability, 0, 1)
+        .count("--seed", parsed.seed)
+        .text("--fault", parsed.fault)
+        .count("--slots", parsed.slots)
+        .count("--tx", parsed.txCount)
+        .count("--st", parsed.maxStoresPerTx)
+        .count("--rec", parsed.reclaimEvery)
+        .count("--shards", parsed.kvShards)
+        .count("--keys", parsed.kvKeys)
+        .count("--ops", parsed.kvOps)
+        .count("--epoch", parsed.kvEpochOps)
+        .real("--scale", parsed.scale)
+        .count("--ev", event);
+    error = flags.parse(static_cast<int>(argv.size()), argv.data());
+    if (!error.empty())
+        return false;
+    if (std::none_of(fields.begin(), fields.end(), [](const auto &field) {
+            return field.starts_with("--ev=");
+        })) {
         error = "token is missing the event id";
         return false;
     }
@@ -279,10 +239,7 @@ bool
 SlotScenario::runWithCrash(long crash_after)
 {
     Rng rng(cell_.seed);
-    armed_ = crash_after;
-    countdown_ = std::make_shared<pmem::CrashCountdown>();
-    countdown_->remaining.store(crash_after,
-                                std::memory_order_relaxed);
+    countdown_ = std::make_shared<pmem::CrashCountdown>(crash_after);
     dev_.armCrash(countdown_);
     try {
         for (unsigned t = 0; t < cell_.txCount; ++t) {
@@ -321,14 +278,7 @@ SlotScenario::runWithCrash(long crash_after)
 std::uint64_t
 SlotScenario::eventsConsumed() const
 {
-    if (!countdown_)
-        return 0;
-    if (countdown_->fired.load(std::memory_order_relaxed))
-        return static_cast<std::uint64_t>(armed_);
-    const long remaining =
-        countdown_->remaining.load(std::memory_order_relaxed);
-    return static_cast<std::uint64_t>(
-        armed_ - (remaining < 0 ? 0 : remaining));
+    return countdown_ ? countdown_->consumed() : 0;
 }
 
 void

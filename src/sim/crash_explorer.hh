@@ -258,7 +258,6 @@ class SlotScenario
     std::map<unsigned, std::uint64_t> committed_;
     std::map<unsigned, std::uint64_t> staged_;
     std::shared_ptr<pmem::CrashCountdown> countdown_;
-    long armed_ = 0;
 };
 
 /** CrashWorkload adapter over SlotScenario. */

@@ -50,9 +50,8 @@ class StampCrashWorkload final : public sim::CrashWorkload
     bool
     run(long crash_after) override
     {
-        device_.armCrash(crash_after);
-        countdown_ = device_.crashCountdown();
-        armed_ = crash_after;
+        countdown_ = std::make_shared<pmem::CrashCountdown>(crash_after);
+        device_.armCrash(countdown_);
         bool fired = false;
         try {
             workload_->run(*runtime_);
@@ -66,14 +65,7 @@ class StampCrashWorkload final : public sim::CrashWorkload
     std::uint64_t
     eventsConsumed() const override
     {
-        if (!countdown_)
-            return 0;
-        if (countdown_->fired.load(std::memory_order_relaxed))
-            return static_cast<std::uint64_t>(armed_);
-        const long remaining =
-            countdown_->remaining.load(std::memory_order_relaxed);
-        return static_cast<std::uint64_t>(
-            armed_ - (remaining < 0 ? 0 : remaining));
+        return countdown_ ? countdown_->consumed() : 0;
     }
 
     std::uint64_t
@@ -127,7 +119,6 @@ class StampCrashWorkload final : public sim::CrashWorkload
     std::unique_ptr<txn::TxRuntime> runtime_;
     std::unique_ptr<Workload> workload_;
     std::shared_ptr<pmem::CrashCountdown> countdown_;
-    long armed_ = 0;
 };
 
 } // namespace

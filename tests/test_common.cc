@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for the common utility layer: CRC32C, mixing hashes,
- * deterministic RNG, statistics helpers, and geometry helpers.
+ * deterministic RNG, statistics helpers, geometry helpers, and the
+ * command-line flag parser.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32.hh"
+#include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/rand.hh"
 #include "common/stats.hh"
@@ -158,6 +164,224 @@ TEST(Types, LineGeometry)
     EXPECT_EQ(lineSpan(0, 65), 2u);
     EXPECT_EQ(pageBase(4097), 4096u);
     EXPECT_EQ(pageIndex(8191), 1u);
+}
+
+/** Parse @p args, preceded by a program name, with @p flags. */
+std::string
+parseArgs(const Flags &flags, std::vector<const char *> args)
+{
+    args.insert(args.begin(), "tool");
+    return flags.parse(static_cast<int>(args.size()), args.data());
+}
+
+enum class Color
+{
+    Red,
+    Blue,
+};
+
+std::optional<Color>
+parseColor(std::string_view name)
+{
+    if (name == "red")
+        return Color::Red;
+    if (name == "blue")
+        return Color::Blue;
+    return std::nullopt;
+}
+
+TEST(Flags, AcceptsEveryForm)
+{
+    bool keep = false;
+    std::string dir = "unset";
+    unsigned threads = 4;
+    std::uint16_t port = 1;
+    std::uint64_t ops = 0;
+    int shard = -1;
+    long count = 7;
+    double seconds = 0, qps = 1, p = 0;
+    Color color = Color::Red;
+    std::vector<std::string> runtimes;
+    std::vector<Color> colors;
+    std::vector<std::string> seen;
+    std::vector<std::string> files;
+    Flags flags;
+    flags.flag("--keep", keep)
+        .text("--dir", dir)
+        .count("--threads", threads, 1)
+        .count("--port", port)
+        .count("--ops", ops)
+        .count("--shard", shard, -1)
+        .count("--count", count, -1)
+        .real("--seconds", seconds)
+        .real("--qps", qps)
+        .real("--p", p, 0, 1)
+        .choice("--color", color, parseColor)
+        .list("--runtimes", runtimes)
+        .list("--colors", colors, parseColor)
+        .option("--require",
+                [&seen](std::string_view v) {
+                    seen.emplace_back(v);
+                    return std::string();
+                })
+        .positionals(files);
+    EXPECT_EQ(parseArgs(flags, {"a.prom", "--keep", "--dir=",
+                                "--threads=1", "--port=65535",
+                                "--ops=18446744073709551615",
+                                "--shard=-1", "--count=3", "-",
+                                "--seconds=0", "--qps=2.5e3", "--p=1",
+                                "--color=blue", "--runtimes=spec,,pmdk,",
+                                "--colors=blue,red", "--require=a>=1",
+                                "--require=b==2", "b.json"}),
+              "");
+    EXPECT_TRUE(keep);
+    EXPECT_EQ(dir, "");
+    EXPECT_EQ(threads, 1u);
+    EXPECT_EQ(port, 65535u);
+    EXPECT_EQ(ops, UINT64_MAX);
+    EXPECT_EQ(shard, -1);
+    EXPECT_EQ(count, 3);
+    EXPECT_EQ(seconds, 0.0);
+    EXPECT_EQ(qps, 2500.0);
+    EXPECT_EQ(p, 1.0);
+    EXPECT_EQ(color, Color::Blue);
+    EXPECT_EQ(runtimes, (std::vector<std::string>{"spec", "pmdk"}));
+    EXPECT_EQ(colors, (std::vector<Color>{Color::Blue, Color::Red}));
+    EXPECT_EQ(seen, (std::vector<std::string>{"a>=1", "b==2"}));
+    EXPECT_EQ(files, (std::vector<std::string>{"a.prom", "-", "b.json"}));
+
+    // A later occurrence wins; parsing starts at the given index.
+    const char *argv[] = {"tool", "serve", "--threads=2", "--threads=9"};
+    EXPECT_EQ(flags.parse(4, argv, 2), "");
+    EXPECT_EQ(threads, 9u);
+    EXPECT_EQ(files.size(), 3u);
+}
+
+TEST(Flags, SwitchAndOptionMayShareAName)
+{
+    bool json = false;
+    std::string path = "unset";
+    Flags flags;
+    flags.flag("--json", json).text("--json", path);
+    EXPECT_EQ(parseArgs(flags, {"--json"}), "");
+    EXPECT_TRUE(json);
+    EXPECT_EQ(path, "unset");
+    EXPECT_EQ(parseArgs(flags, {"--json=out.json"}), "");
+    EXPECT_EQ(path, "out.json");
+}
+
+TEST(Flags, RejectsMisusedArguments)
+{
+    bool keep = false;
+    unsigned ops = 0;
+    Flags flags;
+    flags.flag("--keep", keep).count("--ops", ops);
+    EXPECT_EQ(parseArgs(flags, {"--nope=1"}), "unknown argument: --nope=1");
+    EXPECT_EQ(parseArgs(flags, {"-x"}), "unknown argument: -x");
+    EXPECT_EQ(parseArgs(flags, {"file"}), "unknown argument: file");
+    EXPECT_EQ(parseArgs(flags, {"--keep=1"}), "--keep takes no value");
+    EXPECT_EQ(parseArgs(flags, {"--ops"}), "--ops needs a value");
+    // The first error wins and the arguments after it are not applied.
+    EXPECT_EQ(parseArgs(flags, {"--ops=x", "--keep"}),
+              "--ops=x is not an unsigned integer");
+    EXPECT_FALSE(keep);
+}
+
+TEST(Flags, RejectsMalformedIntegers)
+{
+    unsigned threads = 4;
+    std::uint16_t port = 0;
+    std::uint64_t ops = 0;
+    int shard = -1;
+    Flags flags;
+    flags.count("--threads", threads, 1)
+        .count("--port", port)
+        .count("--ops", ops)
+        .count("--shard", shard, -1, 7);
+    for (const char *bad : {"--ops=", "--ops=-1", "--ops=+5", "--ops=10k",
+                            "--ops=1.5", "--ops=0x10", "--ops= 1"}) {
+        const std::string value = std::string(bad).substr(6);
+        EXPECT_EQ(parseArgs(flags, {bad}),
+                  "--ops=" + value + " is not an unsigned integer")
+            << bad;
+    }
+    EXPECT_EQ(parseArgs(flags, {"--threads=-1"}),
+              "--threads=-1 is not an unsigned integer");
+    EXPECT_EQ(parseArgs(flags, {"--threads=0"}),
+              "--threads must be at least 1");
+    EXPECT_EQ(parseArgs(flags, {"--threads=4294967296"}),
+              "--threads must be at most 4294967295");
+    EXPECT_EQ(parseArgs(flags, {"--port=70000"}),
+              "--port must be at most 65535");
+    EXPECT_EQ(parseArgs(flags, {"--ops=18446744073709551616"}),
+              "--ops must be at most 18446744073709551615");
+    EXPECT_EQ(parseArgs(flags, {"--shard=-2"}),
+              "--shard must be at least -1");
+    EXPECT_EQ(parseArgs(flags, {"--shard=8"}), "--shard must be at most 7");
+    EXPECT_EQ(parseArgs(flags, {"--shard=-99999999999999999999"}),
+              "--shard must be at least -1");
+    EXPECT_EQ(parseArgs(flags, {"--shard=+1"}),
+              "--shard=+1 is not an integer");
+    EXPECT_EQ(threads, 4u);
+    EXPECT_EQ(port, 0u);
+    EXPECT_EQ(shard, -1);
+}
+
+TEST(Flags, RejectsMalformedReals)
+{
+    double seconds = 9, qps = 9, p = 9;
+    Flags flags;
+    flags.real("--seconds", seconds)
+        .real("--qps", qps)
+        .real("--p", p, 0, 1);
+    for (const char *bad : {"--qps=", "--qps=4k", "--qps=+1", "--qps=inf",
+                            "--qps=nan", "--qps=1e999", "--qps=0x1p3"}) {
+        const std::string value = std::string(bad).substr(6);
+        EXPECT_EQ(parseArgs(flags, {bad}),
+                  "--qps=" + value + " is not a finite number")
+            << bad;
+    }
+    EXPECT_EQ(parseArgs(flags, {"--seconds=-1"}),
+              "--seconds must be at least 0");
+    EXPECT_EQ(parseArgs(flags, {"--p=1.5"}), "--p must be at most 1");
+    EXPECT_EQ(parseArgs(flags, {"--p=-0.5"}), "--p must be at least 0");
+    EXPECT_EQ(seconds, 9.0);
+    EXPECT_EQ(qps, 9.0);
+    EXPECT_EQ(p, 9.0);
+
+    double value = 0;
+    EXPECT_TRUE(parseFinite("-2.5e-3", value));
+    EXPECT_EQ(value, -2.5e-3);
+    EXPECT_FALSE(parseFinite("1 ", value));
+    EXPECT_FALSE(parseFinite("", value));
+    EXPECT_EQ(value, -2.5e-3);
+}
+
+TEST(Flags, RejectsUnknownNamesAndEmptyLists)
+{
+    Color color = Color::Red;
+    std::vector<std::string> runtimes = {"spec"};
+    std::vector<Color> colors;
+    Flags flags;
+    flags.choice("--color", color, parseColor)
+        .list("--runtimes", runtimes)
+        .list("--colors", colors, parseColor)
+        .option("--require", [](std::string_view v) {
+            return "bad --require=" + std::string(v);
+        });
+    EXPECT_EQ(parseArgs(flags, {"--color=green"}),
+              "unknown --color value: green");
+    EXPECT_EQ(parseArgs(flags, {"--color="}), "unknown --color value: ");
+    EXPECT_EQ(parseArgs(flags, {"--colors=red,green"}),
+              "unknown --colors value: green");
+    EXPECT_EQ(parseArgs(flags, {"--runtimes="}),
+              "--runtimes needs at least one name");
+    EXPECT_EQ(parseArgs(flags, {"--colors=,"}),
+              "--colors needs at least one name");
+    EXPECT_EQ(parseArgs(flags, {"--require=x"}), "bad --require=x");
+    EXPECT_EQ(color, Color::Red);
+    EXPECT_EQ(runtimes, (std::vector<std::string>{"spec"}));
+    EXPECT_TRUE(colors.empty());
 }
 
 } // namespace

@@ -450,10 +450,10 @@ runYcsbA(unsigned epoch_max_ops)
 
     kv::DriverConfig driver;
     driver.threads = 2;
-    driver.keys = 4096;
+    driver.workload.keys = 4096;
     driver.opsPerThread = 2000;
-    driver.mix = kv::Mix::A;
-    driver.dist = kv::KeyDist::Zipfian;
+    driver.workload.mix = kv::Mix::A;
+    driver.workload.dist = kv::KeyDist::Zipfian;
     kv::loadKeyspace(service, driver);
     driver.relaxedPuts = epoch_max_ops != 0;
     const kv::DriverResult result = kv::runClosedLoop(service, driver);

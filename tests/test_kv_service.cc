@@ -202,10 +202,10 @@ TEST(KvService, ParallelRecoveryAfterConcurrentRun)
 
     DriverConfig driver;
     driver.threads = 4;
-    driver.keys = kKeys;
+    driver.workload.keys = kKeys;
     driver.opsPerThread = 500;
-    driver.mix = Mix::A;
-    driver.multiPutFraction = 0.1;
+    driver.workload.mix = Mix::A;
+    driver.workload.multiPutFraction = 0.1;
     loadKeyspace(service, driver);
     const auto result = runClosedLoop(service, driver);
     EXPECT_EQ(result.failed, 0u);

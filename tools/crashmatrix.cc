@@ -14,13 +14,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "common/flags.hh"
 #include "forensic/inspector.hh"
 #include "forensic/recovery_audit.hh"
 #include "kv/kv_crash_workload.hh"
@@ -80,7 +77,7 @@ usage(std::FILE *out)
         "  --scale=FLOAT    STAMP-analog workload scale      [0.05]\n"
         "\n"
         "driver options (never part of replay tokens)\n"
-        "  --shard=K/N      explore points with id%%N == K    [0/1]\n"
+        "  --shard=K/N      explore points with id%N == K     [0/1]\n"
         "  --jobs=N         worker threads (0 = hardware)    [1]\n"
         "  --max-points=N   bound points per run (0 = all)   [0]\n"
         "  --continue       verify post-recovery continuation\n"
@@ -92,6 +89,20 @@ usage(std::FILE *out)
         "  --image-out=DIR  (--explain) save post-crash images there\n"
         "  --help           this text\n",
         out);
+}
+
+/** Write @p json to @p path ("-" = stdout, "" = nowhere). */
+bool
+writeJson(const std::string &path, const std::string &json)
+{
+    if (path == "-")
+        std::fputs(json.c_str(), stdout);
+    else if (!path.empty() && !(std::ofstream(path) << json)) {
+        std::fprintf(stderr, "crashmatrix: cannot write %s\n",
+                     path.c_str());
+        return false;
+    }
+    return true;
 }
 
 int
@@ -154,7 +165,7 @@ explainToken(const std::string &token, const std::string &image_dir,
                 cell.policy.c_str(), exports.size());
 
     const bool audit_supported =
-        cell.runtime == "spec" || cell.runtime == "spec-dp";
+        forensic::isAuditableRuntime(cell.runtime);
     bool disagreement = false;
     std::string json = "{\"token\": \"" + token + "\", \"point\": " +
                        std::to_string(point) + ", \"fired\": " +
@@ -200,26 +211,24 @@ explainToken(const std::string &token, const std::string &image_dir,
         json += "}";
     }
     json += "\n]}\n";
-
-    if (!json_path.empty()) {
-        if (json_path == "-") {
-            std::printf("%s", json.c_str());
-        } else {
-            std::ofstream out(json_path);
-            if (!out) {
-                std::fprintf(stderr, "crashmatrix: cannot write %s\n",
-                             json_path.c_str());
-                return 2;
-            }
-            out << json;
-        }
-    }
+    if (!writeJson(json_path, json))
+        return 2;
 
     if (disagreement) {
         std::printf("recovery audit DISAGREES with the inspector\n");
         return 1;
     }
     return 0;
+}
+
+/** Write the requested artifacts; false (reported) on failure. */
+bool
+writeArtifacts(const obs::OutputFlags &obs_flags)
+{
+    const std::string error = obs_flags.writeArtifacts();
+    if (!error.empty())
+        std::fprintf(stderr, "crashmatrix: %s\n", error.c_str());
+    return error.empty();
 }
 
 } // namespace
@@ -235,116 +244,65 @@ main(int argc, char **argv)
     std::string image_dir;
     bool verify_continuation = false;
     obs::OutputFlags obs_flags;
+    bool help = false;
 
-    // Accept both --flag=value and --flag value.
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view raw = argv[i];
-        const bool boolean = raw == "--continue" || raw == "--help" ||
-                             raw == "-h";
-        if (raw.substr(0, 2) == "--" &&
-            raw.find('=') == std::string_view::npos && !boolean &&
-            i + 1 < argc) {
-            args.push_back(std::string(raw) + "=" + argv[++i]);
-        } else {
-            args.emplace_back(raw);
-        }
+    Flags flags;
+    flags.flag("--help", help)
+        .flag("-h", help)
+        .flag("--continue", verify_continuation)
+        .text("--runtime", cell.runtime)
+        .text("--workload", cell.workload)
+        .text("--policy", cell.policy)
+        .real("--p", cell.persistProbability, 0, 1)
+        .count("--seed", cell.seed)
+        .text("--fault", cell.fault)
+        .count("--slots", cell.slots)
+        .count("--tx", cell.txCount)
+        .count("--stores", cell.maxStoresPerTx)
+        .count("--reclaim-every", cell.reclaimEvery)
+        .count("--kv-shards", cell.kvShards)
+        .count("--kv-keys", cell.kvKeys)
+        .count("--kv-ops", cell.kvOps)
+        .count("--kv-epoch-ops", cell.kvEpochOps)
+        .real("--scale", cell.scale)
+        .option("--shard",
+                [&options](std::string_view spec) {
+                    unsigned index = 0, count = 0;
+                    if (std::sscanf(std::string(spec).c_str(), "%u/%u",
+                                    &index, &count) != 2 ||
+                        count == 0 || index >= count)
+                        return "bad --shard=" + std::string(spec) +
+                               " (want K/N, K < N)";
+                    options.shardIndex = index;
+                    options.shardCount = count;
+                    return std::string();
+                })
+        .count("--jobs", options.jobs)
+        .count("--max-points", options.maxPoints)
+        .text("--json", json_path)
+        .text("--replay", replay_token)
+        .text("--explain", explain_token)
+        .text("--image-out", image_dir);
+    obs_flags.declare(flags);
+    if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+        std::fprintf(stderr, "crashmatrix: %s\n", error.c_str());
+        usage(stderr);
+        return 2;
     }
-
-    for (const std::string &arg_string : args) {
-        const std::string_view arg = arg_string;
-        auto value = [&arg](std::string_view prefix,
-                            std::string_view &out) {
-            if (arg.substr(0, prefix.size()) != prefix)
-                return false;
-            out = arg.substr(prefix.size());
-            return true;
-        };
-        std::string_view v;
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout);
-            return 0;
-        } else if (arg == "--continue") {
-            verify_continuation = true;
-        } else if (value("--runtime=", v)) {
-            cell.runtime = v;
-        } else if (value("--workload=", v)) {
-            cell.workload = v;
-        } else if (value("--policy=", v)) {
-            cell.policy = v;
-        } else if (value("--p=", v)) {
-            cell.persistProbability = std::atof(std::string(v).c_str());
-        } else if (value("--seed=", v)) {
-            cell.seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
-        } else if (value("--fault=", v)) {
-            cell.fault = v;
-        } else if (value("--slots=", v)) {
-            cell.slots = std::atoi(std::string(v).c_str());
-        } else if (value("--tx=", v)) {
-            cell.txCount = std::atoi(std::string(v).c_str());
-        } else if (value("--stores=", v)) {
-            cell.maxStoresPerTx = std::atoi(std::string(v).c_str());
-        } else if (value("--reclaim-every=", v)) {
-            cell.reclaimEvery = std::atoi(std::string(v).c_str());
-        } else if (value("--kv-shards=", v)) {
-            cell.kvShards = std::atoi(std::string(v).c_str());
-        } else if (value("--kv-keys=", v)) {
-            cell.kvKeys =
-                std::strtoull(std::string(v).c_str(), nullptr, 10);
-        } else if (value("--kv-ops=", v)) {
-            cell.kvOps = std::atoi(std::string(v).c_str());
-        } else if (value("--kv-epoch-ops=", v)) {
-            cell.kvEpochOps = std::atoi(std::string(v).c_str());
-        } else if (value("--scale=", v)) {
-            cell.scale = std::atof(std::string(v).c_str());
-        } else if (value("--shard=", v)) {
-            const std::string spec(v);
-            unsigned index = 0, count = 0;
-            if (std::sscanf(spec.c_str(), "%u/%u", &index, &count) != 2 ||
-                count == 0 || index >= count) {
-                std::fprintf(stderr,
-                             "crashmatrix: bad --shard=%s (want K/N, "
-                             "K < N)\n",
-                             spec.c_str());
-                return 2;
-            }
-            options.shardIndex = index;
-            options.shardCount = count;
-        } else if (value("--jobs=", v)) {
-            options.jobs = std::atoi(std::string(v).c_str());
-        } else if (value("--max-points=", v)) {
-            options.maxPoints =
-                std::strtoull(std::string(v).c_str(), nullptr, 10);
-        } else if (value("--json=", v)) {
-            json_path = v;
-        } else if (value("--replay=", v)) {
-            replay_token = v;
-        } else if (value("--explain=", v)) {
-            explain_token = v;
-        } else if (value("--image-out=", v)) {
-            image_dir = v;
-        } else if (obs_flags.accept(arg)) {
-            // --metrics-out= / --trace-out= consumed.
-        } else {
-            std::fprintf(stderr, "crashmatrix: unknown option: %s\n",
-                         std::string(arg).c_str());
-            usage(stderr);
-            return 2;
-        }
+    if (help) {
+        usage(stdout);
+        return 0;
     }
-
     if (!replay_token.empty()) {
         const int status =
             replayToken(replay_token, verify_continuation);
-        obs_flags.writeArtifacts();
-        return status;
+        return writeArtifacts(obs_flags) ? status : 2;
     }
 
     if (!explain_token.empty()) {
         const int status =
             explainToken(explain_token, image_dir, json_path);
-        obs_flags.writeArtifacts();
-        return status;
+        return writeArtifacts(obs_flags) ? status : 2;
     }
 
     options.verifyContinuation = verify_continuation;
@@ -381,22 +339,10 @@ main(int argc, char **argv)
                     failure.token.c_str());
     }
 
-    if (!json_path.empty()) {
-        const std::string json = report.toJson(cell);
-        if (json_path == "-") {
-            std::printf("%s\n", json.c_str());
-        } else {
-            std::ofstream out(json_path);
-            if (!out) {
-                std::fprintf(stderr,
-                             "crashmatrix: cannot write %s\n",
-                             json_path.c_str());
-                return 2;
-            }
-            out << json << '\n';
-        }
-    }
+    if (!writeJson(json_path, report.toJson(cell) + "\n"))
+        return 2;
 
-    obs_flags.writeArtifacts();
+    if (!writeArtifacts(obs_flags))
+        return 2;
     return report.ok() ? 0 : 1;
 }

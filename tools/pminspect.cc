@@ -26,11 +26,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/flags.hh"
 #include "forensic/inspector.hh"
 #include "forensic/recovery_audit.hh"
 #include "obs/metrics.hh"
@@ -61,34 +61,33 @@ main(int argc, char **argv)
     std::string json_path;
     std::string audit_runtime;
     std::vector<std::string> images;
+    bool help = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg.rfind("--threads=", 0) == 0) {
-            threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 10));
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json = true;
-            json_path = arg.substr(7);
-        } else if (arg.rfind("--audit=", 0) == 0) {
-            audit_runtime = arg.substr(8);
-        } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "pminspect: unknown option %s\n",
-                         argv[i]);
-            return usage(argv[0]);
-        } else {
-            images.emplace_back(arg);
-        }
+    Flags flags;
+    flags.count("--threads", threads)
+        .flag("--json", json)
+        .option("--json",
+                [&](std::string_view path) {
+                    json = true;
+                    json_path = path;
+                    return std::string();
+                })
+        .text("--audit", audit_runtime)
+        .flag("--help", help)
+        .flag("-h", help)
+        .positionals(images);
+    if (const std::string error = flags.parse(argc, argv); !error.empty()) {
+        std::fprintf(stderr, "pminspect: %s\n", error.c_str());
+        return usage(argv[0]);
+    }
+    if (help) {
+        usage(argv[0]);
+        return 0;
     }
     if (images.empty())
         return usage(argv[0]);
-    if (!audit_runtime.empty() && audit_runtime != "spec" &&
-        audit_runtime != "spec-dp") {
+    if (!audit_runtime.empty() &&
+        !forensic::isAuditableRuntime(audit_runtime)) {
         std::fprintf(stderr,
                      "pminspect: --audit supports spec or spec-dp "
                      "(got %s)\n",

@@ -73,11 +73,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "forensic/inspector.hh"
 #include "forensic/recovery_audit.hh"
@@ -1252,62 +1254,48 @@ main(int argc, char **argv)
     std::vector<std::string> selected;
     std::string json_path;
     std::string metrics_out;
+    std::optional<std::string> inspect_dir;
+    bool list = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::string(prefix).size();
-            return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                             : nullptr;
-        };
-        if (const char *v = value("--scenario=")) {
-            std::string list = v;
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                const std::size_t comma = list.find(',', pos);
-                selected.push_back(list.substr(
-                    pos, comma == std::string::npos ? comma
-                                                    : comma - pos));
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
-        } else if (const char *v = value("--seed="))
-            cfg.seed = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--speckv="))
-            cfg.speckv = v;
-        else if (const char *v = value("--workdir="))
-            cfg.workdir = v;
-        else if (const char *v = value("--json="))
-            json_path = v;
-        else if (const char *v = value("--metrics-out="))
-            metrics_out = v;
-        else if (arg == "--keep")
-            cfg.keep = true;
-        else if (const char *v = value("--inspect=")) {
-            // Debug aid: dump the offline inspection of a pm dir a
-            // scenario left behind (raw .pm images, no file header).
-            for (unsigned s = 0;; ++s) {
-                const std::string path = std::string(v) + "/shard-" +
-                                         std::to_string(s) + ".pm";
-                std::ifstream f(path, std::ios::binary);
-                if (!f)
-                    break;
-                std::vector<std::uint8_t> image(
-                    (std::istreambuf_iterator<char>(f)),
-                    std::istreambuf_iterator<char>());
-                const auto dev = pmem::deviceFromImage(image);
-                std::printf("%s\n",
-                            forensic::inspectImage(*dev, 4, path)
-                                .toText()
-                                .c_str());
-            }
-            return 0;
+    Flags flags;
+    flags.list("--scenario", selected)
+        .count("--seed", cfg.seed)
+        .text("--speckv", cfg.speckv)
+        .text("--workdir", cfg.workdir)
+        .text("--json", json_path)
+        .text("--metrics-out", metrics_out)
+        .flag("--keep", cfg.keep)
+        .option("--inspect",
+                [&inspect_dir](std::string_view dir) {
+                    inspect_dir = dir;
+                    return std::string();
+                })
+        .flag("--list", list);
+    if (const std::string error = flags.parse(argc, argv); !error.empty())
+        SPECPMT_FATAL("%s", error.c_str());
+    if (inspect_dir) {
+        // Debug aid: dump the offline inspection of a pm dir a
+        // scenario left behind (raw .pm images, no file header).
+        for (unsigned s = 0;; ++s) {
+            const std::string path = *inspect_dir + "/shard-" +
+                                     std::to_string(s) + ".pm";
+            std::ifstream f(path, std::ios::binary);
+            if (!f)
+                break;
+            std::vector<std::uint8_t> image(
+                (std::istreambuf_iterator<char>(f)),
+                std::istreambuf_iterator<char>());
+            const auto dev = pmem::deviceFromImage(image);
+            std::printf(
+                "%s\n",
+                forensic::inspectImage(*dev, 4, path).toText().c_str());
         }
-        else if (arg == "--list") {
-            for (const Scenario &s : kScenarios)
-                std::printf("%-18s %s\n", s.name, s.summary);
-            return 0;
-        } else
-            SPECPMT_FATAL("unknown argument: %s", arg.c_str());
+        return 0;
+    }
+    if (list) {
+        for (const Scenario &s : kScenarios)
+            std::printf("%-18s %s\n", s.name, s.summary);
+        return 0;
     }
 
     if (::access(cfg.speckv.c_str(), X_OK) != 0)

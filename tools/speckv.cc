@@ -53,7 +53,7 @@
  *
  *   speckv serve [--runtime=spec] [--shards=4] [--keys=4096]
  *                [--port=0] [--port-file=PATH] [--seconds=0]
- *                [--max-ops-per-commit=256] [--group-commit]
+ *                [--group-commit]
  *                [--epoch-max-ops=64] [--epoch-max-delay-us=500]
  *                [--pm-dir=DIR] [--pool-bytes=N]
  *                [--max-pending-ops=4096]
@@ -94,13 +94,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "common/rand.hh"
 #include "core/spec_tx.hh"
@@ -125,34 +124,12 @@ struct Args
     std::vector<std::string> runtimes = {"spec"};
     std::vector<kv::Mix> mixes = {kv::Mix::A};
     unsigned shards = 4;
-    unsigned threads = 4;
-    std::uint64_t keys = 4096;
-    std::uint64_t opsPerThread = 2000;
-    kv::KeyDist dist = kv::KeyDist::Zipfian;
-    long crashAfter = 500;         ///< walkthrough only
-    std::uint64_t seed = 1;        ///< walkthrough only
-    double multiPutFraction = 0.0; ///< bench only
-    unsigned groupCommit = 0;      ///< bench only
+    /** Threads, ops, seed and workload; the mix is set per run. */
+    kv::DriverConfig driver;
+    long crashAfter = 500;    ///< walkthrough only
+    unsigned groupCommit = 0; ///< bench only
     obs::OutputFlags obs;
 };
-
-std::vector<std::string>
-splitCsv(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= arg.size()) {
-        const auto comma = arg.find(',', start);
-        const auto end = comma == std::string::npos ? arg.size()
-                                                    : comma;
-        if (end > start)
-            out.push_back(arg.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
 
 /** @p names, each preceded by a space. */
 std::string
@@ -181,15 +158,13 @@ requireRecoverable(const std::string &runtime, const char *what)
     }
 }
 
-/** @p parsed, or the usage error for an unknown @p what name. */
-template <typename T>
-T
-named(const std::optional<T> &parsed, const char *what,
-      const std::string &name)
+/** Parse argv[first..) into @p flags, or exit with the usage error. */
+void
+parseOrExit(const Flags &flags, int argc, char **argv, int first)
 {
-    if (!parsed)
-        SPECPMT_FATAL("unknown %s: %s", what, name.c_str());
-    return *parsed;
+    const std::string error = flags.parse(argc, argv, first);
+    if (!error.empty())
+        SPECPMT_FATAL("%s", error.c_str());
 }
 
 /** The walkthrough's flags, or with @p bench `speckv bench`'s. */
@@ -197,69 +172,52 @@ Args
 parseArgs(int argc, char **argv, bool bench)
 {
     Args args;
+    kv::DriverConfig &driver = args.driver;
+    driver.workload.keys = bench ? 8192 : 4096;
+    driver.opsPerThread = bench ? 4000 : 2000;
+    Flags flags;
+    // The driver builds its zipfian generator for either distribution,
+    // hence at least two keys.
+    flags.count("--shards", args.shards, 1)
+        .count("--threads", driver.threads, 1)
+        .count("--keys", driver.workload.keys, 2)
+        .count("--ops", driver.opsPerThread)
+        .choice("--dist", driver.workload.dist, kv::parseKeyDist);
+    args.obs.declare(flags);
+    // A flag of one mode is an unknown argument in the other.
     if (bench) {
         args.runtimes = {"spec", "pmdk"};
         args.mixes = {kv::Mix::A, kv::Mix::B, kv::Mix::C};
-        args.keys = 8192;
-        args.opsPerThread = 4000;
+        flags.list("--runtimes", args.runtimes)
+            .list("--mixes", args.mixes, kv::parseMix)
+            .real("--multiput", driver.workload.multiPutFraction, 0, 1)
+            .count("--group-commit", args.groupCommit);
+    } else {
+        driver.workload.multiPutFraction = 0.05;
+        flags.text("--runtime", args.runtimes.front())
+            .choice("--mix", args.mixes.front(), kv::parseMix)
+            .count("--crash-after", args.crashAfter, -1)
+            .count("--seed", driver.seed);
     }
-    const bool walkthrough = !bench;
-    for (int i = bench ? 2 : 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        // A flag of one mode matches only in that mode.
-        auto value = [&](const char *prefix,
-                         bool in_mode = true) -> const char * {
-            const std::size_t n = std::string(prefix).size();
-            return in_mode && arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                                        : nullptr;
-        };
-        if (const char *v = value("--runtime=", walkthrough))
-            args.runtimes = {v};
-        else if (const char *v = value("--runtimes=", bench))
-            args.runtimes = splitCsv(v);
-        else if (const char *v = value("--shards="))
-            args.shards = static_cast<unsigned>(std::atoi(v));
-        else if (const char *v = value("--threads="))
-            args.threads = static_cast<unsigned>(std::atoi(v));
-        else if (const char *v = value("--keys="))
-            args.keys = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--ops="))
-            args.opsPerThread = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--crash-after=", walkthrough))
-            args.crashAfter = std::atol(v);
-        else if (const char *v = value("--seed=", walkthrough))
-            args.seed = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--multiput=", bench))
-            args.multiPutFraction = std::atof(v);
-        else if (const char *v = value("--group-commit=", bench))
-            args.groupCommit = static_cast<unsigned>(std::atoi(v));
-        else if (const char *v = value("--mix=", walkthrough))
-            args.mixes = {named(kv::parseMix(v), "mix", v)};
-        else if (const char *v = value("--mixes=", bench)) {
-            args.mixes.clear();
-            for (const auto &name : splitCsv(v))
-                args.mixes.push_back(named(kv::parseMix(name), "mix", name));
-        } else if (const char *v = value("--dist="))
-            args.dist = named(kv::parseKeyDist(v), "dist", v);
-        else if (!args.obs.accept(arg))
-            SPECPMT_FATAL("unknown argument: %s", arg.c_str());
-    }
-    if (args.shards == 0)
-        SPECPMT_FATAL("--shards must be at least 1");
-    if (args.threads == 0)
-        SPECPMT_FATAL("--threads must be at least 1");
-    // The driver builds its zipfian generator for either distribution.
-    if (args.keys < 2)
-        SPECPMT_FATAL("--keys must be at least 2");
+    parseOrExit(flags, argc, argv, bench ? 2 : 1);
     for (const auto &runtime : args.runtimes) {
         if (!txn::isRuntimeName(runtime)) {
             SPECPMT_FATAL("unknown runtime %s; known:%s", runtime.c_str(),
                           nameList(txn::runtimeNames()).c_str());
         }
-        if (walkthrough)
+        if (!bench)
             requireRecoverable(runtime, "speckv");
     }
     return args;
+}
+
+/** Write the requested artifacts, or exit with the error. */
+void
+writeArtifactsOrExit(const obs::OutputFlags &obs_flags)
+{
+    const std::string error = obs_flags.writeArtifacts();
+    if (!error.empty())
+        SPECPMT_FATAL("%s", error.c_str());
 }
 
 /**
@@ -297,6 +255,19 @@ printRunResult(const char *phase, const kv::DriverResult &result)
                 result.crashed ? "  ** power failed **" : "");
 }
 
+/** Write @p port to @p path (no-op for an empty path) for scripts. */
+void
+writePortFile(const std::string &path, unsigned port)
+{
+    if (path.empty())
+        return;
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr)
+        SPECPMT_FATAL("cannot write %s", path.c_str());
+    std::fprintf(f, "%u\n", port);
+    std::fclose(f);
+}
+
 std::atomic<bool> g_stop{false};
 
 void
@@ -312,25 +283,17 @@ serveMain(int argc, char **argv)
     std::string runtime = "spec";
     unsigned shards = 4;
     std::uint64_t keys = 4096;
-    unsigned port = 0;
     std::string port_file;
     double seconds = 0; // 0 = until signal
-    std::size_t max_ops_per_commit = 256;
-    bool group_commit = false;
-    std::size_t epoch_max_ops = 64;
-    std::uint64_t epoch_max_delay_us = 500;
     int admin_port = -1; // -1 = no admin endpoint; 0 = ephemeral
     std::string admin_port_file;
-    std::uint64_t slow_us = 0;
     std::string pm_dir;
     std::size_t pool_bytes = 0; // 0 = KvServiceConfig default
-    std::size_t max_pending_ops = 4096;
-    std::uint64_t idle_timeout_ms = 0;
-    std::size_t max_frame_bytes = net::kMaxFrameBytes;
+    net::ServerConfig server_config;
     pmem::FaultPlan fault_plan;
     fault_plan.regionStart = 64 * 1024;
     std::uint64_t fault_delay_ms = 0;
-    int fault_shard = -1;
+    int fault_shard = -1; // -1 = every shard
     obs::OutputFlags obs_flags;
 
     // Install the stop handlers before anything heavy is built, so a
@@ -342,68 +305,33 @@ serveMain(int argc, char **argv)
     // kill the server through any future write path either.
     std::signal(SIGPIPE, SIG_IGN);
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::string(prefix).size();
-            return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                             : nullptr;
-        };
-        if (const char *v = value("--runtime="))
-            runtime = v;
-        else if (const char *v = value("--shards="))
-            shards = static_cast<unsigned>(std::atoi(v));
-        else if (const char *v = value("--keys="))
-            keys = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--port="))
-            port = static_cast<unsigned>(std::atoi(v));
-        else if (const char *v = value("--port-file="))
-            port_file = v;
-        else if (const char *v = value("--seconds="))
-            seconds = std::atof(v);
-        else if (const char *v = value("--max-ops-per-commit="))
-            max_ops_per_commit = std::strtoull(v, nullptr, 10);
-        else if (arg == "--group-commit")
-            group_commit = true;
-        else if (const char *v = value("--epoch-max-ops="))
-            epoch_max_ops = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--epoch-max-delay-us="))
-            epoch_max_delay_us = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--admin-port="))
-            admin_port = std::atoi(v);
-        else if (const char *v = value("--admin-port-file="))
-            admin_port_file = v;
-        else if (const char *v = value("--slow-us="))
-            slow_us = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--pm-dir="))
-            pm_dir = v;
-        else if (const char *v = value("--pool-bytes="))
-            pool_bytes = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--max-pending-ops="))
-            max_pending_ops = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--idle-timeout-ms="))
-            idle_timeout_ms = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--max-frame-bytes="))
-            max_frame_bytes = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-seed="))
-            fault_plan.seed = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-poison="))
-            fault_plan.poisonLines = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-eio="))
-            fault_plan.eioLines = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-corrupt="))
-            fault_plan.corruptLines = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-region-start="))
-            fault_plan.regionStart = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-delay-ms="))
-            fault_delay_ms = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--fault-shard="))
-            fault_shard = std::atoi(v);
-        else if (!obs_flags.accept(arg))
-            SPECPMT_FATAL("unknown argument: %s", arg.c_str());
-    }
-    if (shards == 0)
-        SPECPMT_FATAL("--shards must be at least 1");
+    Flags flags;
+    flags.text("--runtime", runtime)
+        .count("--shards", shards, 1)
+        .count("--keys", keys)
+        .count("--port", server_config.port)
+        .text("--port-file", port_file)
+        .real("--seconds", seconds)
+        .flag("--group-commit", server_config.groupCommit)
+        .count("--epoch-max-ops", server_config.epochMaxOps)
+        .count("--epoch-max-delay-us", server_config.epochMaxDelayUs)
+        .count("--admin-port", admin_port, -1, 65535)
+        .text("--admin-port-file", admin_port_file)
+        .count("--slow-us", server_config.slowUs)
+        .text("--pm-dir", pm_dir)
+        .count("--pool-bytes", pool_bytes)
+        .count("--max-pending-ops", server_config.maxPendingOps)
+        .count("--idle-timeout-ms", server_config.idleTimeoutMs)
+        .count("--max-frame-bytes", server_config.maxFrameBytes)
+        .count("--fault-seed", fault_plan.seed)
+        .count("--fault-poison", fault_plan.poisonLines)
+        .count("--fault-eio", fault_plan.eioLines)
+        .count("--fault-corrupt", fault_plan.corruptLines)
+        .count("--fault-region-start", fault_plan.regionStart)
+        .count("--fault-delay-ms", fault_delay_ms)
+        .count("--fault-shard", fault_shard, -1);
+    obs_flags.declare(flags);
+    parseOrExit(flags, argc, argv, 2);
     if (!txn::isRuntimeName(runtime))
         SPECPMT_FATAL("unknown runtime %s", runtime.c_str());
     // Reattaching a --pm-dir image runs recover().
@@ -413,7 +341,7 @@ serveMain(int argc, char **argv)
     // Loop i of the server transacts as client thread id i.
     kv::KvServiceConfig service_config =
         serviceConfig(runtime, shards, shards, keys);
-    if (group_commit)
+    if (server_config.groupCommit)
         service_config.runtimeOptions.groupCommit = true;
     service_config.pmDir = pm_dir;
     if (pool_bytes != 0)
@@ -460,16 +388,6 @@ serveMain(int argc, char **argv)
             });
     }
 
-    net::ServerConfig server_config;
-    server_config.port = static_cast<std::uint16_t>(port);
-    server_config.maxOpsPerCommit = max_ops_per_commit;
-    server_config.groupCommit = group_commit;
-    server_config.epochMaxOps = epoch_max_ops;
-    server_config.epochMaxDelayUs = epoch_max_delay_us;
-    server_config.slowUs = slow_us;
-    server_config.maxPendingOps = max_pending_ops;
-    server_config.idleTimeoutMs = idle_timeout_ms;
-    server_config.maxFrameBytes = max_frame_bytes;
     net::NetServer server(service, server_config);
     server.start();
 
@@ -490,26 +408,12 @@ serveMain(int argc, char **argv)
         // Arm the tracer so /trace and --slow-us tail sampling have
         // spans to serve even without --trace-out.
         obs::Tracer::global().enable();
-        if (!admin_port_file.empty()) {
-            FILE *f = std::fopen(admin_port_file.c_str(), "w");
-            if (f == nullptr)
-                SPECPMT_FATAL("cannot write %s",
-                              admin_port_file.c_str());
-            std::fprintf(f, "%u\n", telemetry->port());
-            std::fclose(f);
-        }
+        writePortFile(admin_port_file, telemetry->port());
     }
-
-    if (!port_file.empty()) {
-        FILE *f = std::fopen(port_file.c_str(), "w");
-        if (f == nullptr)
-            SPECPMT_FATAL("cannot write %s", port_file.c_str());
-        std::fprintf(f, "%u\n", server.port());
-        std::fclose(f);
-    }
+    writePortFile(port_file, server.port());
     std::printf("speckv serve: runtime=%s shards=%u port=%u%s",
                 runtime.c_str(), shards, server.port(),
-                group_commit ? " group-commit" : "");
+                server_config.groupCommit ? " group-commit" : "");
     if (telemetry)
         std::printf(" admin-port=%u", telemetry->port());
     std::printf("\n");
@@ -528,8 +432,9 @@ serveMain(int argc, char **argv)
     // Snapshot the artifacts BEFORE the drain path: if stop() or
     // shutdown() wedges (or a second signal kills the process), the
     // serve-time observations are already on disk. A clean exit
-    // overwrites them with the final state below.
-    obs_flags.writeArtifacts();
+    // overwrites them with the final state below, which also reports
+    // a path that cannot be written.
+    (void)obs_flags.writeArtifacts();
     g_stop.store(true);
     if (fault_thread.joinable())
         fault_thread.join();
@@ -537,7 +442,7 @@ serveMain(int argc, char **argv)
         telemetry->stop();
     server.stop();
     service.shutdown();
-    obs_flags.writeArtifacts();
+    writeArtifactsOrExit(obs_flags);
     std::printf("speckv serve: OK\n");
     return 0;
 }
@@ -546,20 +451,16 @@ serveMain(int argc, char **argv)
 int
 benchMain(const Args &args)
 {
-    kv::DriverConfig driver_config;
-    driver_config.threads = args.threads;
-    driver_config.keys = args.keys;
-    driver_config.opsPerThread = args.opsPerThread;
-    driver_config.dist = args.dist;
-    driver_config.multiPutFraction = args.multiPutFraction;
+    kv::DriverConfig driver_config = args.driver;
     driver_config.relaxedPuts = args.groupCommit > 0;
+    const unsigned threads = driver_config.threads;
+    const std::uint64_t keys = driver_config.workload.keys;
 
     std::printf("kv_ycsb: %u shards, %u threads, %llu keys, "
                 "%llu ops/thread, %s keys\n",
-                args.shards, args.threads,
-                static_cast<unsigned long long>(args.keys),
-                static_cast<unsigned long long>(args.opsPerThread),
-                kv::keyDistName(args.dist));
+                args.shards, threads, static_cast<unsigned long long>(keys),
+                static_cast<unsigned long long>(driver_config.opsPerThread),
+                kv::keyDistName(driver_config.workload.dist));
     if (args.groupCommit > 0)
         std::printf("group commit: epoch sealed every %u relaxed ops\n",
                     args.groupCommit);
@@ -573,12 +474,15 @@ benchMain(const Args &args)
         std::string runtime;
         kv::Mix mix;
         kv::DriverResult result;
+        /** Latency over all ops: the two op-type histograms merged. */
+        LatencyHistogram latency;
+        double fencesPerTx = 0.0;
     };
     std::vector<Cell> cells;
     for (const auto &runtime : args.runtimes) {
         for (const kv::Mix mix : args.mixes) {
             kv::KvServiceConfig service_config = serviceConfig(
-                runtime, args.shards, args.threads, args.keys);
+                runtime, args.shards, threads, keys);
             if (args.groupCommit > 0) {
                 service_config.runtimeOptions.groupCommit = true;
                 service_config.epochMaxOps = args.groupCommit;
@@ -586,14 +490,15 @@ benchMain(const Args &args)
             kv::KvService service(service_config);
             kv::loadKeyspace(service, driver_config);
 
-            driver_config.mix = mix;
-            auto result = kv::runClosedLoop(service, driver_config);
+            driver_config.workload.mix = mix;
+            Cell cell{runtime, mix,
+                      kv::runClosedLoop(service, driver_config), {}, 0.0};
             service.shutdown();
+            const kv::DriverResult &result = cell.result;
             SPECPMT_ASSERT(result.failed == 0);
 
-            // Latency over all ops: merge the two op-type histograms.
-            LatencyHistogram latency = result.readLatency;
-            latency.merge(result.updateLatency);
+            cell.latency = result.readLatency;
+            cell.latency.merge(result.updateLatency);
             std::uint64_t fences = 0;
             std::uint64_t pm_lines = 0;
             std::uint64_t txs = 0;
@@ -602,23 +507,22 @@ benchMain(const Args &args)
                 pm_lines += shard.pmLineWrites;
                 txs += shard.committedTxs;
             }
-            const double fences_per_tx =
-                txs > 0 ? static_cast<double>(fences) /
-                              static_cast<double>(txs)
-                        : 0.0;
+            cell.fencesPerTx = txs > 0 ? static_cast<double>(fences) /
+                                             static_cast<double>(txs)
+                                       : 0.0;
             std::printf("%-9s %-4s %12.1f %12.1f %9.1f %9.1f %9.1f "
                         "%9.1f %10llu %8.3f %12llu\n",
                         runtime.c_str(), kv::mixName(mix),
                         result.throughputOps / 1e3,
                         result.simThroughputOps / 1e3,
-                        latency.percentile(50) / 1e3,
-                        latency.percentile(95) / 1e3,
-                        latency.percentile(99) / 1e3,
-                        latency.percentile(99.9) / 1e3,
+                        cell.latency.percentile(50) / 1e3,
+                        cell.latency.percentile(95) / 1e3,
+                        cell.latency.percentile(99) / 1e3,
+                        cell.latency.percentile(99.9) / 1e3,
                         static_cast<unsigned long long>(fences),
-                        fences_per_tx,
+                        cell.fencesPerTx,
                         static_cast<unsigned long long>(pm_lines));
-            cells.push_back({runtime, mix, std::move(result)});
+            cells.push_back(std::move(cell));
         }
     }
 
@@ -627,20 +531,13 @@ benchMain(const Args &args)
                 "\"keys\":%llu,\"ops_per_thread\":%llu,\"dist\":\"%s\","
                 "\"group_commit\":%u,"
                 "\"results\":[",
-                args.shards, args.threads,
-                static_cast<unsigned long long>(args.keys),
-                static_cast<unsigned long long>(args.opsPerThread),
-                kv::keyDistName(args.dist), args.groupCommit);
+                args.shards, threads, static_cast<unsigned long long>(keys),
+                static_cast<unsigned long long>(driver_config.opsPerThread),
+                kv::keyDistName(driver_config.workload.dist),
+                args.groupCommit);
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto &cell = cells[i];
-        LatencyHistogram latency = cell.result.readLatency;
-        latency.merge(cell.result.updateLatency);
-        std::uint64_t cell_fences = 0;
-        std::uint64_t cell_txs = 0;
-        for (const auto &shard : cell.result.shards) {
-            cell_fences += shard.device.fences;
-            cell_txs += shard.committedTxs;
-        }
+        const LatencyHistogram &latency = cell.latency;
         std::printf("%s{\"runtime\":\"%s\",\"mix\":\"%s\","
                     "\"fences_per_tx\":%.4f,"
                     "\"ops\":%llu,"
@@ -650,11 +547,7 @@ benchMain(const Args &args)
                     "\"p99_ns\":%llu,\"p999_ns\":%llu,"
                     "\"shards\":[",
                     i == 0 ? "" : ",", cell.runtime.c_str(),
-                    kv::mixName(cell.mix),
-                    cell_txs > 0
-                        ? static_cast<double>(cell_fences) /
-                              static_cast<double>(cell_txs)
-                        : 0.0,
+                    kv::mixName(cell.mix), cell.fencesPerTx,
                     static_cast<unsigned long long>(
                         cell.result.totalOps()),
                     cell.result.throughputOps,
@@ -701,7 +594,7 @@ benchMain(const Args &args)
         probe.recover();
         probe.shutdown();
     }
-    args.obs.writeArtifacts();
+    writeArtifactsOrExit(args.obs);
     return 0;
 }
 
@@ -711,27 +604,23 @@ walkthroughMain(const Args &args)
 {
     const std::string &runtime = args.runtimes.front();
     const kv::Mix mix = args.mixes.front();
-    kv::DriverConfig driver_config;
-    driver_config.threads = args.threads;
-    driver_config.keys = args.keys;
-    driver_config.opsPerThread = args.opsPerThread;
-    driver_config.mix = mix;
-    driver_config.dist = args.dist;
-    driver_config.seed = args.seed;
-    driver_config.multiPutFraction = 0.05;
+    kv::DriverConfig driver_config = args.driver;
+    driver_config.workload.mix = mix;
+    const std::uint64_t seed = driver_config.seed;
+    const std::uint64_t keys = driver_config.workload.keys;
 
     std::printf("speckv: runtime=%s shards=%u threads=%u keys=%llu "
                 "mix=%s dist=%s\n",
-                runtime.c_str(), args.shards, args.threads,
-                static_cast<unsigned long long>(args.keys),
-                kv::mixName(mix), kv::keyDistName(args.dist));
+                runtime.c_str(), args.shards, driver_config.threads,
+                static_cast<unsigned long long>(keys), kv::mixName(mix),
+                kv::keyDistName(driver_config.workload.dist));
 
     // Phase 1: load.
     kv::KvService service(
-        serviceConfig(runtime, args.shards, args.threads, args.keys));
+        serviceConfig(runtime, args.shards, driver_config.threads, keys));
     kv::loadKeyspace(service, driver_config);
     std::printf("[load] %llu keys loaded across %u shards\n",
-                static_cast<unsigned long long>(args.keys),
+                static_cast<unsigned long long>(keys),
                 args.shards);
 
     // Phase 2: clean run.
@@ -745,14 +634,14 @@ walkthroughMain(const Args &args)
 
     // Phase 3: run again with a power failure armed mid-traffic.
     driver_config.armCrashAfter = args.crashAfter;
-    driver_config.seed = args.seed + 1;
+    driver_config.seed = seed + 1;
     auto crash_run = kv::runClosedLoop(service, driver_config);
     printRunResult("crash-run", crash_run);
     if (!crash_run.crashed) {
         std::printf("[crash] countdown outlived the run; "
                     "forcing the power failure now\n");
     }
-    service.crash(pmem::CrashPolicy::random(args.seed, 0.5));
+    service.crash(pmem::CrashPolicy::random(seed, 0.5));
     std::printf("[crash] all %u shards collapsed to their crash "
                 "images (random eviction, p=0.5)\n",
                 args.shards);
@@ -771,7 +660,7 @@ walkthroughMain(const Args &args)
     // Phase 5: verify.
     std::uint64_t missing = 0;
     std::uint64_t corrupt = 0;
-    for (std::uint64_t key = 1; key <= args.keys; ++key) {
+    for (std::uint64_t key = 1; key <= keys; ++key) {
         const auto value = service.get(0, key);
         if (!value)
             ++missing;
@@ -787,11 +676,11 @@ walkthroughMain(const Args &args)
     }
     std::printf("[verify] all %llu keys present and intact on every "
                 "shard\n",
-                static_cast<unsigned long long>(args.keys));
+                static_cast<unsigned long long>(keys));
 
     // The recovered service must keep serving.
     driver_config.armCrashAfter = -1;
-    driver_config.seed = args.seed + 2;
+    driver_config.seed = seed + 2;
     auto post = kv::runClosedLoop(service, driver_config);
     printRunResult("post-recovery", post);
     if (post.failed != 0) {
@@ -800,7 +689,7 @@ walkthroughMain(const Args &args)
         return 1;
     }
     service.shutdown();
-    args.obs.writeArtifacts();
+    writeArtifactsOrExit(args.obs);
     std::printf("speckv: OK\n");
     return 0;
 }

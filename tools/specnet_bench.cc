@@ -40,10 +40,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <optional>
 #include <string>
 
+#include "common/flags.hh"
 #include "common/logging.hh"
 #include "net/loadgen.hh"
 #include "obs/artifacts.hh"
@@ -67,17 +66,6 @@ readPortFile(const std::string &path)
     }
     std::fclose(f);
     return static_cast<std::uint16_t>(port);
-}
-
-/** @p parsed, or the usage error for an unknown @p what name. */
-template <typename T>
-T
-named(const std::optional<T> &parsed, const char *what,
-      const char *name)
-{
-    if (!parsed)
-        SPECPMT_FATAL("unknown %s: %s", what, name);
-    return *parsed;
 }
 
 void
@@ -117,59 +105,34 @@ main(int argc, char **argv)
     std::string json_path;
     obs::OutputFlags obs_flags;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::string(prefix).size();
-            return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                             : nullptr;
-        };
-        if (const char *v = value("--host="))
-            config.host = v;
-        else if (const char *v = value("--port="))
-            config.port =
-                static_cast<std::uint16_t>(std::atoi(v));
-        else if (const char *v = value("--port-file="))
-            config.port = readPortFile(v);
-        else if (const char *v = value("--qps="))
-            config.targetQps = std::atof(v);
-        else if (const char *v = value("--seconds="))
-            config.seconds = std::atof(v);
-        else if (const char *v = value("--arrival="))
-            config.arrival = named(net::parseArrival(v), "arrival", v);
-        else if (const char *v = value("--mix="))
-            config.workload.mix = named(kv::parseMix(v), "mix", v);
-        else if (const char *v = value("--dist="))
-            config.workload.dist =
-                named(kv::parseKeyDist(v), "dist", v);
-        else if (const char *v = value("--keys="))
-            config.workload.keys = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--multiput="))
-            config.workload.multiPutFraction = std::atof(v);
-        else if (const char *v = value("--strict="))
-            config.strictFraction = std::atof(v);
-        else if (const char *v = value("--trace-sample="))
-            config.traceSample = std::atof(v);
-        else if (const char *v = value("--seed="))
-            config.seed = std::strtoull(v, nullptr, 10);
-        else if (arg == "--load")
-            config.loadFirst = true;
-        else if (const char *v = value("--timeout-ms="))
-            config.requestTimeoutMs = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--retries="))
-            config.maxRetries =
-                static_cast<std::uint32_t>(std::atoi(v));
-        else if (arg == "--reconnect")
-            config.reconnect = true;
-        else if (const char *v = value("--backoff-base-ms="))
-            config.backoffBaseMs = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--backoff-max-ms="))
-            config.backoffMaxMs = std::strtoull(v, nullptr, 10);
-        else if (const char *v = value("--json="))
-            json_path = v;
-        else if (!obs_flags.accept(arg))
-            SPECPMT_FATAL("unknown argument: %s", arg.c_str());
-    }
+    Flags flags;
+    flags.text("--host", config.host)
+        .count("--port", config.port)
+        .option("--port-file",
+                [&config](std::string_view path) {
+                    config.port = readPortFile(std::string(path));
+                    return std::string();
+                })
+        .real("--qps", config.targetQps)
+        .real("--seconds", config.seconds)
+        .choice("--arrival", config.arrival, net::parseArrival)
+        .choice("--mix", config.workload.mix, kv::parseMix)
+        .choice("--dist", config.workload.dist, kv::parseKeyDist)
+        .count("--keys", config.workload.keys, 1)
+        .real("--multiput", config.workload.multiPutFraction, 0, 1)
+        .real("--strict", config.strictFraction, 0, 1)
+        .real("--trace-sample", config.traceSample, 0, 1)
+        .count("--seed", config.seed)
+        .flag("--load", config.loadFirst)
+        .count("--timeout-ms", config.requestTimeoutMs)
+        .count("--retries", config.maxRetries)
+        .flag("--reconnect", config.reconnect)
+        .count("--backoff-base-ms", config.backoffBaseMs)
+        .count("--backoff-max-ms", config.backoffMaxMs)
+        .text("--json", json_path);
+    obs_flags.declare(flags);
+    if (const std::string error = flags.parse(argc, argv); !error.empty())
+        SPECPMT_FATAL("%s", error.c_str());
     if (config.port == 0)
         SPECPMT_FATAL("--port or --port-file is required");
     if (config.targetQps <= 0 || config.seconds <= 0)
@@ -177,8 +140,6 @@ main(int argc, char **argv)
     if (config.workload.dist == kv::KeyDist::Zipfian &&
         config.workload.keys < 2)
         SPECPMT_FATAL("--keys must be at least 2 with --dist=zipfian");
-    if (config.workload.keys == 0)
-        SPECPMT_FATAL("--keys must be at least 1");
 
     std::printf("specnet_bench: %s:%u qps=%.0f seconds=%.1f "
                 "arrival=%s mix=%s dist=%s keys=%llu%s\n",
@@ -277,7 +238,9 @@ main(int argc, char **argv)
         std::fprintf(f, "}\n");
         std::fclose(f);
     }
-    obs_flags.writeArtifacts();
+    if (const std::string error = obs_flags.writeArtifacts();
+        !error.empty())
+        SPECPMT_FATAL("%s", error.c_str());
 
     const bool failed = result.connectionLost ||
                         result.protocolErrors != 0 ||

@@ -64,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/flags.hh"
 #include "obs/http_client.hh"
 #include "obs/metrics.hh"
 
@@ -865,40 +866,35 @@ countersReset(const Scrape &prev, const Scrape &cur)
     return false;
 }
 
+/** Apply argv[2..) to @p flags; print a usage error and return false. */
+bool
+parseFlags(const specpmt::Flags &flags, int argc, char **argv)
+{
+    const std::string error = flags.parse(argc, argv, 2);
+    if (!error.empty())
+        std::fprintf(stderr, "specstat: %s\n", error.c_str());
+    return error.empty();
+}
+
 int
-cmdTop(const std::vector<std::string> &args)
+cmdTop(int argc, char **argv)
 {
     std::string host = "127.0.0.1";
     std::string url;
     int port = -1;
     double interval = 1.0;
-    long count = -1;
+    long count = -1; // -1 = until interrupted
     bool once = false;
 
-    for (const auto &arg : args) {
-        const auto val = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::string_view(prefix).size();
-            return arg.rfind(prefix, 0) == 0 ? arg.c_str() + n
-                                             : nullptr;
-        };
-        if (const char *v = val("--url=")) {
-            url = v;
-        } else if (const char *v = val("--host=")) {
-            host = v;
-        } else if (const char *v = val("--port=")) {
-            port = std::atoi(v);
-        } else if (const char *v = val("--interval=")) {
-            interval = std::strtod(v, nullptr);
-        } else if (const char *v = val("--count=")) {
-            count = std::atol(v);
-        } else if (arg == "--once") {
-            once = true;
-        } else {
-            std::fprintf(stderr, "specstat: unknown top arg %s\n",
-                         arg.c_str());
-            return 2;
-        }
-    }
+    specpmt::Flags flags;
+    flags.text("--url", url)
+        .text("--host", host)
+        .count("--port", port, 0, 65535)
+        .real("--interval", interval)
+        .count("--count", count, -1)
+        .flag("--once", once);
+    if (!parseFlags(flags, argc, argv))
+        return 2;
     std::string path = "/metrics";
     if (!url.empty()) {
         std::uint16_t parsed_port = 0;
@@ -1093,25 +1089,18 @@ waterfallBar(double offset_ns, double dur_ns, double total_ns,
 }
 
 int
-cmdTrace(const std::vector<std::string> &args)
+cmdTrace(int argc, char **argv)
 {
     std::size_t slowest = 10;
     std::uint64_t only_id = 0;
     std::vector<std::string> paths;
-    for (const auto &arg : args) {
-        if (arg.rfind("--slowest=", 0) == 0) {
-            slowest = std::strtoull(arg.c_str() + 10, nullptr, 10);
-        } else if (arg.rfind("--id=", 0) == 0) {
-            only_id = std::strtoull(arg.c_str() + 5, nullptr, 10);
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr, "specstat: unknown trace arg %s\n",
-                         arg.c_str());
-            return 2;
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (paths.empty() || slowest == 0)
+    specpmt::Flags flags;
+    flags.count("--slowest", slowest, 1)
+        .count("--id", only_id)
+        .positionals(paths);
+    if (!parseFlags(flags, argc, argv))
+        return 2;
+    if (paths.empty())
         return usage();
 
     std::vector<TraceSpan> spans;
@@ -1268,11 +1257,9 @@ parseRequirement(std::string_view spec, Requirement &out,
         error = "unknown operator '" + out.op + "'";
         return false;
     }
-    const std::string value_str(spec.substr(value_pos));
-    char *end = nullptr;
-    out.value = std::strtod(value_str.c_str(), &end);
-    if (value_str.empty() || end == nullptr || *end != '\0') {
-        error = "bad numeric value '" + value_str + "'";
+    const std::string_view value = spec.substr(value_pos);
+    if (!specpmt::parseFinite(value, out.value)) {
+        error = "bad numeric value '" + std::string(value) + "'";
         return false;
     }
     return true;
@@ -1343,33 +1330,28 @@ main(int argc, char **argv)
         return cmdDump(argv[2]);
     if (command == "diff" && argc == 4)
         return cmdDiff(argv[2], argv[3]);
-    if (command == "top") {
-        std::vector<std::string> args(argv + 2, argv + argc);
-        return cmdTop(args);
-    }
-    if (command == "trace" && argc >= 3) {
-        std::vector<std::string> args(argv + 2, argv + argc);
-        return cmdTrace(args);
-    }
+    if (command == "top")
+        return cmdTop(argc, argv);
+    if (command == "trace" && argc >= 3)
+        return cmdTrace(argc, argv);
     if (command == "check" && argc >= 3) {
         std::vector<Requirement> requirements;
         std::vector<std::string> files;
-        for (int i = 2; i < argc; ++i) {
-            const std::string_view arg = argv[i];
-            if (arg.rfind("--require=", 0) == 0) {
-                Requirement req;
-                std::string error;
-                if (!parseRequirement(arg.substr(10), req, error)) {
-                    std::fprintf(stderr,
-                                 "specstat: bad %s: %s\n", argv[i],
-                                 error.c_str());
-                    return 2;
-                }
-                requirements.push_back(std::move(req));
-            } else {
-                files.emplace_back(arg);
-            }
-        }
+        specpmt::Flags flags;
+        flags
+            .option("--require",
+                    [&requirements](std::string_view spec) {
+                        Requirement req;
+                        std::string error;
+                        if (!parseRequirement(spec, req, error))
+                            return "bad --require=" + std::string(spec) +
+                                   ": " + error;
+                        requirements.push_back(std::move(req));
+                        return std::string();
+                    })
+            .positionals(files);
+        if (!parseFlags(flags, argc, argv))
+            return 2;
         if (files.empty())
             return usage();
         bool ok = true;

@@ -4,8 +4,9 @@
  * reasons about: the per-update persist barrier of undo logging vs
  * the fence-free speculative append, commit anatomy, checksum cost,
  * the sequential-vs-random PM write gap of the timing model, the
- * host cost of the emulated device's own calls, the restart path
- * (a device crash, SpecTx recovery), and a KV shard's map creation.
+ * host cost of the emulated device's own calls and of building one,
+ * the restart path (a device crash, SpecTx recovery), and a KV shard's
+ * map creation.
  *
  * Two time domains appear here: google-benchmark measures host CPU
  * time of the emulation (a proxy for implementation overhead), and
@@ -228,6 +229,25 @@ BM_DeviceSimulateCrash(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DeviceSimulateCrash)->Arg(64)->Arg(16384)->UseRealTime();
+
+void
+BM_DeviceConstruct(benchmark::State &state)
+{
+    // Device bring-up: build and destroy a device of N KiB, as every
+    // KV shard, STAMP run and crash-matrix cell does. Wall ms per call.
+    const auto bytes = static_cast<std::size_t>(state.range(0)) << 10;
+    for (auto _ : state) {
+        pmem::PmemDevice dev(bytes);
+        benchmark::DoNotOptimize(dev.raw());
+    }
+}
+BENCHMARK(BM_DeviceConstruct)
+    ->Arg(64)
+    ->Arg(8 << 10)
+    ->Arg(64 << 10)
+    ->ArgNames({"kib"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void
 BM_SpecTxRecover(benchmark::State &state)

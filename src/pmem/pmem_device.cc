@@ -1,8 +1,10 @@
 #include "pmem/pmem_device.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <limits>
+#include <new>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -110,6 +112,56 @@ chargeFlush(TrafficClass cls)
     }
 }
 
+constexpr std::size_t kPageBytes = 4096;
+constexpr std::size_t kHugePageBytes = 2u << 20;
+
+std::size_t
+alignUp(std::size_t bytes, std::size_t align)
+{
+    return (bytes + align - 1) & ~(align - 1);
+}
+
+/**
+ * Map @p bytes (whole pages) of anonymous memory on a 2 MiB boundary,
+ * advise it for transparent huge pages, and fault every page in before
+ * returning, so that no later access to it faults. Each whole 2 MiB
+ * extent can get a huge page; a tail past the last one gets 4 KiB
+ * pages. The memory reads as zero. Throws std::bad_alloc when it
+ * cannot be had.
+ */
+std::uint8_t *
+mapResident(std::size_t bytes)
+{
+    // Over-map by one huge page, then trim both ends to the boundary.
+    void *map = ::mmap(nullptr, bytes + kHugePageBytes,
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+    if (map == MAP_FAILED)
+        throw std::bad_alloc();
+    auto *start = static_cast<std::uint8_t *>(map);
+    auto *base = reinterpret_cast<std::uint8_t *>(alignUp(
+        reinterpret_cast<std::uintptr_t>(start), kHugePageBytes));
+    const std::size_t head = static_cast<std::size_t>(base - start);
+    if (head != 0)
+        ::munmap(start, head);
+    ::munmap(base + bytes, kHugePageBytes - head);
+
+    // Best effort: without THP support the pages are simply 4 KiB.
+    ::madvise(base, bytes, MADV_HUGEPAGE);
+    if (::madvise(base, bytes, MADV_POPULATE_WRITE) != 0) {
+        if (errno == ENOMEM) {
+            ::munmap(base, bytes);
+            throw std::bad_alloc();
+        }
+        // A kernel without MADV_POPULATE_WRITE (EINVAL): take the
+        // faults here by writing one byte per page.
+        volatile std::uint8_t *bytesAt = base;
+        for (std::size_t off = 0; off < bytes; off += kPageBytes)
+            bytesAt[off] = 0;
+    }
+    return base;
+}
+
 /** add(current - published) and advance published; for bulk flushes. */
 void
 flushDelta(obs::Counter &counter, std::uint64_t current,
@@ -154,24 +206,28 @@ MediaFaultSuppress::~MediaFaultSuppress()
 }
 
 PmemDevice::PmemDevice(std::size_t size, const TimingParams &params)
-    : timing_(params)
+    : size_(alignUp(size, kCacheLineSize)), lines_(size_ / kCacheLineSize),
+      timing_(params)
 {
-    const std::size_t rounded =
-        (size + kCacheLineSize - 1) & ~(kCacheLineSize - 1);
-    SPECPMT_ASSERT(rounded > 0);
-    volatileImage_.assign(rounded, 0);
-    persistentImage_.assign(rounded, 0);
-    const std::size_t lines = rounded / kCacheLineSize;
-    SPECPMT_ASSERT(lines < std::numeric_limits<std::uint32_t>::max());
-    dirty_.assign(lines, 0);
-    pendingSlot_.assign(lines, 0);
+    SPECPMT_ASSERT(size_ > 0);
+    SPECPMT_ASSERT(lines_ < std::numeric_limits<std::uint32_t>::max());
+    // Fresh anonymous memory is zero, the initial state of all four
+    // arrays: two images, the dirty flags and the pending slots.
+    const std::size_t imageBytes = alignUp(size_, kPageBytes);
+    const std::size_t dirtyBytes = alignUp(lines_, kPageBytes);
+    mappingBytes_ = alignUp(2 * imageBytes + dirtyBytes +
+                                lines_ * sizeof(std::uint32_t),
+                            kPageBytes);
+    volatileImage_ = mapResident(mappingBytes_);
+    persistentImage_ = volatileImage_ + imageBytes;
+    dirty_ = persistentImage_ + imageBytes;
+    pendingSlot_ = reinterpret_cast<std::uint32_t *>(dirty_ + dirtyBytes);
 }
 
 PmemDevice::PmemDevice(std::size_t size, const std::string &backingPath,
                        const TimingParams &params)
     : PmemDevice(size, params)
 {
-    const std::size_t rounded = persistentImage_.size();
     backingFd_ = ::open(backingPath.c_str(), O_RDWR | O_CREAT, 0644);
     if (backingFd_ < 0)
         SPECPMT_FATAL("cannot open pm backing file %s",
@@ -180,13 +236,12 @@ PmemDevice::PmemDevice(std::size_t size, const std::string &backingPath,
     if (::fstat(backingFd_, &st) != 0)
         SPECPMT_FATAL("cannot stat pm backing file %s",
                       backingPath.c_str());
-    hadExistingData_ =
-        st.st_size == static_cast<off_t>(rounded);
+    hadExistingData_ = st.st_size == static_cast<off_t>(size_);
     if (!hadExistingData_ &&
-        ::ftruncate(backingFd_, static_cast<off_t>(rounded)) != 0)
+        ::ftruncate(backingFd_, static_cast<off_t>(size_)) != 0)
         SPECPMT_FATAL("cannot size pm backing file %s",
                       backingPath.c_str());
-    void *map = ::mmap(nullptr, rounded, PROT_READ | PROT_WRITE,
+    void *map = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE,
                        MAP_SHARED, backingFd_, 0);
     if (map == MAP_FAILED)
         SPECPMT_FATAL("cannot mmap pm backing file %s",
@@ -195,10 +250,10 @@ PmemDevice::PmemDevice(std::size_t size, const std::string &backingPath,
     if (hadExistingData_) {
         // Re-open: the mirrored image IS the persistent state the
         // previous process left behind (page cache survives SIGKILL).
-        std::memcpy(persistentImage_.data(), backingMap_, rounded);
-        std::memcpy(volatileImage_.data(), backingMap_, rounded);
+        std::memcpy(persistentImage_, backingMap_, size_);
+        std::memcpy(volatileImage_, backingMap_, size_);
     } else {
-        std::memset(backingMap_, 0, rounded);
+        std::memset(backingMap_, 0, size_);
     }
 }
 
@@ -206,9 +261,10 @@ PmemDevice::~PmemDevice()
 {
     publishMetrics();
     if (backingMap_ != nullptr)
-        ::munmap(backingMap_, persistentImage_.size());
+        ::munmap(backingMap_, size_);
     if (backingFd_ >= 0)
         ::close(backingFd_);
+    ::munmap(volatileImage_, mappingBytes_);
 }
 
 void
@@ -216,7 +272,7 @@ PmemDevice::mirrorLine(std::uint64_t line)
 {
     if (backingMap_ != nullptr) {
         std::memcpy(backingMap_ + line * kCacheLineSize,
-                    persistentImage_.data() + line * kCacheLineSize,
+                    persistentImage_ + line * kCacheLineSize,
                     kCacheLineSize);
     }
 }
@@ -225,8 +281,7 @@ void
 PmemDevice::mirrorAll()
 {
     if (backingMap_ != nullptr) {
-        std::memcpy(backingMap_, persistentImage_.data(),
-                    persistentImage_.size());
+        std::memcpy(backingMap_, persistentImage_, size_);
     }
 }
 
@@ -259,9 +314,8 @@ PmemDevice::applyFaultPlan(const FaultPlan &plan)
     poisonLines_.clear();
     eioLines_.clear();
     const std::uint64_t firstLine = lineIndex(plan.regionStart);
-    const PmOff end = plan.regionEnd == 0
-        ? static_cast<PmOff>(persistentImage_.size())
-        : plan.regionEnd;
+    const PmOff end =
+        plan.regionEnd == 0 ? static_cast<PmOff>(size_) : plan.regionEnd;
     SPECPMT_ASSERT(end > plan.regionStart);
     const std::uint64_t endLine = lineIndex(end - 1) + 1;
     const std::uint64_t span = endLine - firstLine;
@@ -288,7 +342,7 @@ PmemDevice::applyFaultPlan(const FaultPlan &plan)
         std::vector<std::uint64_t> nonzero;
         for (std::uint64_t line = firstLine; line < endLine; ++line) {
             const std::uint8_t *p =
-                persistentImage_.data() + line * kCacheLineSize;
+                persistentImage_ + line * kCacheLineSize;
             bool any = false;
             for (std::size_t i = 0; i < kCacheLineSize; ++i)
                 if (p[i] != 0) {
@@ -353,10 +407,9 @@ PmemDevice::publishMetrics()
 void
 PmemDevice::checkRange(PmOff off, std::size_t size) const
 {
-    if (off + size > volatileImage_.size() || off + size < off) {
+    if (off + size > size_ || off + size < off) {
         SPECPMT_PANIC("pmem access out of range: off=%llu size=%zu cap=%zu",
-                      static_cast<unsigned long long>(off), size,
-                      volatileImage_.size());
+                      static_cast<unsigned long long>(off), size, size_);
     }
 }
 
@@ -436,8 +489,8 @@ PmemDevice::forEachDirtyLine(Fn fn) const
 {
     // memchr skips clean runs a vector at a time, and the walk stops
     // after the last dirty line rather than at the device end.
-    const std::uint8_t *base = dirty_.data();
-    const std::uint8_t *end = base + dirty_.size();
+    const std::uint8_t *base = dirty_;
+    const std::uint8_t *end = base + lines_;
     const std::uint8_t *at = base;
     for (std::size_t left = dirtyCount_; left > 0; --left, ++at) {
         at = static_cast<const std::uint8_t *>(
@@ -455,7 +508,7 @@ PmemDevice::snapshotLine(std::uint64_t line)
         slot = static_cast<std::uint32_t>(pending_.size());
     }
     std::memcpy(pending_[slot - 1].bytes.data(),
-                volatileImage_.data() + line * kCacheLineSize,
+                volatileImage_ + line * kCacheLineSize,
                 kCacheLineSize);
 }
 
@@ -476,7 +529,7 @@ void
 PmemDevice::promotePending()
 {
     for (const PendingLine &pending : pending_) {
-        std::memcpy(persistentImage_.data() +
+        std::memcpy(persistentImage_ +
                         pending.line * kCacheLineSize,
                     pending.bytes.data(), kCacheLineSize);
         mirrorLine(pending.line);
@@ -516,7 +569,7 @@ PmemDevice::store(PmOff off, const void *src, std::size_t size)
     maybeCrash();
     checkRange(off, size);
     checkMediaLines(eioLines_, MediaErrorKind::WriteEio, off, size);
-    std::memcpy(volatileImage_.data() + off, src, size);
+    std::memcpy(volatileImage_ + off, src, size);
     const std::uint64_t first = lineIndex(off);
     const std::uint64_t last = lineIndex(off + size - 1);
     for (std::uint64_t line = first; line <= last; ++line)
@@ -536,7 +589,7 @@ PmemDevice::load(PmOff off, void *dst, std::size_t size) const
     checkRange(off, size);
     checkMediaLines(poisonLines_, MediaErrorKind::PoisonedRead, off,
                     size);
-    std::memcpy(dst, volatileImage_.data() + off, size);
+    std::memcpy(dst, volatileImage_ + off, size);
     auto *self = const_cast<PmemDevice *>(this);
     ++self->stats_.loads;
     if (timed())
@@ -601,7 +654,7 @@ PmemDevice::ntstore(PmOff off, const void *src, std::size_t size,
     maybeCrash();
     checkRange(off, size);
     checkMediaLines(eioLines_, MediaErrorKind::WriteEio, off, size);
-    std::memcpy(volatileImage_.data() + off, src, size);
+    std::memcpy(volatileImage_ + off, src, size);
     ++stats_.stores;
     stats_.storeBytes += size;
     const std::uint64_t first = lineIndex(off);
@@ -624,8 +677,8 @@ PmemDevice::adrPersist(PmOff off, std::size_t size, TrafficClass cls)
     const std::uint64_t first = lineIndex(off);
     const std::uint64_t last = lineIndex(off + size - 1);
     for (std::uint64_t line = first; line <= last; ++line) {
-        std::memcpy(persistentImage_.data() + line * kCacheLineSize,
-                    volatileImage_.data() + line * kCacheLineSize,
+        std::memcpy(persistentImage_ + line * kCacheLineSize,
+                    volatileImage_ + line * kCacheLineSize,
                     kCacheLineSize);
         mirrorLine(line);
         clearDirty(line);
@@ -666,7 +719,7 @@ PmemDevice::forEachCrashWrite(const CrashPolicy &policy, Fn write) const
     // Dirty lines may have been evicted with their current contents.
     forEachDirtyLine([&](std::uint64_t line) {
         if (persists())
-            write(line, volatileImage_.data() + line * kCacheLineSize);
+            write(line, volatileImage_ + line * kCacheLineSize);
     });
 }
 
@@ -674,7 +727,8 @@ std::vector<std::uint8_t>
 PmemDevice::crashImage(const CrashPolicy &policy) const
 {
     std::lock_guard<SpinLock> guard(lock_);
-    std::vector<std::uint8_t> image = persistentImage_;
+    std::vector<std::uint8_t> image(persistentImage_,
+                                    persistentImage_ + size_);
     forEachCrashWrite(policy,
                       [&](std::uint64_t line, const std::uint8_t *bytes) {
                           std::memcpy(image.data() + line * kCacheLineSize,
@@ -693,14 +747,14 @@ PmemDevice::simulateCrash(const CrashPolicy &policy)
     // already agree (DESIGN section 18).
     forEachCrashWrite(policy,
                       [&](std::uint64_t line, const std::uint8_t *bytes) {
-                          std::memcpy(persistentImage_.data() +
+                          std::memcpy(persistentImage_ +
                                           line * kCacheLineSize,
                                       bytes, kCacheLineSize);
                           mirrorLine(line);
                       });
     auto collapse = [&](std::uint64_t line) {
-        std::memcpy(volatileImage_.data() + line * kCacheLineSize,
-                    persistentImage_.data() + line * kCacheLineSize,
+        std::memcpy(volatileImage_ + line * kCacheLineSize,
+                    persistentImage_ + line * kCacheLineSize,
                     kCacheLineSize);
     };
     for (const PendingLine &pending : pending_)
@@ -716,9 +770,9 @@ void
 PmemDevice::resetFromImage(const std::vector<std::uint8_t> &image)
 {
     std::lock_guard<SpinLock> guard(lock_);
-    SPECPMT_ASSERT(image.size() == volatileImage_.size());
-    volatileImage_ = image;
-    persistentImage_ = image;
+    SPECPMT_ASSERT(image.size() == size_);
+    std::memcpy(volatileImage_, image.data(), size_);
+    std::memcpy(persistentImage_, image.data(), size_);
     mirrorAll();
     clearLineState();
     ++stats_.crashes;
@@ -743,7 +797,7 @@ PmemDevice::isLineDirty(PmOff off) const
 {
     std::lock_guard<SpinLock> guard(lock_);
     const std::uint64_t line = lineIndex(off);
-    return line < dirty_.size() && dirty_[line] != 0;
+    return line < lines_ && dirty_[line] != 0;
 }
 
 std::size_t

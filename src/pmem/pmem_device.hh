@@ -232,6 +232,10 @@ struct DeviceStats
  * stats(), raw(), persistentRaw() and timing(), and the reset in
  * clearStats(), do not take it: they are exact only while no other
  * thread uses the device.
+ *
+ * Both images and the per-line state live in one anonymous mapping
+ * that the constructor faults in whole, so no later call takes a page
+ * fault on them (DESIGN section 20).
  */
 class PmemDevice
 {
@@ -239,6 +243,7 @@ class PmemDevice
     /**
      * @param size    Device capacity in bytes (rounded up to a line).
      * @param params  Latency model parameters.
+     * @throws std::bad_alloc when the memory cannot be had.
      */
     explicit PmemDevice(std::size_t size, const TimingParams &params = {});
 
@@ -260,7 +265,7 @@ class PmemDevice
     PmemDevice &operator=(const PmemDevice &) = delete;
 
     /** Device capacity in bytes. */
-    std::size_t size() const { return volatileImage_.size(); }
+    std::size_t size() const { return size_; }
 
     /** @name CPU-visible data path */
     /// @{
@@ -418,14 +423,10 @@ class PmemDevice
     /// @{
 
     /** Direct read-only view of the volatile image. */
-    const std::uint8_t *raw() const { return volatileImage_.data(); }
+    const std::uint8_t *raw() const { return volatileImage_; }
 
     /** Direct read-only view of the persistent image. */
-    const std::uint8_t *
-    persistentRaw() const
-    {
-        return persistentImage_.data();
-    }
+    const std::uint8_t *persistentRaw() const { return persistentImage_; }
 
     /** True if the line containing @p off has unflushed stores. */
     bool isLineDirty(PmOff off) const;
@@ -521,14 +522,22 @@ class PmemDevice
     }
 
     mutable SpinLock lock_;
-    std::vector<std::uint8_t> volatileImage_;
-    std::vector<std::uint8_t> persistentImage_;
+    /** Capacity in bytes, a whole number of lines. */
+    const std::size_t size_;
+    const std::size_t lines_;
+    /**
+     * Length of the anonymous mapping that holds the four arrays
+     * below, each on its own pages; the volatile image starts it.
+     */
+    std::size_t mappingBytes_ = 0;
+    std::uint8_t *volatileImage_ = nullptr;
+    std::uint8_t *persistentImage_ = nullptr;
     /** Per line: 1 if it holds stores newer than any flush. */
-    std::vector<std::uint8_t> dirty_;
+    std::uint8_t *dirty_ = nullptr;
     /** Number of lines whose dirty_ flag is set. */
     std::size_t dirtyCount_ = 0;
     /** Per line: 1 + its index in pending_, or 0 if not pending. */
-    std::vector<std::uint32_t> pendingSlot_;
+    std::uint32_t *pendingSlot_ = nullptr;
     /** Flushed-but-unfenced snapshots, in no particular order. */
     std::vector<PendingLine> pending_;
     DeviceStats stats_;

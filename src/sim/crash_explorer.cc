@@ -131,12 +131,12 @@ CrashCell::parseToken(std::string_view token, CrashCell &cell,
         .real("--p", parsed.persistProbability, 0, 1)
         .count("--seed", parsed.seed)
         .text("--fault", parsed.fault)
-        .count("--slots", parsed.slots)
+        .count("--slots", parsed.slots, 1)
         .count("--tx", parsed.txCount)
-        .count("--st", parsed.maxStoresPerTx)
+        .count("--st", parsed.maxStoresPerTx, 1)
         .count("--rec", parsed.reclaimEvery)
-        .count("--shards", parsed.kvShards)
-        .count("--keys", parsed.kvKeys)
+        .count("--shards", parsed.kvShards, 1)
+        .count("--keys", parsed.kvKeys, 1)
         .count("--ops", parsed.kvOps)
         .count("--epoch", parsed.kvEpochOps)
         .real("--scale", parsed.scale)

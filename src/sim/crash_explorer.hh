@@ -65,7 +65,7 @@ struct CrashCell
     std::uint64_t seed = 42;
     std::string fault = "none"; ///< "none" | "drop-fences"
 
-    /** @name slots workload sizing */
+    /** @name slots workload sizing (slots, maxStoresPerTx >= 1) */
     /// @{
     unsigned slots = 64;
     unsigned txCount = 16;
@@ -73,7 +73,7 @@ struct CrashCell
     unsigned reclaimEvery = 0;
     /// @}
 
-    /** @name kv workload sizing */
+    /** @name kv workload sizing (kvShards, kvKeys >= 1) */
     /// @{
     unsigned kvShards = 2;
     std::uint64_t kvKeys = 48;

@@ -240,6 +240,10 @@ TEST(CrashExplorer, ReplayRejectsBadTokens)
     const auto result = CrashExplorer::replay(
         "cmx1;rt=nonsense;ev=3", builtinCrashWorkloadFactory());
     EXPECT_NE(result.error, "");
+    // A cell too small to run is refused before it is built.
+    const auto empty = CrashExplorer::replay(
+        "cmx1;rt=spec;wl=slots;slots=0;ev=3", builtinCrashWorkloadFactory());
+    EXPECT_EQ(empty.error, "--slots must be at least 1");
 }
 
 TEST(CrashExplorer, ReportJsonCarriesTheAccounting)

@@ -2,13 +2,14 @@
  * @file
  * Tests of the emulated persistence domain: store/flush/fence
  * semantics, crash policies, crash injection, traffic accounting, a
- * reference model of the persistence semantics, the in-place crash
- * against crashImage(), and a concurrency stress test of the device
- * lock.
+ * new device's zeroed and resident memory, a reference model of the
+ * persistence semantics, the in-place crash against crashImage(), and
+ * a concurrency stress test of the device lock.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include "common/rand.hh"
@@ -230,6 +232,70 @@ TEST(PmemDevice, OutOfRangeAccessDies)
 {
     PmemDevice dev(1 << 12);
     EXPECT_DEATH(dev.storeT<std::uint64_t>((1 << 12) - 4, 1), "range");
+}
+
+bool
+allZero(const std::uint8_t *bytes, std::size_t size)
+{
+    return std::all_of(bytes, bytes + size,
+                       [](std::uint8_t b) { return b == 0; });
+}
+
+/** Pages of [bytes, bytes+size) that mincore reports not resident. */
+std::size_t
+nonResidentPages(const std::uint8_t *bytes, std::size_t size)
+{
+    const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+    const std::uintptr_t start =
+        reinterpret_cast<std::uintptr_t>(bytes) & ~(page - 1);
+    const std::size_t span =
+        reinterpret_cast<std::uintptr_t>(bytes) + size - start;
+    std::vector<unsigned char> pages((span + page - 1) / page);
+    EXPECT_EQ(::mincore(reinterpret_cast<void *>(start), span, pages.data()),
+              0);
+    return static_cast<std::size_t>(
+        std::count_if(pages.begin(), pages.end(),
+                      [](unsigned char p) { return (p & 1) == 0; }));
+}
+
+TEST(PmemDevice, NewDeviceIsZeroAndResident)
+{
+    // Sizes off the page and 2 MiB boundaries, so that an array carved
+    // or rounded into its neighbour shows up at the device's last line.
+    for (const std::size_t size :
+         {std::size_t{64} << 10, (std::size_t{3} << 20) + kCacheLineSize,
+          std::size_t{64} << 20}) {
+        SCOPED_TRACE(size);
+        PmemDevice dev(size);
+        ASSERT_EQ(dev.size(), size);
+        EXPECT_EQ(nonResidentPages(dev.raw(), size), 0u);
+        EXPECT_EQ(nonResidentPages(dev.persistentRaw(), size), 0u);
+        EXPECT_TRUE(allZero(dev.raw(), size));
+        EXPECT_TRUE(allZero(dev.persistentRaw(), size));
+        EXPECT_EQ(dev.dirtyLineCount(), 0u);
+
+        const PmOff last = size - kCacheLineSize;
+        std::array<std::uint8_t, kCacheLineSize> line{};
+        line.fill(0xA5);
+        dev.store(last, line.data(), line.size());
+        EXPECT_EQ(dev.dirtyLineCount(), 1u);
+        EXPECT_TRUE(dev.isLineDirty(last));
+        dev.clwb(last);
+        dev.sfence();
+        EXPECT_EQ(std::memcmp(dev.raw() + last, line.data(), line.size()), 0);
+        EXPECT_EQ(std::memcmp(dev.persistentRaw() + last, line.data(),
+                              line.size()),
+                  0);
+        // Everything before the last line stays zero in both images,
+        // and no other line became dirty or pending.
+        EXPECT_TRUE(allZero(dev.raw(), last));
+        EXPECT_TRUE(allZero(dev.persistentRaw(), last));
+        EXPECT_EQ(dev.dirtyLineCount(), 0u);
+        EXPECT_FALSE(dev.isLineDirty(0));
+        EXPECT_FALSE(dev.isLineDirty(last - kCacheLineSize));
+        const auto image = dev.crashImage(CrashPolicy::everything());
+        EXPECT_EQ(std::memcmp(image.data(), dev.persistentRaw(), size), 0);
+    }
 }
 
 /**

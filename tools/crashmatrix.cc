@@ -256,12 +256,12 @@ main(int argc, char **argv)
         .real("--p", cell.persistProbability, 0, 1)
         .count("--seed", cell.seed)
         .text("--fault", cell.fault)
-        .count("--slots", cell.slots)
+        .count("--slots", cell.slots, 1)
         .count("--tx", cell.txCount)
-        .count("--stores", cell.maxStoresPerTx)
+        .count("--stores", cell.maxStoresPerTx, 1)
         .count("--reclaim-every", cell.reclaimEvery)
-        .count("--kv-shards", cell.kvShards)
-        .count("--kv-keys", cell.kvKeys)
+        .count("--kv-shards", cell.kvShards, 1)
+        .count("--kv-keys", cell.kvKeys, 1)
         .count("--kv-ops", cell.kvOps)
         .count("--kv-epoch-ops", cell.kvEpochOps)
         .real("--scale", cell.scale)

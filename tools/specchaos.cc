@@ -704,6 +704,22 @@ loadText(const net::LoadgenResult &r)
     return buf;
 }
 
+/**
+ * The scenario's empty --pm-dir under the workdir. An earlier run's
+ * shard images would be re-attached, and once their pools fill every
+ * later run fails; so each scenario removes them once, at its start,
+ * never between a kill and the restart that must recover them.
+ */
+std::string
+freshPmDir(const HarnessConfig &cfg, const std::string &name)
+{
+    const std::string pm_dir = cfg.workdir + "/" + name + "_pm";
+    std::error_code ec;
+    fs::remove_all(pm_dir, ec);
+    fs::create_directories(pm_dir);
+    return pm_dir;
+}
+
 // ---------------------------------------------------------------------
 // Scenarios.
 // ---------------------------------------------------------------------
@@ -720,8 +736,7 @@ mediaScenario(const HarnessConfig &cfg, const std::string &name,
               const std::vector<std::string> &serve_flags,
               const std::string &required_metric)
 {
-    const std::string pm_dir = cfg.workdir + "/" + name + "_pm";
-    fs::create_directories(pm_dir);
+    const std::string pm_dir = freshPmDir(cfg, name);
     std::vector<std::string> args = {
         "--shards=4", "--keys=1024", "--pm-dir=" + pm_dir,
         "--pool-bytes=8388608",
@@ -795,8 +810,7 @@ ScenarioOutcome
 scenarioLatentCorruption(const HarnessConfig &cfg)
 {
     const std::string name = "latent_corruption";
-    const std::string pm_dir = cfg.workdir + "/" + name + "_pm";
-    fs::create_directories(pm_dir);
+    const std::string pm_dir = freshPmDir(cfg, name);
     std::string err;
     ServerHandle server = launchServer(
         cfg, name,
@@ -963,8 +977,7 @@ ScenarioOutcome
 scenarioSigkill(const HarnessConfig &cfg)
 {
     const std::string name = "sigkill";
-    const std::string pm_dir = cfg.workdir + "/" + name + "_pm";
-    fs::create_directories(pm_dir);
+    const std::string pm_dir = freshPmDir(cfg, name);
     std::string err;
     ServerHandle server = launchServer(
         cfg, name,

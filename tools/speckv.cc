@@ -77,7 +77,8 @@
  * (pmem::FaultPlan) on the shard devices: poisoned read lines, write
  * EIO lines, latent bit corruption. --fault-delay-ms defers the
  * injection into mid-traffic; --fault-shard targets one shard (-1 =
- * all). --fault-region-start keeps faults off the pool metadata so
+ * all; a shard at or above --shards is a usage error).
+ * --fault-region-start keeps faults off the pool metadata so
  * scenarios exercise log/data paths, not bootstrap.
  *
  * --group-commit serves with epoch group commit (DESIGN §12):
@@ -332,6 +333,9 @@ serveMain(int argc, char **argv)
         .count("--fault-shard", fault_shard, -1);
     obs_flags.declare(flags);
     parseOrExit(flags, argc, argv, 2);
+    if (fault_shard >= static_cast<int>(shards))
+        SPECPMT_FATAL("--fault-shard=%d must be below --shards=%u",
+                      fault_shard, shards);
     if (!txn::isRuntimeName(runtime))
         SPECPMT_FATAL("unknown runtime %s", runtime.c_str());
     // Reattaching a --pm-dir image runs recover().

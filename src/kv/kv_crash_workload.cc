@@ -64,120 +64,89 @@ class KvCrashWorkload final : public sim::CrashWorkload
         }
     }
 
-    bool
-    run(long crash_after) override
+    std::vector<sim::CrashDevice>
+    devices() override
     {
-        Rng rng(cell_.seed);
-        countdown_ = service_.armCrashAll(crash_after);
-        unsigned mutations = 0;
-        try {
-            for (unsigned i = 0; i < cell_.kvOps; ++i) {
-                staged_.clear();
-                const double dice = rng.uniform();
-                if (dice < 0.5) {
-                    const KvKey key = 1 + rng.below(cell_.kvKeys);
-                    service_.get(0, key);
-                } else if (dice < 0.9) {
-                    const KvKey key = 1 + rng.below(cell_.kvKeys);
-                    const auto value =
-                        KvValue::tagged(key, rng.next() | 1);
-                    staged_[key] = value;
-                    if (epoch_) {
-                        std::uint64_t ticket = 0;
-                        if (service_.put(0, key, value,
-                                         Durability::Relaxed,
-                                         &ticket)) {
-                            if (ticket != 0)
-                                pending_[service_.shardOf(key)]
-                                    .emplace_back(key, value);
-                            else
-                                committed_[key] = value;
-                        }
-                    } else if (service_.put(0, key, value)) {
-                        committed_[key] = value;
-                    }
-                    staged_.clear();
-                    ++mutations;
-                } else {
-                    std::vector<std::pair<KvKey, KvValue>> batch;
-                    for (unsigned b = 0; b < 4; ++b) {
-                        const KvKey key = 1 + rng.below(cell_.kvKeys);
-                        const auto value =
-                            KvValue::tagged(key, rng.next() | 1);
-                        batch.emplace_back(key, value);
-                        staged_[key] = value;
-                    }
-                    if (service_.multiPut(0, batch)) {
-                        // A strict multiPut commit seals each touched
-                        // shard's epoch, making that shard's earlier
-                        // relaxed mutations durable too.
-                        if (epoch_) {
-                            for (const auto &[key, value] : batch)
-                                drainPending(service_.shardOf(key));
-                        }
-                        for (const auto &[key, value] : batch)
-                            committed_[key] = value;
-                    }
-                    staged_.clear();
-                    ++mutations;
-                }
-                if (epoch_ && cell_.kvEpochOps != 0 &&
-                    mutations >= cell_.kvEpochOps) {
-                    mutations = 0;
-                    sealAndDrainAll();
-                }
-            }
-        } catch (const pmem::SimulatedCrash &) {
-            return true;
-        }
-        service_.armCrashAll(-1);
-        // Crash-free runs end fully sealed, so the exact-state checks
-        // (and a later clean power cycle) see no unsealed tail.
-        if (epoch_)
-            sealAndDrainAll();
-        return false;
-    }
-
-    std::uint64_t
-    eventsConsumed() const override
-    {
-        return countdown_ ? countdown_->consumed() : 0;
-    }
-
-    std::uint64_t
-    pruneKey(const pmem::CrashPolicy &policy) const override
-    {
-        // Hash exactly what powerCycle() will materialize:
-        // KvService::crash() hands every shard the same policy.
-        std::uint64_t hash = 0xC4A54ull;
+        std::vector<sim::CrashDevice> out;
         for (unsigned s = 0; s < service_.numShards(); ++s) {
-            hash = hashCombine(
-                hash, sim::hashCrashImage(
-                          service_.shardDevice(s).crashImage(policy)));
+            out.push_back({"shard" + std::to_string(s),
+                           &service_.shardDevice(s),
+                           serviceConfig(cell_).threads});
         }
-        hash = hashCombine(hash, shadowHash());
-        return hash;
+        return out;
     }
 
     void
-    powerCycle(const pmem::CrashPolicy &policy) override
+    run() override
     {
-        service_.crash(policy);
-        service_.recover();
+        Rng rng(cell_.seed);
+        unsigned mutations = 0;
+        for (unsigned i = 0; i < cell_.kvOps; ++i) {
+            staged_.clear();
+            const double dice = rng.uniform();
+            if (dice < 0.5) {
+                const KvKey key = 1 + rng.below(cell_.kvKeys);
+                service_.get(0, key);
+            } else if (dice < 0.9) {
+                const KvKey key = 1 + rng.below(cell_.kvKeys);
+                const auto value = KvValue::tagged(key, rng.next() | 1);
+                staged_[key] = value;
+                if (epoch_) {
+                    std::uint64_t ticket = 0;
+                    if (service_.put(0, key, value, Durability::Relaxed,
+                                     &ticket)) {
+                        if (ticket != 0)
+                            pending_[service_.shardOf(key)].emplace_back(
+                                key, value);
+                        else
+                            committed_[key] = value;
+                    }
+                } else if (service_.put(0, key, value)) {
+                    committed_[key] = value;
+                }
+                staged_.clear();
+                ++mutations;
+            } else {
+                std::vector<std::pair<KvKey, KvValue>> batch;
+                for (unsigned b = 0; b < 4; ++b) {
+                    const KvKey key = 1 + rng.below(cell_.kvKeys);
+                    const auto value =
+                        KvValue::tagged(key, rng.next() | 1);
+                    batch.emplace_back(key, value);
+                    staged_[key] = value;
+                }
+                if (service_.multiPut(0, batch)) {
+                    // A strict multiPut commit seals each touched
+                    // shard's epoch, making that shard's earlier
+                    // relaxed mutations durable too.
+                    if (epoch_) {
+                        for (const auto &[key, value] : batch)
+                            drainPending(service_.shardOf(key));
+                    }
+                    for (const auto &[key, value] : batch)
+                        committed_[key] = value;
+                }
+                staged_.clear();
+                ++mutations;
+            }
+            if (epoch_ && cell_.kvEpochOps != 0 &&
+                mutations >= cell_.kvEpochOps) {
+                mutations = 0;
+                sealAndDrainAll();
+            }
+        }
     }
 
-    std::vector<sim::CrashImageExport>
-    exportCrashImages(const pmem::CrashPolicy &policy) const override
+    void
+    crash(const pmem::CrashPolicy &policy) override
     {
-        std::vector<sim::CrashImageExport> out;
-        for (unsigned s = 0; s < service_.numShards(); ++s) {
-            sim::CrashImageExport exp;
-            exp.name = "shard" + std::to_string(s);
-            exp.threads = serviceConfig(cell_).threads;
-            exp.image = service_.shardDevice(s).crashImage(policy);
-            out.push_back(std::move(exp));
-        }
-        return out;
+        service_.crash(policy);
+    }
+
+    void
+    recover() override
+    {
+        service_.recover();
     }
 
     std::string
@@ -190,19 +159,50 @@ class KvCrashWorkload final : public sim::CrashWorkload
     checkContinuation() override
     {
         rebaseline();
-        if (run(kNoCrash))
-            return "continuation: unexpected crash";
+        run();
+        // A crash-free run ends fully sealed, so the exact-state
+        // checks (and the clean power cycle) see no unsealed tail.
+        if (epoch_)
+            sealAndDrainAll();
         if (auto msg = verifyExact(); !msg.empty())
             return "continuation: " + msg;
-        powerCycle(pmem::CrashPolicy::nothing());
+        crash(pmem::CrashPolicy::nothing());
+        recover();
         if (auto msg = verifyExact(); !msg.empty())
             return "second crash: " + msg;
         return {};
     }
 
-  private:
-    static constexpr long kNoCrash = 1L << 40;
+    std::uint64_t
+    shadowHash() const override
+    {
+        std::uint64_t hash = 0x1C55ADEull;
+        auto fold = [&hash](const std::map<KvKey, KvValue> &map) {
+            for (const auto &[key, value] : map) {
+                std::uint64_t h = key;
+                for (unsigned i = 0; i < 8; ++i)
+                    h = hashCombine(h, value.words[i]);
+                hash = hashCombine(hash, h);
+            }
+        };
+        fold(committed_);
+        hash = hashCombine(hash, 0x57A6EDull);
+        fold(staged_);
+        if (epoch_) {
+            for (const auto &pend : pending_) {
+                hash = hashCombine(hash, 0xE90C4ull);
+                for (const auto &[key, value] : pend) {
+                    std::uint64_t h = key;
+                    for (unsigned i = 0; i < 8; ++i)
+                        h = hashCombine(h, value.words[i]);
+                    hash = hashCombine(hash, h);
+                }
+            }
+        }
+        return hash;
+    }
 
+  private:
     /** Move a shard's sealed-pending mutations into committed_. */
     void
     drainPending(unsigned shard)
@@ -352,35 +352,6 @@ class KvCrashWorkload final : public sim::CrashWorkload
         return {};
     }
 
-    std::uint64_t
-    shadowHash() const
-    {
-        std::uint64_t hash = 0x1C55ADEull;
-        auto fold = [&hash](const std::map<KvKey, KvValue> &map) {
-            for (const auto &[key, value] : map) {
-                std::uint64_t h = key;
-                for (unsigned i = 0; i < 8; ++i)
-                    h = hashCombine(h, value.words[i]);
-                hash = hashCombine(hash, h);
-            }
-        };
-        fold(committed_);
-        hash = hashCombine(hash, 0x57A6EDull);
-        fold(staged_);
-        if (epoch_) {
-            for (const auto &pend : pending_) {
-                hash = hashCombine(hash, 0xE90C4ull);
-                for (const auto &[key, value] : pend) {
-                    std::uint64_t h = key;
-                    for (unsigned i = 0; i < 8; ++i)
-                        h = hashCombine(h, value.words[i]);
-                    hash = hashCombine(hash, h);
-                }
-            }
-        }
-        return hash;
-    }
-
     sim::CrashCell cell_;
     KvService service_;
     bool epoch_ = false;
@@ -389,7 +360,6 @@ class KvCrashWorkload final : public sim::CrashWorkload
     /** Per shard: relaxed-committed, not-yet-sealed mutations, in
      * commit order (the crash may keep any prefix of each list). */
     std::vector<std::vector<std::pair<KvKey, KvValue>>> pending_;
-    std::shared_ptr<pmem::CrashCountdown> countdown_;
 };
 
 } // namespace

@@ -1,16 +1,16 @@
 /**
  * @file
- * Crash-exploration adapter for the sharded KV service.
+ * Crash workload for the sharded KV service.
  *
  * A single-client YCSB-A-style scenario (50% reads, 40% puts, 10%
  * cross-shard multiPuts over a uniform keyspace) with a shadow of
- * every acknowledged mutation. One shared crash countdown spans all
- * shard devices, so a crash point indexes the service-global
- * persistence-event sequence; the prune key combines every shard's
- * post-crash image with the acknowledged-state shadow. Verification
- * is per-shard prefix consistency: after recovery each shard must
- * equal its acknowledged state, possibly plus the *whole* shard-local
- * part of the one in-flight transaction.
+ * every acknowledged mutation. Its devices are the shard devices, so
+ * the explorer's one countdown indexes the service-global
+ * persistence-event sequence, and the shadow joins the shard images
+ * in the prune key. Verification is per-shard prefix consistency:
+ * after recovery each shard must equal its acknowledged state,
+ * possibly plus the *whole* shard-local part of the one in-flight
+ * transaction.
  */
 
 #ifndef SPECPMT_KV_KV_CRASH_WORKLOAD_HH

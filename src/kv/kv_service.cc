@@ -619,14 +619,13 @@ KvService::shutdown()
     }
 }
 
-std::shared_ptr<pmem::CrashCountdown>
+void
 KvService::armCrashAll(long ops)
 {
     auto countdown =
         ops < 0 ? nullptr : std::make_shared<pmem::CrashCountdown>(ops);
     for (auto &shard : shards_)
         shard->device->armCrash(countdown);
-    return countdown;
 }
 
 ShardSnapshot

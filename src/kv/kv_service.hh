@@ -383,12 +383,9 @@ class KvService
     /**
      * Arm one crash countdown *shared by every shard device* for the
      * calling thread, so @p ops indexes the service-global
-     * persistence-event sequence (the space crash-schedule
-     * exploration enumerates). Negative disarms and returns null;
-     * otherwise returns the countdown so callers can read back how
-     * many events a run consumed.
+     * persistence-event sequence. Negative disarms.
      */
-    std::shared_ptr<pmem::CrashCountdown> armCrashAll(long ops);
+    void armCrashAll(long ops);
 
     /** Per-shard accounting snapshot. */
     ShardSnapshot shardSnapshot(unsigned shard) const;

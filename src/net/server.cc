@@ -382,16 +382,21 @@ NetServer::handleFrame(Loop &loop, Conn &conn, const Frame &frame,
 
     // Admission control: once this wake-up's drain has queued
     // maxPendingOps operations, further requests are shed with Busy
-    // — nothing executes, the client retries after backoff. Hello is
-    // exempt (no work queued, and shedding it would orphan the
-    // connection's shard binding). A Batch admitted here may overshoot
-    // the cap by its member count; the next frame is shed, so the
-    // overshoot is bounded by kMaxBatchEntries.
+    // — nothing executes, the client retries after backoff. A shed
+    // request still joins the pending list, never to execute, so its
+    // Busy is answered in arrival order. Hello is exempt (no work
+    // queued, and shedding it would orphan the connection's shard
+    // binding). A Batch admitted here may overshoot the cap by its
+    // member count; the next frame is shed, so the overshoot is
+    // bounded by kMaxBatchEntries.
     if (frame.op != Op::Hello && config_.maxPendingOps != 0 &&
         pending.size() >= config_.maxPendingOps) {
         conn.sawFrame = true;
-        appendBusy(conn.out, frame.id);
-        metrics.framesTx.add();
+        PendingOp op;
+        op.conn = &conn;
+        op.id = frame.id;
+        op.shed = true;
+        pending.push_back(op);
         metrics.busyShed.add();
         return true;
     }
@@ -557,10 +562,11 @@ NetServer::connReadable(Loop &loop, Conn &conn,
             break;
         }
     }
-    if (pending.size() > before) {
-        metrics.pipelineDepth.record(
-            static_cast<std::uint64_t>(pending.size() - before));
-    }
+    const auto admitted = std::count_if(
+        pending.begin() + static_cast<std::ptrdiff_t>(before),
+        pending.end(), [](const PendingOp &op) { return !op.shed; });
+    if (admitted > 0)
+        metrics.pipelineDepth.record(static_cast<std::uint64_t>(admitted));
     if (!protocol_ok || eof) {
         conn.closing = true;
         return false;
@@ -576,8 +582,9 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
     SPECPMT_TRACE_SPAN("net_execute_batch", "net");
     auto &metrics = NetMetrics::get();
     if (loop.index < queueDepth_.size())
-        queueDepth_[loop.index]->set(
-            static_cast<std::int64_t>(pending.size()));
+        queueDepth_[loop.index]->set(std::count_if(
+            pending.begin(), pending.end(),
+            [](const PendingOp &op) { return !op.shed; }));
 
     // Execute maximal same-shard, same-durability runs in arrival
     // order; each run with a mutation is one crash-atomic
@@ -598,8 +605,8 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
     while (start < pending.size()) {
         // Drop ops whose connection died mid-cycle: nothing was
         // acked, so skipping them is indistinguishable from a crash
-        // before the request was executed.
-        if (pending[start].conn->closing) {
+        // before the request was executed. Shed ops never execute.
+        if (pending[start].conn->closing || pending[start].shed) {
             ++start;
             continue;
         }
@@ -614,7 +621,7 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
         ops.clear();
         while (end < pending.size() &&
                ops.size() < kMaxOpsPerCommit &&
-               !pending[end].conn->closing &&
+               !pending[end].conn->closing && !pending[end].shed &&
                pending[end].shard == shard &&
                (!epochMode_ || pending[end].strict ==
                                    pending[start].strict)) {
@@ -774,6 +781,13 @@ NetServer::executePending(Loop &loop, std::vector<PendingOp> &pending)
         const PendingOp &op = pending[i];
         if (op.conn->closing)
             continue;
+        if (op.shed) {
+            // Not executed, so Busy is a definite non-apply; it is no
+            // executed op's response, so no stage samples it.
+            appendBusy(sink(op), op.id);
+            metrics.framesTx.add();
+            continue;
+        }
         const kv::BatchOpResult &result = all_results[i];
         if (op.ticket != 0 && (op.respond || !op.fromBatch))
             metrics.deferredAcks.add();

@@ -285,6 +285,8 @@ class NetServer
         /** How the op's run ended: 0 ok, 1 media-fault abort (Io),
          * 2 shard read-only (run rejected before execution). */
         std::uint8_t runStatus = 0;
+        /** Shed by admission control: never executes, answers Busy. */
+        bool shed = false;
     };
 
     void loopMain(Loop &loop);

@@ -359,7 +359,9 @@ class PmemDevice
     /**
      * Compute the post-crash memory image under @p policy without
      * modifying the device, so tests can sweep many policies from a
-     * single execution point.
+     * single execution point. It copies the whole device; it is the
+     * tests' reference for simulateCrash(), which is what crash
+     * exploration uses.
      */
     std::vector<std::uint8_t> crashImage(const CrashPolicy &policy) const;
 

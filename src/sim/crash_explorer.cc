@@ -25,9 +25,6 @@ namespace specpmt::sim
 namespace
 {
 
-/** Counting-pass sentinel: far beyond any bounded workload's events. */
-constexpr long kCountSentinel = 1L << 40;
-
 /** Slot-array scenario device capacity. */
 constexpr std::size_t kSlotDeviceBytes = 8u << 20;
 
@@ -42,20 +39,18 @@ formatDouble(double value)
 } // namespace
 
 std::uint64_t
-hashCrashImage(const std::vector<std::uint8_t> &image)
+hashDeviceImage(const pmem::PmemDevice &device)
 {
     // FNV-1a, folded a word at a time (the images are megabytes and
     // hashed once per crash point, so byte-at-a-time would dominate
-    // exploration cost).
+    // exploration cost). A device is a whole number of lines.
+    const std::uint8_t *image = device.persistentRaw();
     std::uint64_t hash = 0xcbf29ce484222325ull;
-    const std::size_t words = image.size() / 8;
-    for (std::size_t i = 0; i < words; ++i) {
+    for (std::size_t off = 0; off < device.size(); off += 8) {
         std::uint64_t word;
-        std::memcpy(&word, image.data() + i * 8, 8);
+        std::memcpy(&word, image + off, 8);
         hash = (hash ^ word) * 0x100000001b3ull;
     }
-    for (std::size_t i = words * 8; i < image.size(); ++i)
-        hash = (hash ^ image[i]) * 0x100000001b3ull;
     return hash;
 }
 
@@ -227,6 +222,8 @@ SlotScenario::SlotScenario(const CrashCell &cell)
     }
     for (unsigned i = 0; i < cell_.slots; ++i)
         committed_[i] = i;
+    if (cell_.fault == "drop-fences")
+        dev_.injectFault(pmem::DeviceFault::DropFences);
 }
 
 PmOff
@@ -235,66 +232,58 @@ SlotScenario::slotOff(unsigned slot) const
     return dataOff_ + slot * sizeof(std::uint64_t);
 }
 
-bool
-SlotScenario::runWithCrash(long crash_after)
+std::vector<CrashDevice>
+SlotScenario::devices()
 {
-    Rng rng(cell_.seed);
-    countdown_ = std::make_shared<pmem::CrashCountdown>(crash_after);
-    dev_.armCrash(countdown_);
-    try {
-        for (unsigned t = 0; t < cell_.txCount; ++t) {
-            staged_.clear();
-            runtime_->txBegin(0);
-            const unsigned stores =
-                1 + static_cast<unsigned>(
-                        rng.below(cell_.maxStoresPerTx));
-            for (unsigned i = 0; i < stores; ++i) {
-                const auto slot =
-                    static_cast<unsigned>(rng.below(cell_.slots));
-                const std::uint64_t value = rng.next() | 1;
-                runtime_->txStoreT<std::uint64_t>(0, slotOff(slot),
-                                                  value);
-                staged_[slot] = value;
-            }
-            runtime_->txCommit(0);
-            for (const auto &[slot, value] : staged_)
-                committed_[slot] = value;
-            staged_.clear();
-
-            if (cell_.reclaimEvery != 0 &&
-                (t + 1) % cell_.reclaimEvery == 0) {
-                if (auto *spec =
-                        dynamic_cast<core::SpecTx *>(runtime_.get()))
-                    spec->reclaimNow();
-            }
-        }
-    } catch (const pmem::SimulatedCrash &) {
-        return true;
-    }
-    dev_.armCrash(-1);
-    return false;
-}
-
-std::uint64_t
-SlotScenario::eventsConsumed() const
-{
-    return countdown_ ? countdown_->consumed() : 0;
+    return {{"slots", &dev_, 1}};
 }
 
 void
-SlotScenario::crashAndRecover(const pmem::CrashPolicy &policy)
+SlotScenario::run()
 {
-    dev_.armCrash(-1);
+    Rng rng(cell_.seed);
+    for (unsigned t = 0; t < cell_.txCount; ++t) {
+        staged_.clear();
+        runtime_->txBegin(0);
+        const unsigned stores =
+            1 + static_cast<unsigned>(rng.below(cell_.maxStoresPerTx));
+        for (unsigned i = 0; i < stores; ++i) {
+            const auto slot =
+                static_cast<unsigned>(rng.below(cell_.slots));
+            const std::uint64_t value = rng.next() | 1;
+            runtime_->txStoreT<std::uint64_t>(0, slotOff(slot), value);
+            staged_[slot] = value;
+        }
+        runtime_->txCommit(0);
+        for (const auto &[slot, value] : staged_)
+            committed_[slot] = value;
+        staged_.clear();
+
+        if (cell_.reclaimEvery != 0 && (t + 1) % cell_.reclaimEvery == 0) {
+            if (auto *spec = dynamic_cast<core::SpecTx *>(runtime_.get()))
+                spec->reclaimNow();
+        }
+    }
+}
+
+void
+SlotScenario::crash(const pmem::CrashPolicy &policy)
+{
     runtime_.reset(); // the old process is gone
     dev_.simulateCrash(policy);
     pool_.reopenAfterCrash();
+}
+
+void
+SlotScenario::recover()
+{
     runtime_ = makeCrashRuntime(cell_.runtime, pool_, 1);
     dataOff_ = pool_.getRoot(txn::kAppRootSlotBase);
     runtime_->recover();
 }
 
 std::string
-SlotScenario::verifyAtomicity() const
+SlotScenario::check()
 {
     bool matches_committed = true;
     bool matches_overlay = true;
@@ -321,6 +310,20 @@ SlotScenario::verifyAtomicity() const
         }
     }
     return failure;
+}
+
+std::string
+SlotScenario::checkContinuation()
+{
+    rebaseline();
+    runMore(12, cell_.seed ^ 0x9e37ull);
+    if (auto msg = verifyExact(); !msg.empty())
+        return "continuation: " + msg;
+    crash(pmem::CrashPolicy::nothing());
+    recover();
+    if (auto msg = verifyExact(); !msg.empty())
+        return "second crash: " + msg;
+    return {};
 }
 
 void
@@ -382,98 +385,48 @@ SlotScenario::shadowHash() const
     return hash;
 }
 
-namespace
-{
-
-class SlotCrashWorkload final : public CrashWorkload
-{
-  public:
-    explicit SlotCrashWorkload(const CrashCell &cell)
-        : cell_(cell), scenario_(cell)
-    {
-        if (cell.fault == "drop-fences") {
-            scenario_.device().injectFault(
-                pmem::DeviceFault::DropFences);
-        }
-    }
-
-    bool
-    run(long crash_after) override
-    {
-        return scenario_.runWithCrash(crash_after);
-    }
-
-    std::uint64_t
-    eventsConsumed() const override
-    {
-        return scenario_.eventsConsumed();
-    }
-
-    std::uint64_t
-    pruneKey(const pmem::CrashPolicy &policy) const override
-    {
-        return hashCombine(
-            hashCrashImage(scenario_.device().crashImage(policy)),
-            scenario_.shadowHash());
-    }
-
-    void
-    powerCycle(const pmem::CrashPolicy &policy) override
-    {
-        scenario_.crashAndRecover(policy);
-    }
-
-    std::string
-    check() override
-    {
-        return scenario_.verifyAtomicity();
-    }
-
-    std::string
-    checkContinuation() override
-    {
-        scenario_.rebaseline();
-        scenario_.runMore(12, cell_.seed ^ 0x9e37ull);
-        if (auto msg = scenario_.verifyExact(); !msg.empty())
-            return "continuation: " + msg;
-        scenario_.crashAndRecover(pmem::CrashPolicy::nothing());
-        if (auto msg = scenario_.verifyExact(); !msg.empty())
-            return "second crash: " + msg;
-        return {};
-    }
-
-    std::vector<CrashImageExport>
-    exportCrashImages(const pmem::CrashPolicy &policy) const override
-    {
-        std::vector<CrashImageExport> out(1);
-        out[0].name = "slots";
-        out[0].threads = 1;
-        out[0].image = scenario_.device().crashImage(policy);
-        return out;
-    }
-
-  private:
-    CrashCell cell_;
-    SlotScenario scenario_;
-};
-
-} // namespace
-
-std::unique_ptr<CrashWorkload>
-makeSlotCrashWorkload(const CrashCell &cell)
-{
-    return std::make_unique<SlotCrashWorkload>(cell);
-}
-
 CrashWorkloadFactory
 builtinCrashWorkloadFactory()
 {
     return [](const CrashCell &cell) -> std::unique_ptr<CrashWorkload> {
         if (cell.workload == "slots")
-            return makeSlotCrashWorkload(cell);
+            return std::make_unique<SlotScenario>(cell);
         throw std::runtime_error("unknown crash workload: " +
                                  cell.workload);
     };
+}
+
+CrashedWorkload
+crashWorkload(const CrashCell &cell, const CrashWorkloadFactory &factory,
+              std::uint64_t point)
+{
+    CrashedWorkload out;
+    out.workload = factory(cell);
+    if (!out.workload)
+        throw std::runtime_error("no workload factory for '" +
+                                 cell.workload + "'");
+    const auto devices = out.workload->devices();
+    // One countdown on every device: a point indexes the workload's
+    // combined persistence-event sequence.
+    const auto countdown = std::make_shared<pmem::CrashCountdown>(
+        static_cast<long>(point));
+    for (const CrashDevice &d : devices)
+        d.device->armCrash(countdown);
+    try {
+        out.workload->run();
+    } catch (const pmem::SimulatedCrash &) {
+        out.fired = true;
+    }
+    for (const CrashDevice &d : devices)
+        d.device->armCrash(nullptr);
+    out.events = countdown->consumed();
+
+    out.workload->crash(cell.policyAt(point));
+    std::uint64_t hash = 0xC4A54ull;
+    for (const CrashDevice &d : devices)
+        hash = hashCombine(hash, hashDeviceImage(*d.device));
+    out.fingerprint = hashCombine(hash, out.workload->shadowHash());
+    return out;
 }
 
 std::string
@@ -618,17 +571,12 @@ CrashExplorer::explore(const ExploreOptions &options)
     // Pass 1: count the persistence events of a full run; that bounds
     // the crash-point space.
     try {
-        auto counter = factory_(cell_);
-        if (!counter) {
-            report.error =
-                "no workload factory for '" + cell_.workload + "'";
-            return report;
-        }
-        if (counter->run(kCountSentinel)) {
+        const auto counted = crashWorkload(cell_, factory_, kNoCrashPoint);
+        if (counted.fired) {
             report.error = "counting pass crashed unexpectedly";
             return report;
         }
-        report.totalEvents = counter->eventsConsumed();
+        report.totalEvents = counted.events;
     } catch (const std::exception &e) {
         report.error = e.what();
         return report;
@@ -671,29 +619,26 @@ CrashExplorer::explore(const ExploreOptions &options)
             if (index >= points.size())
                 return;
             const std::uint64_t point = points[index];
-            const auto policy = cell_.policyAt(point);
             std::string message;
             try {
-                auto workload = factory_(cell_);
-                if (!workload->run(static_cast<long>(point))) {
+                auto crashed = crashWorkload(cell_, factory_, point);
+                if (!crashed.fired) {
                     message = "armed crash did not fire "
                               "(nondeterministic workload?)";
                 } else {
-                    const std::uint64_t key =
-                        workload->pruneKey(policy);
                     {
                         std::lock_guard<std::mutex> guard(mutex);
-                        if (!seen.insert(key).second) {
+                        if (!seen.insert(crashed.fingerprint).second) {
                             pruned.fetch_add(
                                 1, std::memory_order_relaxed);
                             continue;
                         }
                     }
-                    workload->powerCycle(policy);
-                    message = workload->check();
+                    crashed.workload->recover();
+                    message = crashed.workload->check();
                     if (message.empty() &&
                         options.verifyContinuation) {
-                        message = workload->checkContinuation();
+                        message = crashed.workload->checkContinuation();
                     }
                 }
             } catch (const std::exception &e) {
@@ -755,19 +700,13 @@ CrashExplorer::replay(std::string_view token,
         return result;
     }
     try {
-        auto workload = factory(result.cell);
-        if (!workload) {
-            result.error = "no workload factory for '" +
-                           result.cell.workload + "'";
-            return result;
-        }
-        result.fired =
-            workload->run(static_cast<long>(result.point));
-        const auto policy = result.cell.policyAt(result.point);
-        workload->powerCycle(policy);
-        result.failure = workload->check();
+        auto crashed =
+            crashWorkload(result.cell, factory, result.point);
+        result.fired = crashed.fired;
+        crashed.workload->recover();
+        result.failure = crashed.workload->check();
         if (result.failure.empty() && verify_continuation)
-            result.failure = workload->checkContinuation();
+            result.failure = crashed.workload->checkContinuation();
     } catch (const std::exception &e) {
         result.error = e.what();
     }

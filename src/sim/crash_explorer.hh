@@ -15,21 +15,23 @@
  *     consumed — that bounds the crash-point space [0, E);
  *  2. a sharded parallel driver replays the workload once per crash
  *     point k (the k-th persistence event throws SimulatedCrash),
- *     pruning points whose post-crash state — persistent image plus
- *     acknowledged-transaction shadow — is bit-identical to an
- *     already-explored point (recovery is deterministic, so equal
- *     inputs cannot produce new outcomes);
- *  3. every surviving point is power-cycled, recovered, and checked
- *     to land on a committed-transaction prefix.
+ *     crashes its devices in place, and prunes points whose post-crash
+ *     state — persistent image(s) plus acknowledged-transaction
+ *     shadow — is bit-identical to an already-explored point
+ *     (recovery is deterministic, so equal inputs cannot produce new
+ *     outcomes);
+ *  3. every surviving point is recovered and checked to land on a
+ *     committed-transaction prefix.
  *
  * Each point is described by a *replay token*: one string carrying the
  * full cell (runtime x workload x crash policy x RNG seed x sizing)
  * plus the event id, so any failing schedule reproduces
  * deterministically from the token alone.
  *
- * The slot-array scenario formerly private to tests/crash_harness.hh
- * lives here as SlotScenario; KvService and the STAMP-analog workloads
- * plug in through the CrashWorkload interface.
+ * Workloads (SlotScenario here, the KV service and the STAMP-analog
+ * kernels in their own layers) implement CrashWorkload: they run,
+ * crash in place, recover and check. Arming, catching the crash and
+ * fingerprinting are crashWorkload()'s alone.
  */
 
 #ifndef SPECPMT_SIM_CRASH_EXPLORER_HH
@@ -106,47 +108,41 @@ struct CrashCell
                            std::uint64_t &event, std::string &error);
 };
 
-/** A saved post-crash device image, ready for offline inspection. */
-struct CrashImageExport
+/** A device a crash workload persists to. */
+struct CrashDevice
 {
-    std::string name;     ///< e.g. "slots", "shard0"
-    unsigned threads = 1; ///< runtime thread count behind the image
-    std::vector<std::uint8_t> image;
+    std::string name; ///< e.g. "slots", "shard0"
+    pmem::PmemDevice *device = nullptr;
+    unsigned threads = 1; ///< runtime thread count behind its image
 };
 
 /**
  * A workload instance the explorer can crash once. Construction runs
- * setup (and applies the cell's injected fault); the explorer then
- * calls run() exactly once, followed by pruneKey()/powerCycle()/
- * check() for points that survive pruning.
+ * setup (and applies the cell's injected fault); crashWorkload() then
+ * arms the devices(), calls run() and crash(), and the caller
+ * recover()s and check()s the points that survive pruning.
  */
 class CrashWorkload
 {
   public:
     virtual ~CrashWorkload() = default;
 
-    /**
-     * Arm a crash after @p crash_after persistence events and run the
-     * workload. @return true if the simulated power failure fired.
-     */
-    virtual bool run(long crash_after) = 0;
+    /** The devices the workload persists to, in a fixed order. */
+    virtual std::vector<CrashDevice> devices() = 0;
 
-    /** Persistence events consumed by the last run(). */
-    virtual std::uint64_t eventsConsumed() const = 0;
+    /** Run the workload; a SimulatedCrash propagates to the caller. */
+    virtual void run() = 0;
 
     /**
-     * 64-bit digest of the post-crash state under @p policy: the
-     * persistent image(s) combined with the acknowledged-transaction
-     * shadow. Two points with equal keys recover identically, so one
-     * representative exploration covers both (the pruning rule).
+     * Power failure under @p policy: drop the runtimes, crash every
+     * device in place and re-open the pools, without recovering.
      */
-    virtual std::uint64_t
-    pruneKey(const pmem::CrashPolicy &policy) const = 0;
+    virtual void crash(const pmem::CrashPolicy &policy) = 0;
 
-    /** Power-cycle under @p policy, re-open and run recovery. */
-    virtual void powerCycle(const pmem::CrashPolicy &policy) = 0;
+    /** Rebuild the runtimes over the crashed pools and recover. */
+    virtual void recover() = 0;
 
-    /** Consistency check; empty string on success. */
+    /** Consistency check after recover(); empty string on success. */
     virtual std::string check() = 0;
 
     /**
@@ -156,25 +152,48 @@ class CrashWorkload
     virtual std::string checkContinuation() { return {}; }
 
     /**
-     * The post-crash persistent image(s) under @p policy, for
-     * offline forensic analysis (tools/pminspect, crashmatrix
-     * --explain). Meaningful after run() fired and before
-     * powerCycle() mutates the devices. Default: none.
+     * Digest of the acknowledged-transaction shadow, so two points
+     * with equal images but different acknowledged histories are not
+     * pruned as one. 0 for workloads whose check reads only durable
+     * state.
      */
-    virtual std::vector<CrashImageExport>
-    exportCrashImages(const pmem::CrashPolicy &policy) const
-    {
-        (void)policy;
-        return {};
-    }
+    virtual std::uint64_t shadowHash() const { return 0; }
 };
 
 /** Constructs a workload instance for a cell; throws on a bad cell. */
 using CrashWorkloadFactory =
     std::function<std::unique_ptr<CrashWorkload>(const CrashCell &)>;
 
-/** 64-bit digest of a crash image (word-folded FNV-1a). */
-std::uint64_t hashCrashImage(const std::vector<std::uint8_t> &image);
+/** 64-bit digest of @p device's persistent image (word-folded FNV-1a). */
+std::uint64_t hashDeviceImage(const pmem::PmemDevice &device);
+
+/** A workload crashed at one point, in place, not yet recovered. */
+struct CrashedWorkload
+{
+    std::unique_ptr<CrashWorkload> workload;
+    bool fired = false;       ///< the armed crash fired
+    std::uint64_t events = 0; ///< persistence events the run consumed
+    /**
+     * The pruning key: every device's persistent image and the
+     * workload's shadowHash(). Points with equal fingerprints recover
+     * identically.
+     */
+    std::uint64_t fingerprint = 0;
+};
+
+/** A crash point beyond any bounded run: crashing there counts it. */
+inline constexpr std::uint64_t kNoCrashPoint = 1ull << 40;
+
+/**
+ * The one crash step: build @p cell's workload, arm one countdown of
+ * @p point events on all its devices for the calling thread, run it,
+ * catch the SimulatedCrash, crash it in place under
+ * cell.policyAt(@p point) and fingerprint the result. Throws what the
+ * factory or the run throws.
+ */
+CrashedWorkload crashWorkload(const CrashCell &cell,
+                              const CrashWorkloadFactory &factory,
+                              std::uint64_t point);
 
 /**
  * Build a runtime configured for deterministic crash testing: no
@@ -198,28 +217,18 @@ bool isCrashRuntimeName(std::string_view name);
  * old test-only crash harness): a slot array published via a pool
  * root, mutated by randomized transactions, with a shadow of the
  * committed and in-flight state for atomic-durability checking.
- * Usable directly (recovery-idempotence tests drive the phases by
- * hand) or through the explorer via makeSlotCrashWorkload().
+ * Explored through builtinCrashWorkloadFactory(); the
+ * recovery-idempotence tests drive its phases by hand.
  */
-class SlotScenario
+class SlotScenario final : public CrashWorkload
 {
   public:
     explicit SlotScenario(const CrashCell &cell);
 
-    /** Pool offset of slot @p slot. */
-    PmOff slotOff(unsigned slot) const;
-
-    /**
-     * Run the workload with a crash armed after @p crash_after
-     * persistence events; returns true if the crash fired.
-     */
-    bool runWithCrash(long crash_after);
-
-    /** Persistence events consumed by the last runWithCrash(). */
-    std::uint64_t eventsConsumed() const;
-
-    /** Power-cycle the pool and run recovery on a fresh runtime. */
-    void crashAndRecover(const pmem::CrashPolicy &policy);
+    std::vector<CrashDevice> devices() override;
+    void run() override;
+    void crash(const pmem::CrashPolicy &policy) override;
+    void recover() override;
 
     /**
      * Check atomic durability of the current device state: the
@@ -227,7 +236,12 @@ class SlotScenario
      * plus the *entire* in-flight transaction.
      * @return empty string on success, else a failure description.
      */
-    std::string verifyAtomicity() const;
+    std::string check() override;
+
+    std::string checkContinuation() override;
+
+    /** Digest of the committed/staged shadow. */
+    std::uint64_t shadowHash() const override;
 
     /**
      * Accept whichever legal post-crash state actually survived as
@@ -241,15 +255,13 @@ class SlotScenario
     /** Exact-state check (crash-free phases). */
     std::string verifyExact() const;
 
-    /** Digest of the committed/staged shadow (see pruneKey()). */
-    std::uint64_t shadowHash() const;
-
     pmem::PmemDevice &device() { return dev_; }
-    const pmem::PmemDevice &device() const { return dev_; }
     pmem::PmemPool &pool() { return pool_; }
-    txn::TxRuntime &runtime() { return *runtime_; }
 
   private:
+    /** Pool offset of slot @p slot. */
+    PmOff slotOff(unsigned slot) const;
+
     CrashCell cell_;
     pmem::PmemDevice dev_;
     pmem::PmemPool pool_;
@@ -257,12 +269,7 @@ class SlotScenario
     PmOff dataOff_ = kPmNull;
     std::map<unsigned, std::uint64_t> committed_;
     std::map<unsigned, std::uint64_t> staged_;
-    std::shared_ptr<pmem::CrashCountdown> countdown_;
 };
-
-/** CrashWorkload adapter over SlotScenario. */
-std::unique_ptr<CrashWorkload>
-makeSlotCrashWorkload(const CrashCell &cell);
 
 /**
  * Factory covering the workloads this library can build by itself

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/hash.hh"
 #include "workloads/workload.hh"
 
 namespace specpmt::workloads
@@ -47,43 +46,29 @@ class StampCrashWorkload final : public sim::CrashWorkload
             device_.injectFault(pmem::DeviceFault::DropFences);
     }
 
-    bool
-    run(long crash_after) override
+    std::vector<sim::CrashDevice>
+    devices() override
     {
-        countdown_ = std::make_shared<pmem::CrashCountdown>(crash_after);
-        device_.armCrash(countdown_);
-        bool fired = false;
-        try {
-            workload_->run(*runtime_);
-        } catch (const pmem::SimulatedCrash &) {
-            fired = true;
-        }
-        device_.armCrash(-1);
-        return fired;
-    }
-
-    std::uint64_t
-    eventsConsumed() const override
-    {
-        return countdown_ ? countdown_->consumed() : 0;
-    }
-
-    std::uint64_t
-    pruneKey(const pmem::CrashPolicy &policy) const override
-    {
-        // The structural check reads only durable state, so the
-        // post-crash image alone determines the outcome.
-        return hashCombine(0x57A3Bull,
-                           sim::hashCrashImage(
-                               device_.crashImage(policy)));
+        return {{cell_.workload, &device_, 1}};
     }
 
     void
-    powerCycle(const pmem::CrashPolicy &policy) override
+    run() override
+    {
+        workload_->run(*runtime_);
+    }
+
+    void
+    crash(const pmem::CrashPolicy &policy) override
     {
         runtime_.reset(); // the old process is gone
         device_.simulateCrash(policy);
         pool_.reopenAfterCrash();
+    }
+
+    void
+    recover() override
+    {
         runtime_ = sim::makeCrashRuntime(cell_.runtime, pool_, 1);
         runtime_->recover();
     }
@@ -103,7 +88,8 @@ class StampCrashWorkload final : public sim::CrashWorkload
     {
         // Recovery idempotence: a clean second power cycle of the
         // recovered pool must land on the same consistent state.
-        powerCycle(pmem::CrashPolicy::nothing());
+        crash(pmem::CrashPolicy::nothing());
+        recover();
         if (!workload_->verifyStructural(*runtime_)) {
             return std::string(workload_->name()) +
                    ": structural invariant violated after second "
@@ -118,7 +104,6 @@ class StampCrashWorkload final : public sim::CrashWorkload
     pmem::PmemPool pool_;
     std::unique_ptr<txn::TxRuntime> runtime_;
     std::unique_ptr<Workload> workload_;
-    std::shared_ptr<pmem::CrashCountdown> countdown_;
 };
 
 } // namespace

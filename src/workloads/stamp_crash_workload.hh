@@ -1,15 +1,16 @@
 /**
  * @file
- * Crash-exploration adapter for the STAMP-analog workloads.
+ * Crash workload for the STAMP-analog kernels.
  *
  * Wraps one Workload kernel (selected by its workloadKindName, e.g.
  * "genome" or "vacation-low") over a single device/pool/runtime stack
  * so the crash explorer can enumerate its persistence events. After
- * the power cycle the check is the workload's *structural* invariant —
+ * recovery the check is the workload's *structural* invariant —
  * the property that holds at every committed-transaction boundary and
  * needs none of the kernel's volatile tallies. The continuation check
  * re-crashes the recovered pool cleanly and re-verifies (recovery
- * idempotence).
+ * idempotence). The check reads only durable state, so the prune key
+ * is the device image alone (the default shadowHash()).
  */
 
 #ifndef SPECPMT_WORKLOADS_STAMP_CRASH_WORKLOAD_HH

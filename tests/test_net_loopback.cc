@@ -740,9 +740,10 @@ TEST(NetLoopback, IdleConnectionIsEvicted)
 TEST(NetLoopback, AdmissionControlShedsBusyAndNeverLies)
 {
     // Overload shedding: with a tiny pending-ops budget, a huge
-    // pipelined burst must be answered partly Ok, partly Busy —
-    // and the two answers must mean what they say: every Ok'd PUT is
-    // readable afterwards, every Busy'd PUT was never applied.
+    // pipelined burst must be answered partly Ok, partly Busy, in
+    // arrival order — and the two answers must mean what they say:
+    // every Ok'd PUT is readable afterwards, every Busy'd PUT was
+    // never applied.
     kv::KvService service(serviceConfig(1));
     ServerConfig config;
     config.maxPendingOps = 8;
@@ -765,7 +766,10 @@ TEST(NetLoopback, AdmissionControlShedsBusyAndNeverLies)
     std::vector<bool> okById(kBurst, false);
     std::uint64_t ok = 0;
     std::uint64_t busy = 0;
+    std::uint64_t last_id = 0;
     for (const auto &frame : frames) {
+        ASSERT_GT(frame.id, last_id) << "replies out of arrival order";
+        last_id = frame.id;
         ASSERT_GE(frame.id, 1000u);
         const std::uint64_t i = frame.id - 1000;
         ASSERT_LT(i, kBurst);

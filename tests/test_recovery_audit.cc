@@ -6,8 +6,9 @@
  * crashmatrix sweep — not at a few hand-picked ones.
  *
  * For each persistence-event crash point of a deterministic workload
- * run, the post-crash image(s) are exported, classified by the
- * inspector, and audited by running real recovery on a throwaway copy
+ * run, the crash explorer's one crash step leaves the post-crash
+ * device image(s); each is classified by the inspector and audited by
+ * running real recovery on a throwaway copy
  * (forensic/recovery_audit). A single disagreement fails with the
  * replay token that reproduces it.
  */
@@ -33,46 +34,46 @@ namespace specpmt::forensic
 namespace
 {
 
-constexpr long kNoCrash = 1L << 40;
-
 /**
- * Sweep every crash point of @p cell's run, auditing every exported
- * image. Identical images (pruned by content hash) are audited once:
- * recovery and the inspector are both deterministic functions of the
- * image bytes.
+ * Sweep every crash point of @p cell's run, auditing every device
+ * image the crash step leaves. Identical images (pruned by content
+ * hash) are audited once: recovery and the inspector are both
+ * deterministic functions of the image bytes.
  */
 void
 sweepAndAudit(const sim::CrashCell &cell,
               const sim::CrashWorkloadFactory &factory)
 {
-    auto counting = factory(cell);
-    ASSERT_FALSE(counting->run(kNoCrash));
-    const std::uint64_t events = counting->eventsConsumed();
+    const auto counting =
+        sim::crashWorkload(cell, factory, sim::kNoCrashPoint);
+    ASSERT_FALSE(counting.fired);
+    const std::uint64_t events = counting.events;
     ASSERT_GT(events, 0u);
 
     std::set<std::uint64_t> seen;
     std::size_t audited = 0;
     std::size_t torn_seen = 0;
     for (std::uint64_t point = 1; point <= events; ++point) {
-        auto workload = factory(cell);
-        if (!workload->run(static_cast<long>(point)))
+        const auto crashed = sim::crashWorkload(cell, factory, point);
+        if (!crashed.fired)
             continue; // ran to completion before the countdown
-        const auto policy = cell.policyAt(point);
-        for (const auto &exp : workload->exportCrashImages(policy)) {
-            if (!seen.insert(sim::hashCrashImage(exp.image)).second)
+        for (const auto &device : crashed.workload->devices()) {
+            const auto &dev = *device.device;
+            if (!seen.insert(sim::hashDeviceImage(dev)).second)
                 continue;
-            const auto dev = pmem::deviceFromImage(exp.image);
+            const std::vector<std::uint8_t> image(
+                dev.persistentRaw(), dev.persistentRaw() + dev.size());
             const auto report =
-                inspectImage(*dev, exp.threads, exp.name);
+                inspectImage(dev, device.threads, device.name);
             const auto audit = auditRecovery(
-                exp.image, cell.runtime, exp.threads, report);
+                image, cell.runtime, device.threads, report);
             ASSERT_TRUE(audit.supported);
             std::string detail;
             for (const auto &d : audit.disagreements)
                 detail += "\n  " + d;
             EXPECT_TRUE(audit.agrees)
                 << "token " << cell.token(point) << " image "
-                << exp.name << detail;
+                << device.name << detail;
             ++audited;
             torn_seen += report.torn;
         }

@@ -39,15 +39,18 @@ TEST_P(RecoveryCrashTest, CrashDuringRecoveryThenRecoverAgain)
     cell.seed = 7000 + static_cast<std::uint64_t>(run_crash);
     cell.txCount = 64;
     SlotScenario scenario(cell);
-    scenario.runWithCrash(run_crash);
-
-    // First power failure.
-    scenario.device().armCrash(-1);
     auto &dev = scenario.device();
     auto &pool = scenario.pool();
-    dev.simulateCrash(pmem::CrashPolicy::random(
+    dev.armCrash(run_crash);
+    try {
+        scenario.run();
+    } catch (const pmem::SimulatedCrash &) {
+    }
+    dev.armCrash(-1);
+
+    // First power failure.
+    scenario.crash(pmem::CrashPolicy::random(
         static_cast<std::uint64_t>(run_crash), 0.5));
-    pool.reopenAfterCrash();
 
     // Recovery #1 is itself interrupted by a second power failure.
     {
@@ -66,8 +69,9 @@ TEST_P(RecoveryCrashTest, CrashDuringRecoveryThenRecoverAgain)
 
     // Recovery #2 must succeed and produce an atomically consistent
     // state; run it through the scenario so the usual checks apply.
-    scenario.crashAndRecover(pmem::CrashPolicy::nothing());
-    const std::string failure = scenario.verifyAtomicity();
+    scenario.crash(pmem::CrashPolicy::nothing());
+    scenario.recover();
+    const std::string failure = scenario.check();
     EXPECT_TRUE(failure.empty()) << runtime << ": " << failure;
 
     // And the pool still works.

@@ -146,44 +146,44 @@ explainToken(const std::string &token, const std::string &image_dir,
         return 2;
     }
 
-    std::unique_ptr<sim::CrashWorkload> workload;
+    sim::CrashedWorkload crashed;
     try {
-        workload = fullWorkloadFactory()(cell);
+        crashed = sim::crashWorkload(cell, fullWorkloadFactory(), point);
     } catch (const std::exception &ex) {
         std::fprintf(stderr, "crashmatrix: %s\n", ex.what());
         return 2;
     }
-
-    const bool fired = workload->run(static_cast<long>(point));
-    const auto policy = cell.policyAt(point);
-    const auto exports = workload->exportCrashImages(policy);
+    const auto devices = crashed.workload->devices();
 
     std::printf("explain %s\n", token.c_str());
     std::printf("  crash point %llu %s, policy %s, %zu image(s)\n",
                 static_cast<unsigned long long>(point),
-                fired ? "fired" : "did not fire (run too short)",
-                cell.policy.c_str(), exports.size());
+                crashed.fired ? "fired" : "did not fire (run too short)",
+                cell.policy.c_str(), devices.size());
 
     const bool audit_supported =
         forensic::isAuditableRuntime(cell.runtime);
     bool disagreement = false;
     std::string json = "{\"token\": \"" + token + "\", \"point\": " +
                        std::to_string(point) + ", \"fired\": " +
-                       (fired ? "true" : "false") + ", \"images\": [";
+                       (crashed.fired ? "true" : "false") +
+                       ", \"images\": [";
     bool first = true;
 
-    for (const auto &exp : exports) {
-        const auto dev = pmem::deviceFromImage(exp.image);
-        const auto report =
-            forensic::inspectImage(*dev, exp.threads, exp.name);
+    for (const sim::CrashDevice &device : devices) {
+        const std::vector<std::uint8_t> image(
+            device.device->persistentRaw(),
+            device.device->persistentRaw() + device.device->size());
+        const auto report = forensic::inspectImage(
+            *device.device, device.threads, device.name);
 
-        std::printf("--- image %s ---\n", exp.name.c_str());
+        std::printf("--- image %s ---\n", device.name.c_str());
         std::fputs(report.toText().c_str(), stdout);
 
         forensic::AuditResult audit;
         if (audit_supported) {
-            audit = forensic::auditRecovery(exp.image, cell.runtime,
-                                            exp.threads, report);
+            audit = forensic::auditRecovery(image, cell.runtime,
+                                            device.threads, report);
             std::fputs(audit.toText().c_str(), stdout);
             if (!audit.agrees)
                 disagreement = true;
@@ -191,9 +191,9 @@ explainToken(const std::string &token, const std::string &image_dir,
 
         if (!image_dir.empty()) {
             const std::string path =
-                image_dir + "/" + exp.name + ".img";
+                image_dir + "/" + device.name + ".img";
             std::string io_error;
-            if (!pmem::saveImage(path, exp.image, io_error)) {
+            if (!pmem::saveImage(path, image, io_error)) {
                 std::fprintf(stderr, "crashmatrix: %s: %s\n",
                              path.c_str(), io_error.c_str());
                 return 2;
@@ -203,7 +203,7 @@ explainToken(const std::string &token, const std::string &image_dir,
         if (!first)
             json += ",";
         first = false;
-        json += "\n  {\"name\": \"" + exp.name + "\", \"report\": ";
+        json += "\n  {\"name\": \"" + device.name + "\", \"report\": ";
         json += report.toJson(
             obs::Registry::global().snapshot().toJson());
         if (audit_supported)

@@ -4,7 +4,8 @@
  * reasons about: the per-update persist barrier of undo logging vs
  * the fence-free speculative append, commit anatomy, checksum cost,
  * the sequential-vs-random PM write gap of the timing model, the
- * host cost of the emulated device's own calls and of building one,
+ * host cost of the emulated device's own calls (loads also while
+ * another thread stores) and of building one,
  * the restart path (a device crash, SpecTx recovery), and a KV shard's
  * map creation.
  *
@@ -18,7 +19,9 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <atomic>
 #include <memory>
+#include <thread>
 
 #include "common/crc32.hh"
 #include "core/spec_tx.hh"
@@ -209,6 +212,43 @@ BM_DeviceLoad(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DeviceLoad)->Threads(1)->Threads(2)->UseRealTime();
+
+void
+BM_DeviceLoadWhileStoring(benchmark::State &state)
+{
+    // The kv get/put race: reader threads load an 88 B bucket that one
+    // more thread keeps storing whole, on a device of their own. Wall
+    // ns per load.
+    constexpr PmOff kBucket = 4096 + 32;
+    using Bucket = std::array<std::uint8_t, 88>;
+    static pmem::PmemDevice dev(1u << 20);
+    static std::atomic<bool> stop{false};
+    static std::thread writer;
+    if (state.thread_index() == 0) {
+        stop.store(false);
+        writer = std::thread([] {
+            Bucket bucket{};
+            while (!stop.load()) {
+                ++bucket[0];
+                dev.store(kBucket, bucket.data(), bucket.size());
+            }
+        });
+    }
+    Bucket bucket{};
+    for (auto _ : state) {
+        dev.load(kBucket, bucket.data(), bucket.size());
+        benchmark::DoNotOptimize(bucket.data());
+        benchmark::ClobberMemory();
+    }
+    if (state.thread_index() == 0) {
+        stop.store(true);
+        writer.join();
+    }
+}
+BENCHMARK(BM_DeviceLoadWhileStoring)
+    ->Threads(1)
+    ->Threads(2)
+    ->UseRealTime();
 
 void
 BM_DeviceSimulateCrash(benchmark::State &state)

@@ -30,7 +30,9 @@ cpuRelax() noexcept
  * after kSpinTries reads it yields its core and starts over. It never
  * sleeps, so a holder must not block, sleep or take a lock that could
  * wait on this one. Aligned to a cache line so the lock word does not
- * share a line with the data it guards.
+ * share a line with the data it guards. pmem::PmemDevice holds it for
+ * the calls that write device state; its short loads check per-page
+ * sequence counters instead (DESIGN section 17).
  */
 class alignas(64) SpinLock
 {

@@ -63,8 +63,8 @@ enum class EventType : std::uint16_t
     /** The shard's recovery finished: arg0 = log segments it
      * quarantined as media-corrupt. */
     RecoveryEnd = 7,
-    /** A device MediaError aborted a transaction: arg0 = the
-     * faulting media offset, arg1 = MediaErrorKind. */
+    /** A device MediaError aborted a transaction or failed a get:
+     * arg0 = the faulting media offset, arg1 = MediaErrorKind. */
     MediaFault = 9,
     /** The pool entered read-only degraded mode (log-space
      * exhaustion, or forced): arg0 = bytes the failing allocation

@@ -284,9 +284,18 @@ KvService::lockAddr(KvKey key)
 std::optional<KvValue>
 KvService::get(ThreadId tid, KvKey key)
 {
-    Shard &shard = *shards_[shardOf(key)];
+    const unsigned shard_index = shardOf(key);
+    Shard &shard = *shards_[shard_index];
     KvMetrics::get().gets.add();
-    return shard.map->get(tid, key);
+    try {
+        return shard.map->get(tid, key);
+    } catch (const pmem::MediaError &err) {
+        // An unreadable bucket degrades the shard like a mutation's
+        // media fault does; the key reads as absent.
+        noteMediaAbort(shard_index, shard, tid, err.offset(),
+                       static_cast<std::uint64_t>(err.kind()), false);
+        return std::nullopt;
+    }
 }
 
 bool
@@ -358,9 +367,10 @@ KvService::noteMediaAbort(unsigned shard_index, Shard &shard,
     KvMetrics::get().mediaAborts.add();
     shard.flight.record(forensic::EventType::MediaFault, tid, 0,
                         fault_off, fault_kind);
-    SPECPMT_INFORM("kv: shard %u aborted a transaction on a media "
-                "fault (off=%llu kind=%llu)",
+    SPECPMT_INFORM("kv: shard %u %s on a media fault (off=%llu "
+                "kind=%llu)",
                 shard_index,
+                in_tx ? "aborted a transaction" : "failed a read",
                 static_cast<unsigned long long>(fault_off),
                 static_cast<unsigned long long>(fault_kind));
 }

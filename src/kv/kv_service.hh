@@ -226,7 +226,12 @@ class KvService
     /** Shard responsible for @p key. */
     unsigned shardOf(KvKey key) const;
 
-    /** Point lookup on client thread @p tid. */
+    /**
+     * Point lookup on client thread @p tid. nullopt means the key is
+     * absent or unreadable: a media fault on its probe counts as a
+     * media abort (no transaction is open), marks the shard degraded
+     * and journals media_fault.
+     */
     std::optional<KvValue> get(ThreadId tid, KvKey key);
 
     /**
@@ -438,8 +443,9 @@ class KvService
      * map re-attached (post-crash and pm-dir reattach). */
     void recoverShard(Shard &shard);
 
-    /** Media-fault catch path: abort the open tx with faults
-     * suppressed, journal the event, bump the abort accounting. */
+    /** Media-fault catch path: abort the open tx (if @p in_tx) with
+     * faults suppressed, journal the event, bump the abort
+     * accounting. */
     void noteMediaAbort(unsigned shard_index, Shard &shard,
                         ThreadId tid, std::uint64_t fault_off,
                         std::uint64_t fault_kind, bool in_tx);

@@ -125,7 +125,7 @@ class PmHashMap
         bucket.state = 1;
         bucket.key = key;
         bucket.value = value;
-        rt_->txStoreT<Bucket>(tid, bucketOff(*slot), bucket);
+        rt_->txStoreT<Bucket>(tid, bucketOff(slot->index), bucket);
         return true;
     }
 
@@ -142,11 +142,7 @@ class PmHashMap
         const auto slot = findSlot(tid, key, false);
         if (!slot)
             return std::nullopt;
-        const auto bucket = rt_->txLoadT<Bucket>(tid,
-                                                 bucketOff(*slot));
-        if (bucket.state == 1 && bucket.key == key)
-            return bucket.value;
-        return std::nullopt;
+        return slot->bucket.value;
     }
 
     /** Single-threaded convenience overload (thread 0). */
@@ -169,14 +165,11 @@ class PmHashMap
     bool
     eraseInTx(ThreadId tid, const Key &key)
     {
-        const auto slot = findSlot(tid, key, false);
+        auto slot = findSlot(tid, key, false);
         if (!slot)
             return false;
-        auto bucket = rt_->txLoadT<Bucket>(tid, bucketOff(*slot));
-        if (bucket.state != 1 || !(bucket.key == key))
-            return false;
-        bucket.state = 2;
-        rt_->txStoreT<Bucket>(tid, bucketOff(*slot), bucket);
+        slot->bucket.state = 2;
+        rt_->txStoreT<Bucket>(tid, bucketOff(slot->index), slot->bucket);
         return true;
     }
 
@@ -215,21 +208,34 @@ class PmHashMap
         return base_ + sizeof(Header) + index * sizeof(Bucket);
     }
 
-    std::optional<std::uint64_t>
+    /** A probed bucket: its index and the bytes the probe loaded. */
+    struct Slot
+    {
+        std::uint64_t index;
+        Bucket bucket;
+    };
+
+    /**
+     * The live bucket holding @p key, or, with @p for_insert, the
+     * first free one its probe passed, each with the bucket as loaded;
+     * a hit costs one load.
+     */
+    std::optional<Slot>
     findSlot(ThreadId tid, const Key &key, bool for_insert)
     {
         std::uint64_t index = mix64(hashKey(key)) & (buckets_ - 1);
-        std::optional<std::uint64_t> first_free;
+        std::optional<Slot> first_free;
         for (std::uint64_t probe = 0; probe < buckets_; ++probe) {
             const auto bucket = rt_->txLoadT<Bucket>(tid,
                                                      bucketOff(index));
             if (bucket.state == 1 && bucket.key == key)
-                return index;
+                return Slot{index, bucket};
             if (bucket.state == 2 && !first_free)
-                first_free = index;
+                first_free = Slot{index, bucket};
             if (bucket.state == 0) {
                 return for_insert
-                    ? (first_free ? first_free : std::optional(index))
+                    ? (first_free ? first_free
+                                  : std::optional(Slot{index, bucket}))
                     : std::nullopt;
             }
             index = (index + 1) & (buckets_ - 1);

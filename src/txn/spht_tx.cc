@@ -142,8 +142,7 @@ SphtTx::txStore(ThreadId tid, PmOff off, const void *src,
     // The factor over a plain store reflects SPHT's instrumentation:
     // the snapshot write plus redo-buffer staging and bookkeeping.
     std::memcpy(mirror_.data() + off, src, size);
-    dev_.compute(3 * dev_.timing().params().storeNs *
-                 lineSpan(off, size));
+    dev_.compute(3 * timingParams_.storeNs * lineSpan(off, size));
 
     Entry entry;
     entry.off = off;
@@ -159,8 +158,7 @@ SphtTx::txLoad(ThreadId tid, PmOff off, void *dst, std::size_t size)
     (void)tid;
     SPECPMT_ASSERT(off + size <= mirror_.size());
     std::memcpy(dst, mirror_.data() + off, size);
-    dev_.compute(2 * dev_.timing().params().loadNs *
-                 lineSpan(off, size));
+    dev_.compute(2 * timingParams_.loadNs * lineSpan(off, size));
 }
 
 void

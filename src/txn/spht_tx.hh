@@ -109,6 +109,9 @@ class SphtTx : public TxRuntime
 
     /** The volatile working copy of the whole pool. */
     std::vector<std::uint8_t> mirror_;
+    /** The device's latency model, read once: timing() takes the
+     * device lock to fold pending load charges. */
+    const pmem::TimingParams timingParams_ = dev_.timing().params();
 };
 
 } // namespace specpmt::txn

@@ -10,6 +10,7 @@
  * individually while reads stay alive, through every entry point
  * (put, erase, multiPut, executeShardBatch); a poisoned header of a
  * thread's tail log block fails one transaction, not every later one;
+ * a get() of a poisoned bucket answers nothing and degrades the shard;
  * and a file-backed pm dir reattaches across a service teardown with
  * every strict put intact.
  */
@@ -23,7 +24,10 @@
 #include <vector>
 
 #include "core/splog_format.hh"
+#include "forensic/flight_recorder.hh"
 #include "kv/kv_service.hh"
+#include "obs/metrics.hh"
+#include "pmds/pm_hash_map.hh"
 #include "pmem/pmem_device.hh"
 #include "pmem/pmem_pool.hh"
 
@@ -341,6 +345,67 @@ TEST(MediaFaults, PoisonedTailHeaderFailsOnlyOneTransaction)
     service.crash(pmem::CrashPolicy::nothing());
     service.recover();
     EXPECT_EQ(service.get(0, 1), KvValue::tagged(1, 6));
+    service.shutdown();
+}
+
+TEST(MediaFaults, PoisonedBucketGetReturnsNothingAndDegrades)
+{
+    KvServiceConfig config = baseConfig(1);
+    config.runtimeOptions.backgroundWorkers = false;
+    KvService service(config);
+    constexpr KvKey kKeys = 64;
+    for (KvKey key = 1; key <= kKeys; ++key)
+        ASSERT_TRUE(service.put(0, key, KvValue::tagged(key, 7)));
+    // The shard has served gets before the plan goes in, so this
+    // thread's loads already run without the device lock.
+    for (KvKey key = 1; key <= kKeys; ++key)
+        ASSERT_EQ(service.get(0, key), KvValue::tagged(key, 7));
+
+    // Find the bucket of one key and poison its first line only.
+    using Map = pmds::PmHashMap<KvKey, KvValue>;
+    auto &dev = service.shardDevice(0);
+    const PmOff base =
+        service.shardRuntime(0).pool().getRoot(txn::kAppRootSlotBase);
+    constexpr KvKey kKey = 17;
+    PmOff bucket = 0;
+    for (std::uint64_t i = 0; i < config.bucketsPerShard && bucket == 0;
+         ++i) {
+        const PmOff off =
+            base + sizeof(Map::Header) + i * sizeof(Map::Bucket);
+        const auto probed = dev.loadT<Map::Bucket>(off);
+        if (probed.state == 1 && probed.key == kKey)
+            bucket = off;
+    }
+    ASSERT_NE(bucket, 0u);
+    pmem::FaultPlan plan;
+    plan.poisonLines = 1;
+    plan.regionStart = lineBase(bucket);
+    plan.regionEnd = plan.regionStart + kCacheLineSize;
+    dev.applyFaultPlan(plan);
+
+    auto &aborts = obs::Registry::global().counter(
+        "specpmt_kv_media_tx_aborts_total");
+    const std::uint64_t abortsBefore = aborts.value();
+    EXPECT_FALSE(service.get(0, kKey).has_value());
+    EXPECT_EQ(aborts.value(), abortsBefore + 1);
+    EXPECT_EQ(service.shardMediaAborts(0), 1u);
+    EXPECT_TRUE(service.shardDegraded(0));
+    EXPECT_FALSE(service.shardReadOnly(0));
+    EXPECT_EQ(service.shardSnapshot(0).device.mediaReadErrors, 1u);
+
+    // Lifting the plan brings the value back, read without the lock
+    // again, and the journal holds the read's media_fault record.
+    dev.clearFaultPlan();
+    EXPECT_EQ(service.get(0, kKey), KvValue::tagged(kKey, 7));
+    const auto ring = forensic::FlightRecorder::decode(
+        dev, dev.loadT<PmOff>(forensic::kFlightRecorderRootSlot *
+                              sizeof(PmOff)));
+    ASSERT_FALSE(ring.records.empty());
+    EXPECT_EQ(ring.records.back().type, forensic::EventType::MediaFault);
+    EXPECT_EQ(ring.records.back().arg0, plan.regionStart);
+    EXPECT_EQ(ring.records.back().arg1,
+              static_cast<std::uint64_t>(
+                  pmem::MediaErrorKind::PoisonedRead));
     service.shutdown();
 }
 

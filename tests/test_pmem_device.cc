@@ -3,8 +3,9 @@
  * Tests of the emulated persistence domain: store/flush/fence
  * semantics, crash policies, crash injection, traffic accounting, a
  * new device's zeroed and resident memory, a reference model of the
- * persistence semantics, the in-place crash against crashImage(), and
- * a concurrency stress test of the device lock.
+ * persistence semantics, the in-place crash against crashImage(), the
+ * modelled time and counts of loads that skip the device lock, and
+ * concurrency stress tests of the lock and of those loads.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include <unistd.h>
 
 #include "common/rand.hh"
+#include "obs/metrics.hh"
 #include "pmem/pmem_device.hh"
 
 namespace specpmt::pmem
@@ -712,6 +714,69 @@ TEST(PmemDevice, CrashKeepsBackingFileEqualToPersistentImage)
     ::unlink(path);
 }
 
+/**
+ * One fixed single-thread stream over a 64 KiB device: loads (most of
+ * them unlocked, some unaligned, some across a page, some longer than
+ * kUnlockedLoadBytes), stores, flush ranges and fences.
+ */
+void
+runLoadStream(PmemDevice &dev, std::uint64_t seed, unsigned ops)
+{
+    Rng rng(seed);
+    std::array<std::uint8_t, 1024> bytes{};
+    for (unsigned op = 0; op < ops; ++op) {
+        const std::size_t size =
+            1 + rng.below(rng.below(10) == 0 ? bytes.size() : 200);
+        const PmOff off = rng.below(dev.size() - size);
+        switch (rng.below(6)) {
+          case 0:
+          case 1:
+          case 2:
+            dev.load(off, bytes.data(), size);
+            break;
+          case 3:
+            bytes[0] = static_cast<std::uint8_t>(op);
+            dev.store(off, bytes.data(), size);
+            break;
+          case 4:
+            dev.clwbRange(off, size);
+            break;
+          default:
+            dev.sfence();
+            break;
+        }
+    }
+}
+
+TEST(PmemDevice, UnlockedLoadsKeepModelledTimeAndCounts)
+{
+    PmemDevice dev(64 << 10);
+    dev.publishMetrics(); // registers the sim-ns series with their help
+    const obs::Counter &loadNs = obs::Registry::global().counter(
+        "specpmt_sim_ns_total", {}, {{"event", "load"}});
+    const std::uint64_t loadNsBefore = loadNs.value();
+
+    // Four phases, split by the calls that read or reset the clock
+    // and the counters; the values are what the device gave when
+    // every load took the lock.
+    runLoadStream(dev, 1, 5000);
+    EXPECT_EQ(dev.timing().now(), 313614u);
+    EXPECT_EQ(dev.stats().loads, 2487u);
+    dev.timeOnlyCallingThread();
+    runLoadStream(dev, 2, 5000);
+    EXPECT_EQ(dev.timing().now(), 680237u);
+    dev.timing().reset();
+    runLoadStream(dev, 3, 5000);
+    EXPECT_EQ(dev.timing().now(), 376232u);
+    EXPECT_EQ(dev.stats().loads, 7455u);
+    dev.clearStats();
+    runLoadStream(dev, 4, 5000);
+    EXPECT_EQ(dev.timing().now(), 746491u);
+    EXPECT_EQ(dev.stats().loads, 2453u);
+    dev.publishMetrics();
+    EXPECT_EQ(loadNs.value() - loadNsBefore, 31282u);
+}
+
 TEST(PmemDeviceConcurrency, ParallelFenceRoundsKeepCountsAndImages)
 {
     constexpr unsigned kThreads = 4;
@@ -777,6 +842,70 @@ TEST(PmemDeviceConcurrency, ParallelFenceRoundsKeepCountsAndImages)
             EXPECT_EQ(persisted, (std::uint64_t{t} << 32) | round);
         }
     }
+}
+
+TEST(PmemDeviceConcurrency, UnlockedLoadsNeverTear)
+{
+    // Writers store whole patterns over a 200-byte range that starts
+    // mid-word and straddles the page boundary at 4 KiB, where two
+    // page counters guard it; each load must return one pattern whole
+    // (or the initial zeros), never a mix.
+    constexpr unsigned kWriters = 2;
+    constexpr unsigned kReaders = 2;
+    constexpr unsigned kRounds = 50000;
+    constexpr PmOff kOff = 4096 - 100 + 3;
+    constexpr std::size_t kBytes = 200;
+    static_assert(kBytes <= PmemDevice::kUnlockedLoadBytes);
+    PmemDevice dev(1 << 16);
+
+    // Pattern @p id: byte i is a function of both, so a shifted or
+    // spliced copy shows up as a mismatch.
+    auto pattern = [](std::uint32_t id) {
+        std::array<std::uint8_t, kBytes> bytes{};
+        if (id == 0)
+            return bytes;
+        for (std::size_t i = 0; i < kBytes; ++i)
+            bytes[i] = static_cast<std::uint8_t>(id * 131 + i * 7 + 1);
+        std::memcpy(bytes.data(), &id, sizeof id);
+        return bytes;
+    };
+
+    std::atomic<unsigned> writersLeft{kWriters};
+    std::atomic<std::uint64_t> torn{0};
+    std::atomic<std::uint64_t> checked{0};
+    std::vector<std::thread> threads;
+    for (unsigned w = 0; w < kWriters; ++w) {
+        threads.emplace_back([&, w] {
+            for (std::uint32_t round = 0; round < kRounds; ++round) {
+                const auto bytes = pattern(1 + round * kWriters + w);
+                dev.store(kOff, bytes.data(), bytes.size());
+                if (round % 64 == 0) {
+                    dev.clwbRange(kOff, kBytes);
+                    dev.sfence();
+                }
+            }
+            writersLeft.fetch_sub(1);
+        });
+    }
+    for (unsigned r = 0; r < kReaders; ++r) {
+        threads.emplace_back([&] {
+            std::array<std::uint8_t, kBytes> seen{};
+            while (writersLeft.load() != 0) {
+                dev.load(kOff, seen.data(), seen.size());
+                std::uint32_t id;
+                std::memcpy(&id, seen.data(), sizeof id);
+                if (seen != pattern(id))
+                    torn.fetch_add(1);
+                checked.fetch_add(1);
+            }
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_GT(checked.load(), 0u);
+    EXPECT_EQ(dev.stats().loads, checked.load());
+    EXPECT_EQ(dev.stats().stores, std::uint64_t{kWriters} * kRounds);
 }
 
 } // namespace

@@ -902,12 +902,6 @@ SpecTx::recover()
     // inside an old record must not wedge the walk — the CRC seals
     // decide what is trustworthy, and quarantining handles the rest.
     pmem::MediaFaultSuppress suppress_media_faults;
-    struct CommittedTx
-    {
-        TxTimestamp ts;
-        std::vector<DecodedEntry> entries;
-    };
-    std::vector<CommittedTx> txs;
 
     struct AdoptedChain
     {
@@ -919,10 +913,10 @@ SpecTx::recover()
          * would let a later compaction mistake them for committed
          * records. */
         PmOff lastCommittedEnd = kPmNull;
-        /** (timestamp, end position) of every committed group, in
-         * chain order; epoch mode truncates at the last *replayed*
-         * group instead of the last committed one. */
-        std::vector<std::pair<TxTimestamp, PmOff>> groupEnds;
+        /** The chain's committed groups: [begin, end) of txs until
+         * the merge reorders it. Epoch mode moves lastCommittedEnd
+         * back to the last of them that is *replayed*. */
+        IndexRange groups;
     };
     std::vector<AdoptedChain> chains(numThreads_);
 
@@ -936,54 +930,53 @@ SpecTx::recover()
     if (epoch_media)
         frontier = dev_.loadT<EpochFrontier>(frontier_root);
 
-    for (unsigned tid = 0; tid < numThreads_; ++tid) {
-        const PmOff root = pool_.getRoot(txn::logHeadSlot(tid));
-        if (root == kPmNull)
-            continue;
-        chains[tid].present = true;
+    // Every chain decodes once into one arena; the committed groups
+    // are views into it, so nothing below copies an entry.
+    DecodedLog decoded;
+    std::vector<GroupedTx> txs;
+    {
+        SPECPMT_TRACE_SPAN("spec_recover_walk", "recovery");
+        for (unsigned tid = 0; tid < numThreads_; ++tid) {
+            const PmOff root = pool_.getRoot(txn::logHeadSlot(tid));
+            if (root == kPmNull)
+                continue;
+            auto &chain = chains[tid];
+            chain.present = true;
 
-        // Group consecutive same-timestamp segments into transactions
-        // (the shared splog_walk rule): committed only on a valid
-        // final seal attesting to the run's exact segment count —
-        // anything else is an interrupted commit's debris, undone by
-        // not replaying it.
-        TxGrouper grouper;
-        chains[tid].walk = walkChain(
-            dev_, root,
-            [&](const DecodedSegment &seg) {
-                seedTimestamp(seg.timestamp);
-                grouper.feed(seg);
-            },
-            [&](const QuarantinedSegment &) {
-                grouper.noteQuarantine();
-            });
-        grouper.finish();
-        if (!chains[tid].walk.quarantined.empty()) {
-            SpecTxMetrics::get().quarantinedSegments.add(
-                chains[tid].walk.quarantined.size());
-            quarantinedSegments_ +=
-                chains[tid].walk.quarantined.size();
-        }
-        for (const auto &group : grouper.committed()) {
-            CommittedTx tx;
-            tx.ts = group.ts;
-            for (const auto &part : group.segs) {
-                tx.entries.insert(tx.entries.end(),
-                                  part.seg.entries.begin(),
-                                  part.seg.entries.end());
+            // Group consecutive same-timestamp segments into
+            // transactions (the shared splog_walk rule): committed
+            // only on a valid final seal attesting to the run's exact
+            // segment count — anything else is an interrupted
+            // commit's debris, undone by not replaying it.
+            const std::size_t first = decoded.segments.size();
+            chain.walk = walkChain(dev_, root, decoded);
+            TxTimestamp newest = 0;
+            for (std::size_t i = first; i < decoded.segments.size(); ++i)
+                newest = std::max(newest, decoded.segments[i].timestamp);
+            seedTimestamp(newest);
+            TxGrouper grouper;
+            grouper.group(decoded, first, chain.walk.quarantined);
+            if (!chain.walk.quarantined.empty()) {
+                SpecTxMetrics::get().quarantinedSegments.add(
+                    chain.walk.quarantined.size());
+                quarantinedSegments_ += chain.walk.quarantined.size();
             }
-            txs.push_back(std::move(tx));
-            chains[tid].groupEnds.emplace_back(
-                group.ts, segmentEnd(group.segs.back().seg));
+            chain.groups.begin = txs.size();
+            txs.insert(txs.end(), grouper.committed().begin(),
+                       grouper.committed().end());
+            chain.groups.end = txs.size();
+            chain.lastCommittedEnd = grouper.lastCommittedEnd();
         }
-        chains[tid].lastCommittedEnd = grouper.lastCommittedEnd();
     }
 
     // Epoch replay rule (DESIGN §12): only transactions covered by the
     // durable frontier may be replayed. Everything newer belongs to an
     // epoch whose fence never completed — its commits were never acked
-    // — so it is dropped exactly like a torn strict commit.
-    std::uint64_t epoch_dropped = 0;
+    // — so it is dropped exactly like a torn strict commit. The cut
+    // moves each chain's adoption point to its last replayed group:
+    // committed-but-unsealed records must not survive into the
+    // adopted prefix, or a later reclaim cycle would compact them
+    // into always-replayed records.
     TxTimestamp epoch_limit = 0;
     if (epoch_media) {
         std::vector<TxTimestamp> committed_ts;
@@ -991,14 +984,47 @@ SpecTx::recover()
         for (const auto &tx : txs)
             committed_ts.push_back(tx.ts);
         epoch_limit = epochReplayLimit(frontier, std::move(committed_ts));
+        for (auto &chain : chains) {
+            chain.lastCommittedEnd = kPmNull;
+            for (std::size_t i = chain.groups.begin; i < chain.groups.end;
+                 ++i) {
+                if (txs[i].ts > epoch_limit)
+                    break;
+                chain.lastCommittedEnd =
+                    segmentEnd(decoded.segments[txs[i].segs.end - 1]);
+            }
+        }
+    }
+
+    // Global timestamp order. Each chain's committed groups are in
+    // timestamp order already: a thread commits in timestamp order and
+    // compaction keeps its groups' order. So merging the chains' runs
+    // orders them all; a damaged chain whose run is out of order is
+    // sorted first. Equal timestamps, which no healthy log holds, keep
+    // chain order.
+    {
+        SPECPMT_TRACE_SPAN("spec_recover_order", "recovery");
+        const auto by_ts = [](const GroupedTx &a, const GroupedTx &b) {
+            return a.ts < b.ts;
+        };
+        for (const auto &chain : chains) {
+            const auto run = txs.begin() +
+                             static_cast<std::ptrdiff_t>(chain.groups.begin);
+            const auto end = txs.begin() +
+                             static_cast<std::ptrdiff_t>(chain.groups.end);
+            if (!std::is_sorted(run, end, by_ts))
+                std::sort(run, end, by_ts);
+            std::inplace_merge(txs.begin(), run, end, by_ts);
+        }
+    }
+    if (epoch_media) {
         auto it = std::remove_if(txs.begin(), txs.end(),
-                                 [&](const CommittedTx &tx) {
+                                 [&](const GroupedTx &tx) {
                                      return tx.ts > epoch_limit;
                                  });
-        epoch_dropped =
-            static_cast<std::uint64_t>(std::distance(it, txs.end()));
+        SpecTxMetrics::get().epochDroppedTxs.add(
+            static_cast<std::uint64_t>(std::distance(it, txs.end())));
         txs.erase(it, txs.end());
-        SpecTxMetrics::get().epochDroppedTxs.add(epoch_dropped);
     }
 
     // Replay every fresh record in global chronological order: redo
@@ -1007,24 +1033,29 @@ SpecTx::recover()
     // flushed is clean, so each replayed line is written back once),
     // then one fence. The log is not written before that fence, so a
     // crash in here leaves it intact and recovery simply reruns.
-    std::sort(txs.begin(), txs.end(),
-              [](const CommittedTx &a, const CommittedTx &b) {
-                  return a.ts < b.ts;
-              });
-    std::vector<std::uint8_t> value;
-    for (const auto &tx : txs) {
-        for (const auto &entry : tx.entries) {
-            value.resize(entry.size);
-            entryValue(dev_, entry, value.data());
-            dev_.store(entry.dataOff, value.data(), entry.size);
+    {
+        SPECPMT_TRACE_SPAN("spec_recover_replay", "recovery");
+        std::vector<std::uint8_t> value;
+        for (const auto &tx : txs) {
+            for (const auto &entry : decoded.entriesIn(tx.entries)) {
+                value.resize(entry.size);
+                entryValue(dev_, entry, value.data());
+                dev_.store(entry.dataOff, value.data(), entry.size);
+            }
         }
     }
-    for (const auto &tx : txs) {
-        for (const auto &entry : tx.entries)
-            dev_.clwbRange(entry.dataOff, entry.size,
-                           pmem::TrafficClass::Data);
+    {
+        SPECPMT_TRACE_SPAN("spec_recover_flush", "recovery");
+        for (const auto &tx : txs) {
+            for (const auto &entry : decoded.entriesIn(tx.entries))
+                dev_.clwbRange(entry.dataOff, entry.size,
+                               pmem::TrafficClass::Data);
+        }
     }
-    dev_.sfence();
+    {
+        SPECPMT_TRACE_SPAN("spec_recover_fence", "recovery");
+        dev_.sfence();
+    }
 
     // Re-adopt each surviving chain: keep the valid prefix (its
     // records still cover the data for future interrupted updates),
@@ -1038,20 +1069,9 @@ SpecTx::recover()
         const auto &walk = chains[tid].walk;
 
         // Adopt the chain only up to the end of the last committed
-        // transaction; anything beyond it is a torn commit's debris.
-        // Under the epoch rule the cut moves earlier, to the last
-        // *replayed* group: committed-but-unsealed records must not
-        // survive into the adopted prefix, or a later reclaim cycle
-        // would compact them into always-replayed records.
+        // (under the epoch rule: replayed) transaction; anything
+        // beyond it is a torn commit's debris.
         PmOff adopt_pos = chains[tid].lastCommittedEnd;
-        if (epoch_media) {
-            adopt_pos = kPmNull;
-            for (const auto &[ts, end] : chains[tid].groupEnds) {
-                if (ts > epoch_limit)
-                    break;
-                adopt_pos = end;
-            }
-        }
         if (adopt_pos == kPmNull)
             adopt_pos = walk.blocks.front() + sizeof(BlockHeader);
         std::size_t keep = 0;
@@ -1215,30 +1235,27 @@ SpecTx::reclaimCycle()
     // valid-checksum non-final segments embedded in the chain, and
     // treating them as committed would launder an uncommitted update
     // into recovery's replay set.
-    std::vector<std::vector<GroupedTx>> groups(numThreads_);
+    DecodedLog decoded;
+    std::vector<TxGrouper> groupers(numThreads_);
     /** Compaction covers frozen blocks [0, cutoff): never split a
      * transaction whose tail lives beyond the boundary. */
     std::vector<std::size_t> cutoff(numThreads_, 0);
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
         SpecTxMetrics::get().reclaimBlocksWalked.add(frozen[tid].size());
-        TxGrouper grouper;
-        for (std::size_t i = 0; i < frozen[tid].size(); ++i) {
-            walkBlock(dev_, frozen[tid][i],
-                      [&](const DecodedSegment &seg) {
-                          grouper.feed(seg, i);
-                      });
-        }
-        const GroupedTx &open = grouper.finish();
-        groups[tid] = grouper.committed();
+        const std::size_t first = decoded.segments.size();
+        walkBlocks(dev_, frozen[tid], decoded);
+        const GroupedTx &open = groupers[tid].group(decoded, first);
+        const auto block_of = [&](std::size_t seg) {
+            return decoded.segments[seg].blockIndex;
+        };
         // A trailing group may complete in the unfrozen tail: keep
         // its blocks out of the compacted span.
-        std::size_t cut = open.segs.empty()
-                              ? frozen[tid].size()
-                              : open.segs.front().blockIndex;
-        for (auto it = groups[tid].rbegin(); it != groups[tid].rend();
-             ++it) {
-            if (it->segs.back().blockIndex >= cut)
-                cut = std::min(cut, it->segs.front().blockIndex);
+        std::size_t cut = open.segs.empty() ? frozen[tid].size()
+                                            : block_of(open.segs.begin);
+        const auto &groups = groupers[tid].committed();
+        for (auto it = groups.rbegin(); it != groups.rend(); ++it) {
+            if (block_of(it->segs.end - 1) >= cut)
+                cut = std::min(cut, block_of(it->segs.begin));
             else
                 break; // block indexes are monotone
         }
@@ -1247,20 +1264,18 @@ SpecTx::reclaimCycle()
 
     std::unordered_map<std::uint64_t, TxTimestamp> newest;
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
-        for (const auto &group : groups[tid]) {
-            for (const auto &info : group.segs) {
-                for (const auto &entry : info.seg.entries) {
-                    auto &ts = newest[entryKey(entry.dataOff,
-                                               entry.size)];
-                    if (group.ts > ts)
-                        ts = group.ts;
-                }
+        for (const auto &group : groupers[tid].committed()) {
+            for (const auto &entry : decoded.entriesIn(group.entries)) {
+                auto &ts = newest[entryKey(entry.dataOff, entry.size)];
+                if (group.ts > ts)
+                    ts = group.ts;
             }
         }
     }
 
     // Phase 2: per-thread compaction of blocks [0, cutoff).
     std::size_t freed_total = 0;
+    DecodedLog fresh;
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
         if (cutoff[tid] == 0)
             continue;
@@ -1271,22 +1286,23 @@ SpecTx::reclaimCycle()
         for (std::size_t i = 0; i < cutoff[tid]; ++i)
             frozen_bytes += pool_.allocationSize(frozen[tid][i]);
         std::size_t fresh_bytes = 0;
-        std::vector<DecodedSegment> fresh_segments;
-        for (const auto &group : groups[tid]) {
-            if (group.segs.back().blockIndex >= cutoff[tid])
+        fresh.clear();
+        for (const auto &group : groupers[tid].committed()) {
+            if (decoded.segments[group.segs.end - 1].blockIndex >=
+                cutoff[tid])
                 continue;
             DecodedSegment compacted;
             compacted.timestamp = group.ts;
             compacted.final = true;
-            for (const auto &info : group.segs) {
-                for (const auto &entry : info.seg.entries) {
-                    if (newest.at(entryKey(entry.dataOff,
-                                           entry.size)) == group.ts) {
-                        compacted.entries.push_back(entry);
-                        fresh_bytes += entry.logBytes();
-                    }
+            compacted.entries.begin = fresh.entries.size();
+            for (const auto &entry : decoded.entriesIn(group.entries)) {
+                if (newest.at(entryKey(entry.dataOff, entry.size)) ==
+                    group.ts) {
+                    fresh.entries.push_back(entry);
+                    fresh_bytes += entry.logBytes();
                 }
             }
+            compacted.entries.end = fresh.entries.size();
             // Epoch mode keeps a header-only tombstone even when every
             // entry is stale: deleting the whole transaction would
             // punch a hole into the timestamp sequence and stall the
@@ -1294,7 +1310,7 @@ SpecTx::reclaimCycle()
             // durable transactions.
             if (!compacted.entries.empty() || config_.groupCommit) {
                 fresh_bytes += sizeof(SegHead);
-                fresh_segments.push_back(std::move(compacted));
+                fresh.segments.push_back(compacted);
             }
         }
         if (fresh_bytes + sizeof(BlockHeader) + kPoisonBytes >
@@ -1324,7 +1340,7 @@ SpecTx::reclaimCycle()
                 }
             }
         } unspliced{*this, compact_blocks};
-        writeCompactRecords(fresh_segments, compact_blocks);
+        writeCompactRecords(fresh, compact_blocks);
 
         // The successor of the compacted span.
         PmOff successor = kPmNull;
@@ -1390,14 +1406,15 @@ SpecTx::reclaimCycle()
 }
 
 void
-SpecTx::writeCompactRecords(const std::vector<DecodedSegment> &segments,
+SpecTx::writeCompactRecords(const DecodedLog &records,
                             std::vector<PmOff> &blocks)
 {
     std::size_t tail_pos = 0;
     std::vector<std::uint8_t> value;
-    for (const auto &seg : segments) {
+    for (const auto &seg : records.segments) {
+        const auto entries = records.entriesIn(seg.entries);
         std::size_t seg_bytes = sizeof(SegHead);
-        for (const auto &entry : seg.entries)
+        for (const auto &entry : entries)
             seg_bytes += entry.logBytes();
         const PmOff last = blocks.empty() ? kPmNull : blocks.back();
         if (last == kPmNull ||
@@ -1408,7 +1425,7 @@ SpecTx::writeCompactRecords(const std::vector<DecodedSegment> &segments,
 
         const PmOff seg_pos = blocks.back() + tail_pos;
         PmOff cursor = seg_pos + sizeof(SegHead);
-        for (const auto &entry : seg.entries) {
+        for (const auto &entry : entries) {
             // A zero range moves as its head alone.
             const void *src = nullptr;
             if (!entry.zero) {
@@ -1421,7 +1438,7 @@ SpecTx::writeCompactRecords(const std::vector<DecodedSegment> &segments,
         }
         sealSegment(dev_, seg_pos, seg_bytes, seg.timestamp,
                     segFlagsWithCount(kSegFinal, 1),
-                    static_cast<std::uint32_t>(seg.entries.size()));
+                    static_cast<std::uint32_t>(entries.size()));
         tail_pos += seg_bytes;
     }
     if (!blocks.empty())

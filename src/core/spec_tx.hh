@@ -240,13 +240,13 @@ class SpecTx : public txn::TxRuntime
     std::size_t reclaimCycle();
 
     /**
-     * Compaction's writer: each of @p segments becomes one final
-     * single-segment record in fresh blocks, chained in order and
-     * pushed onto the empty @p blocks as they are formatted (so a
+     * Compaction's writer: each segment of @p records becomes one
+     * final single-segment record in fresh blocks, chained in order
+     * and pushed onto the empty @p blocks as they are formatted (so a
      * throw leaves every one there for the caller to free); the last
      * record is followed by the tail poison. Stores only.
      */
-    void writeCompactRecords(const std::vector<DecodedSegment> &segments,
+    void writeCompactRecords(const DecodedLog &records,
                              std::vector<PmOff> &blocks);
 
     /** The reclamation trigger shared by commits and the poll. */

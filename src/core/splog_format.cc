@@ -76,7 +76,7 @@ namespace
 {
 
 /**
- * One segment at a time, in a buffer reused across a block walk. A
+ * One segment at a time, in a buffer reused across a whole walk. A
  * segment costs one load of the line(s) holding its header and one
  * load of the lines after them, so the walk touches exactly the lines
  * the segment spans (media faults surface as with any other read of
@@ -132,7 +132,8 @@ class SegmentReader
 };
 
 /**
- * Parse the segments of one block starting at its first record slot.
+ * Parse the segments of one block starting at its first record slot,
+ * appending each to @p log tagged with @p block_index.
  *
  * @return WalkEnd::TornRecord on a crc mismatch; WalkEnd::CleanTail on
  *         poison or block exhaustion. @p next_out receives the chain
@@ -140,11 +141,9 @@ class SegmentReader
  */
 WalkEnd
 parseBlock(const pmem::PmemDevice &dev, PmOff block,
-           const std::function<void(const DecodedSegment &)> &visit,
-           PmOff *next_out, PmOff *stop_out = nullptr,
-           std::vector<QuarantinedSegment> *quarantine = nullptr,
-           const std::function<void(const QuarantinedSegment &)>
-               *on_quarantine = nullptr)
+           std::size_t block_index, SegmentReader &reader,
+           DecodedLog &log, PmOff *next_out, PmOff *stop_out = nullptr,
+           std::vector<QuarantinedSegment> *quarantine = nullptr)
 {
     const auto bh = dev.loadT<BlockHeader>(block);
     if (next_out)
@@ -172,8 +171,6 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
         }
     } stop_guard{stop_out, &pos};
     const PmOff end = block + bh.capacity;
-    SegmentReader reader(dev);
-    DecodedSegment seg;
     while (pos + sizeof(SegHead) <= end) {
         const SegHead head = reader.head(pos);
         if (head.sizeBytes == 0)
@@ -204,49 +201,55 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
             }
             if (!interior)
                 return WalkEnd::TornRecord;
-            const QuarantinedSegment q{pos, head.sizeBytes, block};
-            quarantine->push_back(q);
-            if (on_quarantine != nullptr && *on_quarantine)
-                (*on_quarantine)(q);
+            quarantine->push_back(
+                {pos, head.sizeBytes, block, log.segments.size()});
             pos = skip;
             continue;
         }
 
+        DecodedSegment seg;
         seg.pos = pos;
         seg.timestamp = head.timestamp;
         seg.final = (head.flags & kSegFinal) != 0;
         seg.flags = head.flags;
         seg.txSegments = segCountFromFlags(head.flags);
         seg.sizeBytes = head.sizeBytes;
-        seg.entries.clear();
+        seg.blockIndex = block_index;
+        seg.entries.begin = log.entries.size();
+        // A segment whose entry table turns out malformed leaves
+        // nothing in the log.
+        auto torn = [&] {
+            log.entries.resize(seg.entries.begin);
+            return WalkEnd::TornRecord;
+        };
 
         // Entry heads come from the buffer; cursor is body-relative.
         const std::size_t body_bytes = head.sizeBytes - sizeof(SegHead);
         std::size_t cursor = 0;
         for (std::uint32_t i = 0; i < head.numEntries; ++i) {
             if (cursor + sizeof(EntryHead) > body_bytes)
-                return WalkEnd::TornRecord; // crc matched garbage?
+                return torn(); // crc matched garbage?
             EntryHead ehead;
             std::memcpy(&ehead, body + cursor, sizeof(ehead));
             if (ehead.size == 0 || (ehead.flags & ~kEntryZero) != 0)
-                return WalkEnd::TornRecord;
+                return torn();
             const bool zero = (ehead.flags & kEntryZero) != 0;
             // A zero range's size is not bounded by its segment, as a
             // value's is: bound it by the device instead.
             if (zero && (ehead.off > dev.size() ||
                          ehead.size > dev.size() - ehead.off))
-                return WalkEnd::TornRecord;
+                return torn();
             const DecodedEntry entry{
                 ehead.off, ehead.size, zero,
                 zero ? kPmNull
                      : pos + sizeof(SegHead) + cursor + sizeof(EntryHead)};
             if (cursor + entry.logBytes() > body_bytes)
-                return WalkEnd::TornRecord;
-            seg.entries.push_back(entry);
+                return torn();
+            log.entries.push_back(entry);
             cursor += entry.logBytes();
         }
-
-        visit(seg);
+        seg.entries.end = log.entries.size();
+        log.segments.push_back(seg);
         pos += (head.sizeBytes + 7) & ~std::uint64_t{7};
     }
     return WalkEnd::CleanTail;
@@ -255,13 +258,11 @@ parseBlock(const pmem::PmemDevice &dev, PmOff block,
 } // namespace
 
 WalkResult
-walkChain(const pmem::PmemDevice &dev, PmOff head_block,
-          const std::function<void(const DecodedSegment &)> &visit,
-          const std::function<void(const QuarantinedSegment &)>
-              &on_quarantine)
+walkChain(const pmem::PmemDevice &dev, PmOff head_block, DecodedLog &log)
 {
     WalkResult result;
     std::unordered_set<PmOff> visited;
+    SegmentReader reader(dev);
     PmOff block = head_block;
     while (block != kPmNull) {
         // Validate the block header before adopting the block: a block
@@ -291,8 +292,8 @@ walkChain(const pmem::PmemDevice &dev, PmOff head_block,
         PmOff next = kPmNull;
         PmOff stop = kPmNull;
         const WalkEnd block_end =
-            parseBlock(dev, block, visit, &next, &stop,
-                       &result.quarantined, &on_quarantine);
+            parseBlock(dev, block, result.blocks.size() - 1, reader, log,
+                       &next, &stop, &result.quarantined);
         result.tailPos = stop;
         if (block_end == WalkEnd::TornRecord) {
             result.end = WalkEnd::TornRecord;
@@ -305,10 +306,12 @@ walkChain(const pmem::PmemDevice &dev, PmOff head_block,
 }
 
 void
-walkBlock(const pmem::PmemDevice &dev, PmOff block,
-          const std::function<void(const DecodedSegment &)> &visit)
+walkBlocks(const pmem::PmemDevice &dev, const std::vector<PmOff> &blocks,
+           DecodedLog &log)
 {
-    parseBlock(dev, block, visit, nullptr);
+    SegmentReader reader(dev);
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+        parseBlock(dev, blocks[i], i, reader, log, nullptr);
 }
 
 std::size_t

@@ -3,7 +3,8 @@
  * On-media format of the speculative log (paper Section 4.1): the one
  * encoder every log writer uses (SpecTx's append path and compaction,
  * the hybrid runtime) and the one walker every reader uses (recovery,
- * the background reclaimer, the inspector).
+ * the background reclaimer, the inspector). The walker decodes into a
+ * DecodedLog arena that its caller owns and reuses.
  *
  * A per-thread log area is a forward-chained list of *log blocks*:
  *
@@ -32,8 +33,9 @@
 #ifndef SPECPMT_CORE_SPLOG_FORMAT_HH
 #define SPECPMT_CORE_SPLOG_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -199,6 +201,16 @@ void entryValue(const pmem::PmemDevice &dev, const DecodedEntry &entry,
 void entryValue(const std::uint8_t *image, const DecodedEntry &entry,
                 void *out);
 
+/** A half-open range [begin, end) of indexes into a DecodedLog array. */
+struct IndexRange
+{
+    std::size_t begin = 0;
+    std::size_t end = 0;
+
+    std::size_t size() const { return end - begin; }
+    bool empty() const { return begin == end; }
+};
+
 /** A decoded, checksum-valid segment. */
 struct DecodedSegment
 {
@@ -210,7 +222,39 @@ struct DecodedSegment
      * writer predates the count encoding, e.g. hand-built fixtures). */
     std::uint32_t txSegments = 0;
     std::uint32_t sizeBytes = 0;
+    /** Ordinal of the block holding the segment: its place in the
+     * chain (walkChain) or in the caller's block list (walkBlocks). */
+    std::size_t blockIndex = 0;
+    /** Its entries, as indexes into DecodedLog::entries. */
+    IndexRange entries;
+};
+
+/**
+ * The decoded log: the one arena every walk appends to, segment heads
+ * to @c segments and their entries to @c entries, in walk order. A
+ * caller walks as many blocks and chains into one arena as it needs
+ * and reads them back through indexes (DecodedSegment::entries, the
+ * grouper's GroupedTx), never through pointers, so growth may move
+ * the arrays at any time. clear() keeps the capacity for reuse.
+ */
+struct DecodedLog
+{
+    std::vector<DecodedSegment> segments;
     std::vector<DecodedEntry> entries;
+
+    /** The entries of @p range. */
+    std::span<const DecodedEntry>
+    entriesIn(IndexRange range) const
+    {
+        return std::span(entries).subspan(range.begin, range.size());
+    }
+
+    void
+    clear()
+    {
+        segments.clear();
+        entries.clear();
+    }
 };
 
 /** Why a walk over one thread's chain ended. */
@@ -233,6 +277,9 @@ struct QuarantinedSegment
     PmOff pos = kPmNull;        ///< segment start in the log area
     std::uint32_t sizeBytes = 0;///< size claimed by its header
     PmOff block = kPmNull;      ///< block containing the segment
+    /** Index in DecodedLog::segments of the valid segment the walk
+     * appended next: the quarantine fell just before it. */
+    std::size_t nextSegment = 0;
 };
 
 /** Structural result of a chain walk, used to re-adopt a log. */
@@ -250,25 +297,24 @@ struct WalkResult
 };
 
 /**
- * Walk one thread's block chain from @p head_block, invoking
- * @p visit for every checksum-valid segment in chronological order.
- * Stops at the first torn record (there cannot be fresh records
- * beyond it — Section 4.1) — unless the failing record is followed by
- * a checksum-valid segment, in which case it is quarantined (see
- * QuarantinedSegment), @p on_quarantine fires, and the walk continues.
+ * Walk one thread's block chain from @p head_block, appending every
+ * checksum-valid segment to @p log in chronological order. Stops at
+ * the first torn record (there cannot be fresh records beyond it —
+ * Section 4.1) — unless the failing record is followed by a
+ * checksum-valid segment, in which case it is quarantined (see
+ * QuarantinedSegment) and the walk continues.
  */
-WalkResult walkChain(
-    const pmem::PmemDevice &dev, PmOff head_block,
-    const std::function<void(const DecodedSegment &)> &visit,
-    const std::function<void(const QuarantinedSegment &)> &on_quarantine =
-        {});
+WalkResult walkChain(const pmem::PmemDevice &dev, PmOff head_block,
+                     DecodedLog &log);
 
 /**
- * Walk the segments of a single block (no chain following); used by
- * the reclaimer, which freezes an explicit block list.
+ * Walk the segments of each block in @p blocks (no chain following),
+ * appending them to @p log tagged with the block's index in the list;
+ * used by the reclaimer, which freezes an explicit block list. A
+ * block's walk ends at its first invalid record.
  */
-void walkBlock(const pmem::PmemDevice &dev, PmOff block,
-               const std::function<void(const DecodedSegment &)> &visit);
+void walkBlocks(const pmem::PmemDevice &dev,
+                const std::vector<PmOff> &blocks, DecodedLog &log);
 
 // ---------------------------------------------------------------------
 // Encoder. Every log writer goes through these functions, and only

@@ -1,7 +1,6 @@
 #include "core/splog_walk.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/logging.hh"
 
@@ -9,26 +8,31 @@ namespace specpmt::core
 {
 
 void
-TxGrouper::feed(const DecodedSegment &seg, std::size_t block_index)
+TxGrouper::feed(const DecodedLog &log, std::size_t index)
 {
     SPECPMT_ASSERT(!finished_);
+    const DecodedSegment &seg = log.segments[index];
     if (!open_.segs.empty() && open_.ts != seg.timestamp) {
-        discarded_.push_back(
-            {TxDiscard::TimestampBreak, std::move(open_)});
+        discarded_.push_back({TxDiscard::TimestampBreak, open_});
         open_ = GroupedTx{};
     }
-    open_.ts = seg.timestamp;
-    open_.segs.push_back({seg, block_index});
+    if (open_.segs.empty())
+        open_ = {seg.timestamp, {index, index},
+                 {seg.entries.begin, seg.entries.begin}};
+    // One walk appended the run, so it is consecutive in the arena.
+    SPECPMT_ASSERT(index == open_.segs.end &&
+                   seg.entries.begin == open_.entries.end);
+    open_.segs.end = index + 1;
+    open_.entries.end = seg.entries.end;
     if (!seg.final)
         return;
     if (seg.txSegments != open_.segs.size()) {
-        discarded_.push_back(
-            {TxDiscard::SegCountMismatch, std::move(open_)});
+        discarded_.push_back({TxDiscard::SegCountMismatch, open_});
         open_ = GroupedTx{};
         return;
     }
     lastCommittedEnd_ = segmentEnd(seg);
-    committed_.push_back(std::move(open_));
+    committed_.push_back(open_);
     open_ = GroupedTx{};
 }
 
@@ -38,7 +42,7 @@ TxGrouper::noteQuarantine()
     SPECPMT_ASSERT(!finished_);
     if (open_.segs.empty())
         return;
-    discarded_.push_back({TxDiscard::QuarantineGap, std::move(open_)});
+    discarded_.push_back({TxDiscard::QuarantineGap, open_});
     open_ = GroupedTx{};
 }
 
@@ -47,9 +51,24 @@ TxGrouper::finish()
 {
     SPECPMT_ASSERT(!finished_);
     finished_ = true;
-    inFlight_ = std::move(open_);
+    inFlight_ = open_;
     open_ = GroupedTx{};
     return inFlight_;
+}
+
+const GroupedTx &
+TxGrouper::group(const DecodedLog &log, std::size_t first,
+                 const std::vector<QuarantinedSegment> &quarantined)
+{
+    auto q = quarantined.begin();
+    for (std::size_t i = first; i < log.segments.size(); ++i) {
+        for (; q != quarantined.end() && q->nextSegment <= i; ++q)
+            noteQuarantine();
+        feed(log, i);
+    }
+    for (; q != quarantined.end(); ++q)
+        noteQuarantine();
+    return finish();
 }
 
 TxTimestamp

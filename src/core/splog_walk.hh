@@ -4,7 +4,13 @@
  * speculative-log segments — the one place the "which segment runs
  * form committed transactions" rule lives.
  *
- * Three consumers feed the same grouper and must agree byte-for-byte
+ * A walk (splog_format) decodes a chain, or a reclaimer's frozen
+ * blocks, once into a DecodedLog arena; the grouper then reads that
+ * walk's segments in place and hands out each run as a view into the
+ * arena: a timestamp, a segment range and an entry range. No reader
+ * copies a segment or an entry to group, order or replay them.
+ *
+ * Three consumers run the same grouper and must agree byte-for-byte
  * on its verdicts:
  *
  *  - post-crash recovery (SpecTx::recover), which replays exactly the
@@ -66,20 +72,18 @@ enum class TxDiscard
     QuarantineGap,
 };
 
-/** One segment inside a grouped transaction. */
-struct GroupedSeg
-{
-    DecodedSegment seg;
-    /** Caller-supplied ordinal (the reclaimer passes the frozen-block
-     * index; chain walkers may leave it 0). */
-    std::size_t blockIndex = 0;
-};
-
-/** A maximal run of consecutive same-timestamp segments. */
+/**
+ * A maximal run of consecutive same-timestamp segments, as a view into
+ * the DecodedLog it was grouped from: indexes, so it stays valid while
+ * the arena grows.
+ */
 struct GroupedTx
 {
     TxTimestamp ts = 0;
-    std::vector<GroupedSeg> segs;
+    /** The run's segments, in DecodedLog::segments. */
+    IndexRange segs;
+    /** Every entry of those segments, in order, in DecodedLog::entries. */
+    IndexRange entries;
 };
 
 /** A discarded run plus the reason it cannot be committed. */
@@ -89,13 +93,14 @@ struct DiscardedTx
     GroupedTx tx;
 };
 
-/** The grouper; see file comment. Feed segments in walk order, then
- * call finish() exactly once before reading the result vectors. */
+/** The grouper; see file comment. Feed one walk's segments in walk
+ * order, then call finish() exactly once before reading the results;
+ * group() does all three. */
 class TxGrouper
 {
   public:
-    /** Feed the next checksum-valid segment of the walk. */
-    void feed(const DecodedSegment &seg, std::size_t block_index = 0);
+    /** Feed segment @p index of @p log, the walk's next valid one. */
+    void feed(const DecodedLog &log, std::size_t index);
 
     /**
      * The walker quarantined a CRC-failing segment at this point of
@@ -109,6 +114,15 @@ class TxGrouper
      * tail. @return the in-flight run (empty if the walk ended on a
      * transaction boundary). */
     const GroupedTx &finish();
+
+    /**
+     * Group one walk: feed segments [first, end) of @p log, noting
+     * each of the walk's @p quarantined segments where it fell, then
+     * finish(). @return the in-flight run.
+     */
+    const GroupedTx &group(
+        const DecodedLog &log, std::size_t first = 0,
+        const std::vector<QuarantinedSegment> &quarantined = {});
 
     /** Committed transactions, in walk (= per-thread commit) order. */
     const std::vector<GroupedTx> &committed() const { return committed_; }

@@ -50,18 +50,17 @@ segReport(const DecodedSegment &seg)
 }
 
 TxReport
-txFromGroup(const core::GroupedTx &group, TxVerdict verdict,
-            std::string reason)
+txFromGroup(const core::DecodedLog &decoded, const core::GroupedTx &group,
+            TxVerdict verdict, std::string reason)
 {
     TxReport tx;
     tx.verdict = verdict;
     tx.ts = group.ts;
     tx.reason = std::move(reason);
-    for (const auto &part : group.segs) {
-        tx.segs.push_back(segReport(part.seg));
-        tx.entries.insert(tx.entries.end(), part.seg.entries.begin(),
-                          part.seg.entries.end());
-    }
+    for (std::size_t i = group.segs.begin; i < group.segs.end; ++i)
+        tx.segs.push_back(segReport(decoded.segments[i]));
+    const auto entries = decoded.entriesIn(group.entries);
+    tx.entries.assign(entries.begin(), entries.end());
     return tx;
 }
 
@@ -114,23 +113,25 @@ describeTornTail(const pmem::PmemDevice &dev, PmOff pos)
            "(overruns its block or malformed entry table)";
 }
 
+/** @p decoded: an arena to decode into, emptied first. */
 ChainReport
-inspectChain(const pmem::PmemDevice &dev, unsigned tid, PmOff root)
+inspectChain(const pmem::PmemDevice &dev, unsigned tid, PmOff root,
+             core::DecodedLog &decoded)
 {
     ChainReport chain;
     chain.tid = tid;
     chain.present = true;
     chain.head = root;
 
+    decoded.clear();
+    const auto walk = core::walkChain(dev, root, decoded);
     core::TxGrouper grouper;
-    const auto walk = core::walkChain(
-        dev, root,
-        [&](const DecodedSegment &seg) { grouper.feed(seg); },
-        [&](const core::QuarantinedSegment &) {
-            grouper.noteQuarantine();
-        });
-    grouper.finish();
+    grouper.group(decoded, 0, walk.quarantined);
     chain.quarantined = walk.quarantined;
+    const auto last_seg = [&](const core::GroupedTx &group)
+        -> const DecodedSegment & {
+        return decoded.segments[group.segs.end - 1];
+    };
 
     chain.blocks = walk.blocks;
     chain.tornTail = walk.end == core::WalkEnd::TornRecord;
@@ -140,9 +141,9 @@ inspectChain(const pmem::PmemDevice &dev, unsigned tid, PmOff root)
     chain.lastCommittedEnd = grouper.lastCommittedEnd();
 
     for (const auto &group : grouper.committed()) {
-        const auto &last = group.segs.back().seg;
+        const auto &last = last_seg(group);
         chain.txs.push_back(txFromGroup(
-            group, TxVerdict::Committed,
+            decoded, group, TxVerdict::Committed,
             "final seal at " + hex(last.pos) + " attests " +
                 std::to_string(last.txSegments) +
                 " segment(s); run has " +
@@ -158,7 +159,7 @@ inspectChain(const pmem::PmemDevice &dev, unsigned tid, PmOff root)
                      " sealed segment(s))";
             break;
           case core::TxDiscard::SegCountMismatch: {
-            const auto &last = discarded.tx.segs.back().seg;
+            const auto &last = last_seg(discarded.tx);
             reason = "final seal at " + hex(last.pos) + " attests " +
                      std::to_string(last.txSegments) +
                      " segment(s) but the run has " +
@@ -174,7 +175,8 @@ inspectChain(const pmem::PmemDevice &dev, unsigned tid, PmOff root)
                      "would apply a subset";
             break;
         }
-        chain.txs.push_back(txFromGroup(discarded.tx, TxVerdict::Torn,
+        chain.txs.push_back(txFromGroup(decoded, discarded.tx,
+                                        TxVerdict::Torn,
                                         std::move(reason)));
     }
     std::sort(chain.txs.begin(), chain.txs.end(),
@@ -188,13 +190,13 @@ inspectChain(const pmem::PmemDevice &dev, unsigned tid, PmOff root)
     if (!open.segs.empty()) {
         if (chain.tornTail) {
             chain.txs.push_back(txFromGroup(
-                open, TxVerdict::Torn,
+                decoded, open, TxVerdict::Torn,
                 "run of " + std::to_string(open.segs.size()) +
                     " sealed segment(s) ends in a torn record: " +
                     chain.tailDetail));
         } else {
             chain.txs.push_back(txFromGroup(
-                open, TxVerdict::InFlight,
+                decoded, open, TxVerdict::InFlight,
                 "no final seal; log ends in clean tail poison "
                 "(crash between txBegin and the commit seal)"));
         }
@@ -234,6 +236,7 @@ inspectImage(const pmem::PmemDevice &dev, unsigned threads,
     report.deviceBytes = dev.size();
     threads = std::min(threads, kMaxInspectThreads);
 
+    core::DecodedLog decoded;
     for (unsigned tid = 0; tid < threads; ++tid) {
         const PmOff slot_off =
             txn::logHeadSlot(tid) * sizeof(PmOff);
@@ -242,7 +245,7 @@ inspectImage(const pmem::PmemDevice &dev, unsigned threads,
         const PmOff root = dev.loadT<PmOff>(slot_off);
         if (root == kPmNull)
             continue;
-        report.chains.push_back(inspectChain(dev, tid, root));
+        report.chains.push_back(inspectChain(dev, tid, root, decoded));
     }
 
     const PmOff flight_slot_off =

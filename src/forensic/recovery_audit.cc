@@ -143,21 +143,16 @@ auditRecovery(const std::vector<std::uint8_t> &image,
     // Check 2: the recovered chains hold exactly the committed
     // timestamps, per thread (debris truncated, prefix preserved).
     const auto want_ts = committedTimestamps(report);
+    core::DecodedLog decoded;
     for (const auto &[tid, want] : want_ts) {
         const PmOff root =
             dev->loadT<PmOff>(txn::logHeadSlot(tid) * sizeof(PmOff));
         std::vector<TxTimestamp> got;
         if (root != kPmNull) {
+            decoded.clear();
+            const auto walk = core::walkChain(*dev, root, decoded);
             core::TxGrouper grouper;
-            core::walkChain(
-                *dev, root,
-                [&](const core::DecodedSegment &seg) {
-                    grouper.feed(seg);
-                },
-                [&](const core::QuarantinedSegment &) {
-                    grouper.noteQuarantine();
-                });
-            grouper.finish();
+            grouper.group(decoded, 0, walk.quarantined);
             for (const auto &group : grouper.committed())
                 got.push_back(group.ts);
             std::sort(got.begin(), got.end());

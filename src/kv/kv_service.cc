@@ -565,12 +565,20 @@ KvService::crash(const pmem::CrashPolicy &policy)
     // cannot trip a second simulated failure.
     for (auto &shard : shards_)
         shard->device->armCrash(-1);
-    for (auto &shard : shards_) {
-        shard->map.reset();
-        shard->runtime.reset(); // the old process is gone
-        shard->device->simulateCrash(policy);
-        shard->pool->reopenAfterCrash();
-    }
+    // Each shard's crash touches only its own device, and each device
+    // draws from its own Rng(policy.seed), so the shards crash in
+    // parallel to the same images.
+    forEachShardInParallel(config_.shards, [&](unsigned s) {
+        Shard &shard = *shards_[s];
+        {
+            // Joins the shard's reclaimer, mid-cycle if need be.
+            SPECPMT_TRACE_SPAN("kv_crash_teardown", "recovery");
+            shard.map.reset();
+            shard.runtime.reset(); // the old process is gone
+        }
+        shard.device->simulateCrash(policy);
+        shard.pool->reopenAfterCrash();
+    });
     KvMetrics::get().crashes.add();
 }
 

@@ -579,12 +579,34 @@ PmemDevice::snapshotLine(std::uint64_t line)
 {
     std::uint32_t &slot = pendingSlot_[line];
     if (slot == 0) {
-        pending_.push_back({line, {}});
+        pending_.push_back({line, 0, false});
         slot = static_cast<std::uint32_t>(pending_.size());
+    } else {
+        pending_[slot - 1].copied = false; // the image holds them again
     }
-    std::memcpy(pending_[slot - 1].bytes.data(),
-                volatileImage_ + line * kCacheLineSize,
-                kCacheLineSize);
+}
+
+void
+PmemDevice::keepPendingBytes(std::uint64_t line)
+{
+    const std::uint32_t slot = pendingSlot_[line];
+    if (slot == 0 || pending_[slot - 1].copied)
+        return;
+    PendingLine &pending = pending_[slot - 1];
+    if (pending.copy == 0) {
+        pendingCopies_.emplace_back();
+        pending.copy = static_cast<std::uint32_t>(pendingCopies_.size());
+    }
+    std::memcpy(pendingCopies_[pending.copy - 1].data(),
+                volatileImage_ + line * kCacheLineSize, kCacheLineSize);
+    pending.copied = true;
+}
+
+const std::uint8_t *
+PmemDevice::pendingBytes(const PendingLine &pending) const
+{
+    return pending.copied ? pendingCopies_[pending.copy - 1].data()
+                          : volatileImage_ + pending.line * kCacheLineSize;
 }
 
 void
@@ -593,7 +615,8 @@ PmemDevice::dropPending(std::uint64_t line)
     const std::uint32_t slot = pendingSlot_[line];
     if (slot == 0)
         return;
-    // Move the last snapshot into the freed slot.
+    // Move the last entry into the freed slot; a copy slot the line
+    // owned stays unused until the next fence.
     pending_[slot - 1] = pending_.back();
     pendingSlot_[pending_.back().line] = slot;
     pendingSlot_[line] = 0;
@@ -606,11 +629,12 @@ PmemDevice::promotePending()
     for (const PendingLine &pending : pending_) {
         std::memcpy(persistentImage_ +
                         pending.line * kCacheLineSize,
-                    pending.bytes.data(), kCacheLineSize);
+                    pendingBytes(pending), kCacheLineSize);
         mirrorLine(pending.line);
         pendingSlot_[pending.line] = 0;
     }
     pending_.clear();
+    pendingCopies_.clear();
 }
 
 void
@@ -621,6 +645,7 @@ PmemDevice::clearLineState()
     for (const PendingLine &pending : pending_)
         pendingSlot_[pending.line] = 0;
     pending_.clear();
+    pendingCopies_.clear();
     staleLines_.clear();
 }
 
@@ -725,11 +750,15 @@ PmemDevice::store(PmOff off, const void *src, std::size_t size)
     maybeCrash();
     checkRange(off, size);
     checkMediaLines(eioLines_, MediaErrorKind::WriteEio, off, size);
-    writeVolatile(off, src, size);
     const std::uint64_t first = lineIndex(off);
     const std::uint64_t last = lineIndex(off + size - 1);
-    for (std::uint64_t line = first; line <= last; ++line)
+    const bool any_pending = !pending_.empty();
+    for (std::uint64_t line = first; line <= last; ++line) {
+        if (any_pending)
+            keepPendingBytes(line);
         markDirty(line);
+    }
+    writeVolatile(off, src, size);
     ++stats_.stores;
     stats_.storeBytes += size;
     if (timed())
@@ -947,7 +976,7 @@ PmemDevice::forEachCrashWrite(const CrashPolicy &policy, Fn write) const
     std::sort(pending_lines.begin(), pending_lines.end());
     for (std::uint64_t line : pending_lines) {
         if (persists())
-            write(line, pending_[pendingSlot_[line] - 1].bytes.data());
+            write(line, pendingBytes(pending_[pendingSlot_[line] - 1]));
     }
 
     // Dirty lines may have been evicted with their current contents.

@@ -241,6 +241,11 @@ struct DeviceStats
  * views stats(), raw(), persistentRaw() and timing(), and the reset in
  * clearStats(), are exact only while no other thread uses the device.
  *
+ * A flushed-but-unfenced line is kept by reference, as its index in the
+ * pending set: its bytes are copied only when a store reaches the line
+ * before the fence, and the fence otherwise promotes it from the
+ * volatile image (DESIGN section 17).
+ *
  * Both images, the per-line state and the page counters live in one
  * anonymous mapping that the constructor faults in whole, so no later
  * call takes a page fault on them (DESIGN section 20).
@@ -525,11 +530,19 @@ class PmemDevice
         std::uint64_t lines = 0;
     };
 
-    /** A flushed-but-unfenced line: its contents at flush time. */
+    /**
+     * A flushed-but-unfenced line, kept by reference: its contents at
+     * flush time are the volatile image's until a store reaches the
+     * line, and that store first copies them into a copy slot.
+     */
     struct PendingLine
     {
         std::uint64_t line;
-        std::array<std::uint8_t, kCacheLineSize> bytes;
+        /** 1 + index in pendingCopies_ of the line's copy slot, or 0
+         * while it has none. */
+        std::uint32_t copy;
+        /** Whether the copy slot, not the image, holds the bytes. */
+        bool copied;
     };
 
     void checkRange(PmOff off, std::size_t size) const;
@@ -561,8 +574,13 @@ class PmemDevice
     void clearDirty(std::uint64_t line);
     /** Call @p fn on every dirty line, in ascending order. */
     template <typename Fn> void forEachDirtyLine(Fn fn) const;
-    /** Snapshot the line's current contents as its pending write. */
+    /** Make the line's current contents its pending write. */
     void snapshotLine(std::uint64_t line);
+    /** Before a store reaches the line: copy its pending write, if it
+     * has one that the volatile image still holds. */
+    void keepPendingBytes(std::uint64_t line);
+    /** The bytes @p pending persists with at the fence. */
+    const std::uint8_t *pendingBytes(const PendingLine &pending) const;
     /** Drop the line's pending snapshot, if any. */
     void dropPending(std::uint64_t line);
     /** Move every pending snapshot into the persistent image. */
@@ -630,8 +648,11 @@ class PmemDevice
     std::size_t dirtyCount_ = 0;
     /** Per line: 1 + its index in pending_, or 0 if not pending. */
     std::uint32_t *pendingSlot_ = nullptr;
-    /** Flushed-but-unfenced snapshots, in no particular order. */
+    /** Flushed-but-unfenced lines, in no particular order. */
     std::vector<PendingLine> pending_;
+    /** Copy slots of pending lines that stores reached; emptied with
+     * pending_. */
+    std::vector<std::array<std::uint8_t, kCacheLineSize>> pendingCopies_;
     DeviceStats stats_;
     /** stats_ values already flushed by publishMetrics(). */
     DeviceStats published_;

@@ -1,6 +1,7 @@
 #include "sim/hybrid_spec_tx.hh"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "common/logging.hh"
@@ -359,10 +360,22 @@ HybridSpecTx::recover()
     struct CommitRecord
     {
         TxTimestamp ts;
-        unsigned tid;
-        std::vector<core::DecodedEntry> entries;
+        core::IndexRange entries; ///< in decoded.entries
     };
     std::vector<CommitRecord> commits;
+    core::DecodedLog decoded; // every chain, decoded once
+
+    // A segment's kind, by the flags the hybrid log writes.
+    const auto is_undo = [](const DecodedSegment &seg) {
+        return (seg.flags & kSegUndo) != 0;
+    };
+    const auto is_page = [](const DecodedSegment &seg) {
+        return (seg.flags & (kSegUndo | kSegPage)) == kSegPage;
+    };
+    const auto is_commit = [](const DecodedSegment &seg) {
+        return (seg.flags & (kSegUndo | kSegPage)) == 0 &&
+               (seg.flags & kSegFinal) != 0;
+    };
 
     for (unsigned tid = 0; tid < numThreads_; ++tid) {
         const PmOff root = pool_.getRoot(txn::logHeadSlot(tid));
@@ -370,17 +383,9 @@ HybridSpecTx::recover()
         if (root == kPmNull)
             continue;
 
-        std::vector<DecodedSegment> undo_segs;
-        std::vector<DecodedSegment> page_segs;
-        std::vector<DecodedSegment> commit_segs;
-        walkChain(dev_, root, [&](const DecodedSegment &seg) {
-            if (seg.flags & kSegUndo)
-                undo_segs.push_back(seg);
-            else if (seg.flags & kSegPage)
-                page_segs.push_back(seg);
-            else if (seg.flags & kSegFinal)
-                commit_segs.push_back(seg);
-        });
+        const std::size_t first = decoded.segments.size();
+        walkChain(dev_, root, decoded);
+        const auto segs = std::span(decoded.segments).subspan(first);
 
         // A sequence-cell entry's value: a sequence number.
         const auto seq_value = [&](const core::DecodedEntry &entry) {
@@ -392,9 +397,11 @@ HybridSpecTx::recover()
         // Committed sequence numbers are the values the commit
         // records wrote into this thread's sequence cell.
         std::unordered_set<std::uint64_t> committed_seqs;
-        for (const auto &seg : commit_segs) {
+        for (const auto &seg : segs) {
+            if (!is_commit(seg))
+                continue;
             seedTimestamp(seg.timestamp);
-            for (const auto &entry : seg.entries) {
+            for (const auto &entry : decoded.entriesIn(seg.entries)) {
                 if (entry.dataOff == seq_slot && entry.size == 8)
                     committed_seqs.insert(seq_value(entry));
             }
@@ -403,7 +410,7 @@ HybridSpecTx::recover()
         // A page record's owning transaction is named by its marker
         // entry (the sequence-cell snapshot taken at creation).
         const auto page_seg_seq = [&](const DecodedSegment &seg) {
-            for (const auto &entry : seg.entries) {
+            for (const auto &entry : decoded.entriesIn(seg.entries)) {
                 if (entry.dataOff == seq_slot && entry.size == 8)
                     return seq_value(entry);
             }
@@ -411,35 +418,34 @@ HybridSpecTx::recover()
         };
 
         std::vector<std::uint8_t> value;
-        const auto apply = [&](const core::DecodedEntry &entry) {
-            value.resize(entry.size);
-            core::entryValue(dev_, entry, value.data());
-            dev_.store(entry.dataOff, value.data(), entry.size);
+        const auto apply = [&](const DecodedSegment &seg) {
+            for (const auto &entry : decoded.entriesIn(seg.entries)) {
+                value.resize(entry.size);
+                core::entryValue(dev_, entry, value.data());
+                dev_.store(entry.dataOff, value.data(), entry.size);
+            }
         };
 
         // Step (i): uncommitted page records restore whole pages.
-        for (const auto &seg : page_segs) {
-            if (!committed_seqs.count(page_seg_seq(seg))) {
-                for (const auto &entry : seg.entries)
-                    apply(entry);
-            }
+        for (const auto &seg : segs) {
+            if (is_page(seg) && !committed_seqs.count(page_seg_seq(seg)))
+                apply(seg);
         }
         // Step (ii): uncommitted undo records, newest first.
-        for (auto it = undo_segs.rbegin(); it != undo_segs.rend();
-             ++it) {
-            if (!committed_seqs.count(it->timestamp)) {
-                for (const auto &entry : it->entries)
-                    apply(entry);
-            }
+        for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
+            if (is_undo(*it) && !committed_seqs.count(it->timestamp))
+                apply(*it);
         }
         // Committed speculative records — page snapshots and commit
         // records alike — replay chronologically in step (iii).
-        for (const auto &seg : page_segs) {
-            if (committed_seqs.count(page_seg_seq(seg)))
-                commits.push_back({seg.timestamp, tid, seg.entries});
+        for (const auto &seg : segs) {
+            if (is_page(seg) && committed_seqs.count(page_seg_seq(seg)))
+                commits.push_back({seg.timestamp, seg.entries});
         }
-        for (const auto &seg : commit_segs)
-            commits.push_back({seg.timestamp, tid, seg.entries});
+        for (const auto &seg : segs) {
+            if (is_commit(seg))
+                commits.push_back({seg.timestamp, seg.entries});
+        }
     }
 
     // Step (iii): committed speculative records, chronologically,
@@ -450,7 +456,7 @@ HybridSpecTx::recover()
               });
     std::vector<std::uint8_t> value;
     for (const auto &commit : commits) {
-        for (const auto &entry : commit.entries) {
+        for (const auto &entry : decoded.entriesIn(commit.entries)) {
             value.resize(entry.size);
             core::entryValue(dev_, entry, value.data());
             dev_.store(entry.dataOff, value.data(), entry.size);

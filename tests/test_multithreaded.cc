@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -149,7 +150,10 @@ TEST(MultiThreaded, SharedCountersWithLocking)
 {
     // Threads transfer between shared cells under the lock table; the
     // sum is conserved at every committed boundary, so it must be
-    // conserved after a post-run crash + recovery.
+    // conserved after a post-run crash + recovery. Every transfer also
+    // lands in a shadow copy under the same locks, and each recovered
+    // cell must equal it: replay across the compacted per-thread
+    // chains must follow commit-timestamp order, cell by cell.
     pmem::PmemDevice dev(64u << 20);
     pmem::PmemPool pool(dev);
     core::SpecTxConfig config;
@@ -165,6 +169,8 @@ TEST(MultiThreaded, SharedCountersWithLocking)
     for (unsigned c = 0; c < kCells; ++c)
         tx->txStoreT<std::uint64_t>(0, base + c * 8, kInitial);
     tx->txCommit(0);
+    std::array<std::uint64_t, kCells> shadow;
+    shadow.fill(kInitial);
 
     std::vector<std::thread> threads;
     for (unsigned t = 0; t < kThreads; ++t) {
@@ -190,6 +196,10 @@ TEST(MultiThreaded, SharedCountersWithLocking)
                         tx->txLoadT<std::uint64_t>(t, to_off) + 1);
                 }
                 tx->txCommit(t);
+                if (from_balance > 0) {
+                    --shadow[from];
+                    ++shadow[to];
+                }
             }
         });
     }
@@ -205,8 +215,11 @@ TEST(MultiThreaded, SharedCountersWithLocking)
     recovered.recover();
 
     std::uint64_t total = 0;
-    for (unsigned c = 0; c < kCells; ++c)
-        total += dev.loadT<std::uint64_t>(base + c * 8);
+    for (unsigned c = 0; c < kCells; ++c) {
+        const auto value = dev.loadT<std::uint64_t>(base + c * 8);
+        total += value;
+        EXPECT_EQ(value, shadow[c]) << "cell " << c;
+    }
     EXPECT_EQ(total, kCells * kInitial)
         << "cross-thread recovery must conserve the sum";
 }

@@ -81,8 +81,9 @@ TEST_F(PmdsTest, HashMapTombstoneReuseAndFull)
     EXPECT_EQ(map.get(17), 17u);
     // All other keys still reachable across the tombstone.
     for (std::uint64_t k = 1; k <= 16; ++k) {
-        if (k != 5)
+        if (k != 5) {
             EXPECT_EQ(map.get(k), k) << k;
+        }
     }
 }
 
@@ -167,8 +168,9 @@ TEST_F(PmdsTest, VectorPushIsAtomicUnderCrash)
     ASSERT_TRUE(n == 10 || n == 11) << n;
     for (std::uint64_t i = 0; i < 10; ++i)
         EXPECT_EQ(reopened.at(i), 1000 + i);
-    if (n == 11)
+    if (n == 11) {
         EXPECT_EQ(reopened.at(10), 7777u);
+    }
 }
 
 TEST_F(PmdsTest, QueueFifoSemantics)

@@ -650,13 +650,14 @@ TEST_F(SpecTxTest, ZeroRangeLogsOneHeadOnlyEntry)
     for (unsigned i = 0; i < 1280; ++i)
         ASSERT_EQ(dev_.loadT<std::uint64_t>(off + i * 8), 0u) << i;
 
-    DecodedSegment last;
-    walkChain(dev_, head,
-              [&](const DecodedSegment &seg) { last = seg; });
+    DecodedLog log;
+    walkChain(dev_, head, log);
+    ASSERT_FALSE(log.segments.empty());
+    const DecodedSegment &last = log.segments.back();
     ASSERT_EQ(last.entries.size(), 1u);
-    EXPECT_TRUE(last.entries[0].zero);
-    EXPECT_EQ(last.entries[0].dataOff, off);
-    EXPECT_EQ(last.entries[0].size, 1280u * 8);
+    EXPECT_TRUE(log.entriesIn(last.entries)[0].zero);
+    EXPECT_EQ(log.entriesIn(last.entries)[0].dataOff, off);
+    EXPECT_EQ(log.entriesIn(last.entries)[0].size, 1280u * 8);
     EXPECT_EQ(last.sizeBytes, sizeof(SegHead) + sizeof(EntryHead));
 }
 
@@ -751,23 +752,20 @@ TEST_F(SpecTxTest, ReclaimKeepsZeroRangeAndDropsSupersededRecords)
     unsigned zero_ranges = 0;
     std::array<unsigned, 8> slot_records{};
     bool pre_zero_record = false;
-    walkChain(dev_, pool_.getRoot(txn::logHeadSlot(0)),
-              [&](const DecodedSegment &seg) {
-                  for (const auto &entry : seg.entries) {
-                      if (entry.zero) {
-                          ++zero_ranges;
-                          continue;
-                      }
-                      if (entry.dataOff < off ||
-                          entry.dataOff >= off + 8 * 8)
-                          continue;
-                      ++slot_records[(entry.dataOff - off) / 8];
-                      pre_zero_record =
-                          pre_zero_record ||
-                          dev_.loadT<std::uint64_t>(entry.valuePos) >=
-                              0xAA00;
-                  }
-              });
+    DecodedLog log;
+    walkChain(dev_, pool_.getRoot(txn::logHeadSlot(0)), log);
+    for (const auto &entry : log.entries) {
+        if (entry.zero) {
+            ++zero_ranges;
+            continue;
+        }
+        if (entry.dataOff < off || entry.dataOff >= off + 8 * 8)
+            continue;
+        ++slot_records[(entry.dataOff - off) / 8];
+        pre_zero_record =
+            pre_zero_record ||
+            dev_.loadT<std::uint64_t>(entry.valuePos) >= 0xAA00;
+    }
     EXPECT_EQ(zero_ranges, 1u);
     EXPECT_FALSE(pre_zero_record);
     for (unsigned i = 0; i < 8; ++i)

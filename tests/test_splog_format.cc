@@ -77,18 +77,16 @@ TEST_F(SplogFormatTest, RoundTripSingleSegment)
     writeBlock(kBase, 4096, kPmNull);
     writeSegment(kBase + sizeof(BlockHeader), 7, true, {11, 22, 33});
 
-    std::vector<DecodedSegment> segments;
-    const auto walk = walkChain(
-        dev_, kBase, [&](const DecodedSegment &seg) {
-            segments.push_back(seg);
-        });
+    DecodedLog log;
+    const auto walk = walkChain(dev_, kBase, log);
+    const auto &segments = log.segments;
     EXPECT_EQ(walk.end, WalkEnd::CleanTail);
     ASSERT_EQ(segments.size(), 1u);
     EXPECT_EQ(segments[0].timestamp, 7u);
     EXPECT_TRUE(segments[0].final);
     ASSERT_EQ(segments[0].entries.size(), 3u);
-    EXPECT_EQ(dev_.loadT<std::uint64_t>(segments[0].entries[1].valuePos),
-              22u);
+    const PmOff value_pos = log.entriesIn(segments[0].entries)[1].valuePos;
+    EXPECT_EQ(dev_.loadT<std::uint64_t>(value_pos), 22u);
 }
 
 TEST_F(SplogFormatTest, MultipleSegmentsInChronologicalOrder)
@@ -100,9 +98,10 @@ TEST_F(SplogFormatTest, MultipleSegmentsInChronologicalOrder)
     writeSegment(pos, 3, true, {3});
 
     std::vector<TxTimestamp> stamps;
-    walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
+    DecodedLog log;
+    walkChain(dev_, kBase, log);
+    for (const auto &seg : log.segments)
         stamps.push_back(seg.timestamp);
-    });
     EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1, 2, 3}));
 }
 
@@ -120,9 +119,10 @@ TEST_F(SplogFormatTest, TornRecordStopsWalk)
     dev_.storeT<std::uint8_t>(victim, 0xFF);
 
     std::vector<TxTimestamp> stamps;
-    const auto walk = walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
+    DecodedLog log;
+    const auto walk = walkChain(dev_, kBase, log);
+    for (const auto &seg : log.segments)
         stamps.push_back(seg.timestamp);
-    });
     EXPECT_EQ(walk.end, WalkEnd::TornRecord);
     EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1}));
     EXPECT_EQ(walk.tailPos,
@@ -137,9 +137,10 @@ TEST_F(SplogFormatTest, ChainFollowsNextPointers)
     writeSegment(kBase + 4096 + sizeof(BlockHeader), 2, true, {2});
 
     std::vector<TxTimestamp> stamps;
-    const auto walk = walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
+    DecodedLog log;
+    const auto walk = walkChain(dev_, kBase, log);
+    for (const auto &seg : log.segments)
         stamps.push_back(seg.timestamp);
-    });
     EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1, 2}));
     ASSERT_EQ(walk.blocks.size(), 2u);
     EXPECT_EQ(walk.blocks[1], kBase + 4096);
@@ -156,9 +157,10 @@ TEST_F(SplogFormatTest, TornBlockHeaderEndsWalkBeforeTheBlock)
                                ~0ull);
 
     std::vector<TxTimestamp> stamps;
-    const auto walk = walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
+    DecodedLog log;
+    const auto walk = walkChain(dev_, kBase, log);
+    for (const auto &seg : log.segments)
         stamps.push_back(seg.timestamp);
-    });
     EXPECT_EQ(walk.end, WalkEnd::TornRecord);
     EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1}));
     ASSERT_EQ(walk.blocks.size(), 1u);
@@ -180,10 +182,10 @@ TEST_F(SplogFormatTest, ChainThatRevisitsABlockEndsAsTornRecord)
         }
 
         std::vector<TxTimestamp> stamps;
-        const auto walk =
-            walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
-                stamps.push_back(seg.timestamp);
-            });
+        DecodedLog log;
+        const auto walk = walkChain(dev_, kBase, log);
+        for (const auto &seg : log.segments)
+            stamps.push_back(seg.timestamp);
         EXPECT_EQ(walk.end, WalkEnd::TornRecord);
         if (two_blocks) {
             EXPECT_EQ(stamps, (std::vector<TxTimestamp>{1, 2}));
@@ -203,9 +205,10 @@ TEST_F(SplogFormatTest, NonFinalSegmentsReportFlag)
     writeSegment(pos, 5, true, {3});
 
     std::vector<bool> finals;
-    walkChain(dev_, kBase, [&](const DecodedSegment &seg) {
+    DecodedLog log;
+    walkChain(dev_, kBase, log);
+    for (const auto &seg : log.segments)
         finals.push_back(seg.final);
-    });
     EXPECT_EQ(finals, (std::vector<bool>{false, true}));
 }
 
@@ -281,15 +284,14 @@ TEST_F(SplogFormatTest, ZeroRangeEntryIsHeadOnly)
     cursor += entryBytes(8);
     sealAt(dev_, pos, cursor - pos, 2);
 
-    std::vector<DecodedSegment> segments;
-    const auto walk = walkChain(
-        dev_, kBase,
-        [&](const DecodedSegment &seg) { segments.push_back(seg); });
+    DecodedLog log;
+    const auto walk = walkChain(dev_, kBase, log);
+    const auto &segments = log.segments;
     EXPECT_EQ(walk.end, WalkEnd::CleanTail);
     ASSERT_EQ(segments.size(), 1u);
     ASSERT_EQ(segments[0].entries.size(), 2u);
-    const auto &zero = segments[0].entries[0];
-    const auto &value = segments[0].entries[1];
+    const auto &zero = log.entriesIn(segments[0].entries)[0];
+    const auto &value = log.entriesIn(segments[0].entries)[1];
     EXPECT_TRUE(zero.zero);
     EXPECT_EQ(zero.dataOff, 0x20000u);
     EXPECT_EQ(zero.size, 4096u);
@@ -319,8 +321,9 @@ TEST_F(SplogFormatTest, MalformedEntryHeadEndsTheWalkAsTornRecord)
         sealAt(dev_, pos, sizeof(SegHead) + sizeof(EntryHead), 1);
 
         std::size_t segments = 0;
-        const auto walk = walkChain(
-            dev_, kBase, [&](const DecodedSegment &) { ++segments; });
+        DecodedLog log;
+        const auto walk = walkChain(dev_, kBase, log);
+        segments = log.segments.size();
         EXPECT_EQ(walk.end, WalkEnd::TornRecord) << bad.flags;
         EXPECT_EQ(segments, 0u) << bad.flags;
     }
@@ -415,10 +418,9 @@ TEST_F(SplogEncoderTest, WritesTheFixtureBytes)
 TEST_F(SplogEncoderTest, WalkDecodesWhatItWrote)
 {
     encode(dev_);
-    std::vector<DecodedSegment> segments;
-    const auto walk = walkChain(
-        dev_, kA,
-        [&](const DecodedSegment &seg) { segments.push_back(seg); });
+    DecodedLog log;
+    const auto walk = walkChain(dev_, kA, log);
+    const auto &segments = log.segments;
     EXPECT_EQ(walk.end, WalkEnd::CleanTail);
     EXPECT_EQ(walk.blocks, (std::vector<PmOff>{kA, kB, kC}));
     ASSERT_EQ(segments.size(), 4u);
@@ -428,11 +430,11 @@ TEST_F(SplogEncoderTest, WalkDecodesWhatItWrote)
     EXPECT_TRUE(segments[0].final);
     EXPECT_EQ(segments[0].txSegments, 1u);
     ASSERT_EQ(segments[0].entries.size(), 2u);
-    EXPECT_TRUE(segments[0].entries[0].zero);
-    EXPECT_EQ(segments[0].entries[0].dataOff, 0x20000u);
-    EXPECT_EQ(segments[0].entries[0].size, 4096u);
+    EXPECT_TRUE(log.entriesIn(segments[0].entries)[0].zero);
+    EXPECT_EQ(log.entriesIn(segments[0].entries)[0].dataOff, 0x20000u);
+    EXPECT_EQ(log.entriesIn(segments[0].entries)[0].size, 4096u);
     std::uint64_t value = 0;
-    entryValue(dev_, segments[0].entries[1], &value);
+    entryValue(dev_, log.entriesIn(segments[0].entries)[1], &value);
     EXPECT_EQ(value, 42u);
 
     // The three segments of one transaction; only the last is final
@@ -441,7 +443,7 @@ TEST_F(SplogEncoderTest, WalkDecodesWhatItWrote)
     for (std::size_t i = 1; i < segments.size(); ++i) {
         EXPECT_EQ(segments[i].timestamp, 7u);
         EXPECT_EQ(segments[i].final, i == 3);
-        for (const auto &entry : segments[i].entries) {
+        for (const auto &entry : log.entriesIn(segments[i].entries)) {
             entryValue(dev_, entry, &value);
             values.push_back(value);
         }
@@ -459,7 +461,9 @@ TEST_F(SplogEncoderTest, FormattingARecycledBlockHidesItsStaleSegments)
     const PmOff second = first + writeSegment(first, 1, true, {1}, 1);
     writeSegment(second, 2, true, {2}, 1);
     std::size_t segments = 0;
-    walkChain(dev_, kA, [&](const DecodedSegment &) { ++segments; });
+    DecodedLog log;
+    walkChain(dev_, kA, log);
+    segments = log.segments.size();
     ASSERT_EQ(segments, 2u);
 
     // Chain it behind a fresh head block.
@@ -471,8 +475,9 @@ TEST_F(SplogEncoderTest, FormattingARecycledBlockHidesItsStaleSegments)
     EXPECT_EQ(segmentCrc(dev_, second, stale), stale.crc);
     // ... but the walk stops at the poison in the first slot.
     segments = 0;
-    const auto walk = walkChain(
-        dev_, kB, [&](const DecodedSegment &) { ++segments; });
+    log.clear();
+    const auto walk = walkChain(dev_, kB, log);
+    segments = log.segments.size();
     EXPECT_EQ(segments, 0u);
     EXPECT_EQ(walk.end, WalkEnd::CleanTail);
     EXPECT_EQ(walk.blocks, (std::vector<PmOff>{kB, kA}));

@@ -75,7 +75,7 @@ TEST(WorkloadSpec, MixContracts)
     }
 
     // Mix A is ~50/50, mix B ~95/5.
-    for (const auto [mix, expected] :
+    for (const auto &[mix, expected] :
          {std::pair{Mix::A, 0.5}, std::pair{Mix::B, 0.05}}) {
         spec.mix = mix;
         const ZipfianGenerator zipf(spec.keys, spec.zipfTheta);
